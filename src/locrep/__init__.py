@@ -38,7 +38,6 @@ from .gf2m import (
 )
 from .linear_code import (
     DEFAULT_SEARCH_CAP,
-    EntropyOracle,
     LinearCode,
     erasure_decodable,
     from_json_dict,
@@ -82,7 +81,6 @@ __all__ = [
     "BoundReport",
     "DEFAULT_SEARCH_CAP",
     "DomainError",
-    "EntropyOracle",
     "GF2m",
     "LemmaCheck",
     "LinearCode",

@@ -54,7 +54,7 @@ def _load_code(path: str):
 def _default_size_cap(code, metadata) -> Optional[int]:
     # declared locality bounds the useful regenerating-set size
     if metadata and metadata.get("family") == "square":
-        return int(metadata["r"]) + 1
+        return metadata["r"] + 1
     return None
 
 
@@ -121,7 +121,7 @@ def _cmd_verify(args) -> int:
                 "--optimal-square needs a code file with square metadata"
             )
         sc = square.build_square_code(
-            int(metadata["r"]), int(metadata["M"]), field=code.field
+            metadata["r"], metadata["M"], field=code.field
         )
         if sc.code.columns != code.columns:
             raise LocrepError(

@@ -89,12 +89,13 @@ class GF2m:
         if degree < 1:
             raise DomainError(f"field degree must be >= 1, got {degree}")
         if modulus is None:
+            # irreducible by construction; trial division is not repeated
             modulus = default_modulus(degree)
-        if poly_degree(modulus) != degree:
+        elif poly_degree(modulus) != degree:
             raise DomainError(
                 f"modulus {modulus:#x} is not monic of degree {degree}"
             )
-        if not is_irreducible(modulus):
+        elif not is_irreducible(modulus):
             raise DomainError(f"modulus {modulus:#x} is reducible over GF(2)")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "modulus", modulus)
@@ -238,63 +239,28 @@ def linearly_independent(field: GF2m, elems: Iterable[int]) -> bool:
     return True
 
 
-def matrix_rank(field: GF2m, nrows: int, columns: Sequence[Sequence[int]]) -> int:
-    """Rank over GF(2^m) of a matrix given by its columns.
+def _eliminate(
+    field: GF2m, nrows: int, columns: Sequence[Sequence[int]]
+) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of a matrix given by its columns.
 
-    Columns are inserted one by one into an echelon basis; each new
-    pivot is normalised with an exact field inversion.  No floating
-    point is involved anywhere.
+    Pivots are taken on the leftmost usable column, each normalised
+    with an exact field inversion.  Returns the reduced rows and the
+    pivot column indices in increasing order.
     """
     if nrows < 0:
         raise DomainError(f"row count must be >= 0, got {nrows}")
-    basis: dict[int, list[int]] = {}  # leading index -> normalised column
     for col in columns:
         if len(col) != nrows:
             raise DomainError(
                 f"ragged column: expected {nrows} entries, got {len(col)}"
             )
-        v = [field._check(x) for x in col]
-        while True:
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is None:
-                break
-            base = basis.get(lead)
-            if base is None:
-                scale = field.inv(v[lead])
-                basis[lead] = [field.mul(scale, x) for x in v]
-                break
-            f = v[lead]
-            v = [x ^ field.mul(f, y) for x, y in zip(v, base)]
-    return len(basis)
-
-
-def solve_column(
-    field: GF2m,
-    nrows: int,
-    columns: Sequence[Sequence[int]],
-    rhs: Sequence[int],
-) -> Optional[list[int]]:
-    """Coefficients c with sum(c_j * columns[j]) = rhs, or None.
-
-    Elimination pivots on the leftmost usable column, and free variables
-    are set to zero, so the returned combination is deterministic.
-    """
-    k = len(columns)
-    for col in columns:
-        if len(col) != nrows:
-            raise DomainError(
-                f"ragged column: expected {nrows} entries, got {len(col)}"
-            )
-    if len(rhs) != nrows:
-        raise DomainError(f"rhs must have {nrows} entries, got {len(rhs)}")
-    # augmented rows: nrows x (k + 1)
-    rows = [
-        [field._check(columns[j][i]) for j in range(k)] + [field._check(rhs[i])]
-        for i in range(nrows)
-    ]
+    rows = [[field._check(col[i]) for col in columns] for i in range(nrows)]
     pivot_cols: list[int] = []
     r = 0
-    for c in range(k):
+    for c in range(len(columns)):
+        if r == nrows:
+            break
         pivot = next((i for i in range(r, nrows) if rows[i][c]), None)
         if pivot is None:
             continue
@@ -307,12 +273,37 @@ def solve_column(
                 rows[i] = [x ^ field.mul(f, y) for x, y in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
-        if r == nrows:
-            break
-    # inconsistent if any zero row has a nonzero augment
-    for i in range(r, nrows):
-        if rows[i][k]:
-            return None
+    return rows, pivot_cols
+
+
+def matrix_rank(field: GF2m, nrows: int, columns: Sequence[Sequence[int]]) -> int:
+    """Rank over GF(2^m) of a matrix given by its columns.
+
+    Plain field elimination with no floating point; the package ranks
+    through :class:`~locrep.linear_code.LinearCode`, and this stays as
+    the independent reference the tests compare against.
+    """
+    return len(_eliminate(field, nrows, columns)[1])
+
+
+def solve_column(
+    field: GF2m,
+    nrows: int,
+    columns: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+) -> Optional[list[int]]:
+    """Coefficients c with sum(c_j * columns[j]) = rhs, or None.
+
+    Elimination pivots on the leftmost usable column, and free variables
+    are set to zero, so the returned combination is deterministic.  The
+    system is inconsistent exactly when the rhs column becomes a pivot.
+    """
+    if len(rhs) != nrows:
+        raise DomainError(f"rhs must have {nrows} entries, got {len(rhs)}")
+    k = len(columns)
+    rows, pivot_cols = _eliminate(field, nrows, list(columns) + [rhs])
+    if pivot_cols and pivot_cols[-1] == k:
+        return None
     coeffs = [0] * k
     for row_idx, c in enumerate(pivot_cols):
         coeffs[c] = rows[row_idx][k]

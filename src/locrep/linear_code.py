@@ -7,12 +7,16 @@ joint entropy of a coordinate subset (in 2^m-ary symbol units) equals
 the rank of the corresponding columns, which is the single oracle every
 higher-level query goes through; minimum distance is the exact
 subset-rank quantity n - max{|E| : rank(E) < M}.
+
+Every rank is taken over GF(2): a column and its multiples z^t * column
+(t < m) are packed into m integers, whose GF(2)-span equals the
+GF(2^m)-span of the column, so rank is tracked with integer XOR alone.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import gf2m
 from .errors import DomainError, SearchCapExceeded
@@ -21,19 +25,24 @@ from .errors import DomainError, SearchCapExceeded
 DEFAULT_SEARCH_CAP = 24
 
 
-class EntropyOracle(Protocol):
-    """What the combinatorial layers need to know about a code.
+def _pack_column(field: gf2m.GF2m, col: Sequence[int]) -> tuple[int, ...]:
+    """The m GF(2) images z^t * column, t = 0..m-1, each bit-packed.
 
-    Anything exposing length, dimension, fragment size and a joint
-    entropy query can be analysed; :class:`LinearCode` realises entropy
-    as column rank, which is exact for linear scalar codes.
+    Entry i of the column occupies bits i*m .. i*m+m-1.  Multiplying
+    every entry by z at once is a shift within each slot, plus the
+    reduction polynomial in every slot whose top bit overflowed.
     """
-
-    n: int
-    M: int
-    alpha: int
-
-    def entropy(self, members: Iterable[int]) -> int: ...
+    m = field.degree
+    packed = top = 0
+    for i, x in enumerate(col):
+        packed |= x << (i * m)
+        top |= 1 << (i * m + m - 1)
+    reduction = field.modulus ^ (1 << m)
+    images = [packed]
+    for _ in range(m - 1):
+        packed = ((packed & ~top) << 1) ^ ((packed & top) >> (m - 1)) * reduction
+        images.append(packed)
+    return tuple(images)
 
 
 class LinearCode:
@@ -44,7 +53,7 @@ class LinearCode:
     entropy queries are cached per coordinate subset.
     """
 
-    __slots__ = ("field", "n", "M", "alpha", "columns", "_rank_cache")
+    __slots__ = ("field", "n", "M", "alpha", "columns", "_packed", "_rank_cache")
 
     def __init__(
         self,
@@ -66,14 +75,17 @@ class LinearCode:
                 raise DomainError(
                     f"ragged column: expected {M} entries, got {len(col)}"
                 )
-        if gf2m.matrix_rank(field, M, cols) != M:
-            raise DomainError("generator columns must have full rank M")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "columns", cols)
+        object.__setattr__(
+            self, "_packed", tuple(_pack_column(field, col) for col in cols)
+        )
         object.__setattr__(self, "_rank_cache", {0: 0})
+        if self._rank((1 << n) - 1) != M:
+            raise DomainError("generator columns must have full rank M")
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -86,20 +98,49 @@ class LinearCode:
             mask |= 1 << (i - 1)
         return mask
 
+    def _rank(self, mask: int) -> int:
+        """GF(2^m) rank of the columns selected by a bitmask (bit i-1 = i)."""
+        cached = self._rank_cache.get(mask)
+        if cached is not None:
+            return cached
+        M = self.M
+        # pivots[p]: the echelon vector whose leading bit is p, or 0
+        pivots = [0] * (M * self.field.degree)
+        rank = 0
+        rest = mask
+        while rest and rank < M:
+            low = rest & -rest
+            rest ^= low
+            images = self._packed[low.bit_length() - 1]
+            v = images[0]
+            while v:
+                w = pivots[v.bit_length() - 1]
+                if not w:
+                    break
+                v ^= w
+            if not v:
+                continue
+            rank += 1
+            if rest and rank < M:
+                # a column outside the span adds all m of its images
+                for u in images:
+                    while u:
+                        p = u.bit_length() - 1
+                        w = pivots[p]
+                        if not w:
+                            pivots[p] = u
+                            break
+                        u ^= w
+        self._rank_cache[mask] = rank
+        return rank
+
     def entropy(self, members: Iterable[int]) -> int:
         """Joint entropy of a coordinate subset, in 2^m-ary symbols.
 
         Realised as the rank of the selected generator columns; 0 for
         the empty set and M for the full coordinate set.
         """
-        mask = self._coord_mask(members)
-        cached = self._rank_cache.get(mask)
-        if cached is not None:
-            return cached
-        cols = [self.columns[i] for i in range(self.n) if (mask >> i) & 1]
-        r = gf2m.matrix_rank(self.field, self.M, cols)
-        self._rank_cache[mask] = r
-        return r
+        return self._rank(self._coord_mask(members))
 
     def encode(self, message: Sequence[int]) -> tuple[int, ...]:
         """Codeword for an M-symbol message."""
@@ -130,36 +171,11 @@ def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
         )
 
 
-def _expand_columns(code: LinearCode) -> list[list[int]]:
-    """Per column, the m bit-packed GF(2) images of z^t * column.
-
-    The GF(2)-span of these expansions equals the GF(2^m)-span of the
-    columns, so GF(2^m) rank can be tracked with plain integer XOR.
-    """
-    field = code.field
-    m = field.degree
-    mul = field.mul
-    out = []
-    for col in code.columns:
-        vecs = []
-        zt = 1
-        for _ in range(m):
-            packed = 0
-            shift = 0
-            for c in col:
-                packed |= mul(zt, c) << shift
-                shift += m
-            vecs.append(packed)
-            zt = mul(zt, 2)
-        out.append(vecs)
-    return out
-
-
 def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     """Largest rank-deficient coordinate subset and its lex-first witness.
 
     Depth-first scan over subsets in lexicographic order, keeping an
-    incremental GF(2) echelon of the expanded columns.  Two prunes keep
+    incremental GF(2) echelon of the packed columns.  Two prunes keep
     it exact but fast: a subset that already has full rank cannot sit
     inside a deficient one, and a branch that cannot exceed the best
     size found so far is dropped.  The result (and witness) match a
@@ -168,7 +184,7 @@ def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     """
     n, M = code.n, code.M
     m = code.field.degree
-    exp_cols = _expand_columns(code)
+    packed = code._packed
     pivots = [0] * (M * m)
     # Any M-1 columns are trivially deficient, so that is the floor and
     # the first M-1 coordinates are its lex-first witness.
@@ -181,7 +197,7 @@ def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
         for j in range(start, n):
             if size + (n - j) <= best_size:
                 break
-            vecs = exp_cols[j]
+            vecs = packed[j]
             v = vecs[0]
             while v:
                 p = v.bit_length() - 1
@@ -262,6 +278,11 @@ def _elem_from_hex(s: str) -> int:
     return v
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:
     """Serializable dict in the code file format.
 
@@ -292,12 +313,30 @@ def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
         raw_columns = obj["columns"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed code file: {exc}") from None
+    for key, value in (("q", q), ("m", m), ("n", n), ("M", M)):
+        if not _is_int(value):
+            raise DomainError(
+                f"malformed code file: {key} must be an integer, got {value!r}"
+            )
+    if not isinstance(raw_columns, list) or not all(
+        isinstance(col, list) for col in raw_columns
+    ):
+        raise DomainError("malformed code file: columns must be a list of lists")
+    metadata = obj.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise DomainError("malformed code file: metadata must be an object")
+    if metadata and metadata.get("family") == "square":
+        for key in ("r", "M"):
+            if not _is_int(metadata.get(key)):
+                raise DomainError(
+                    f"malformed code file: square metadata needs an integer {key}"
+                )
     if q != 2:
         raise DomainError(f"only base field GF(2) is supported, got q={q}")
     field = gf2m.GF2m(m, modulus)
     columns = [[_elem_from_hex(x) for x in col] for col in raw_columns]
     code = LinearCode(field, n, M, columns)
-    return code, obj.get("metadata")
+    return code, metadata
 
 
 def dumps(code: LinearCode, metadata: Optional[dict] = None) -> str:

@@ -6,8 +6,8 @@ with and without i).  Chains of regenerating sets whose targets stay
 outside the union of the earlier sets ("nontrivial unions") drive the
 distance bounds: phi(x) is the smallest union such a chain of x sets
 can have, and rho is the largest x for which phi(x) - x still falls
-short of M/alpha.  Everything here talks to the code only through the
-entropy oracle.
+short of M/alpha.  Everything here talks to the code only through its
+entropy, :meth:`LinearCode.entropy`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, PhiUndefinedError, SearchCapExceeded
-from .linear_code import DEFAULT_SEARCH_CAP, EntropyOracle
+from .linear_code import LinearCode, _check_search_cap
 
 # verify_locality enumerates all erasure patterns of size < delta, which
 # is only practical for small tolerance and desk-scale lengths.
@@ -69,7 +69,7 @@ class PhiProfile:
         }
 
 
-def _validate_coords(code: EntropyOracle, members: Iterable[int]) -> frozenset[int]:
+def _validate_coords(code: LinearCode, members: Iterable[int]) -> frozenset[int]:
     out = frozenset(members)
     for i in out:
         if not isinstance(i, int) or not 1 <= i <= code.n:
@@ -84,7 +84,7 @@ def _mask(members: Iterable[int]) -> int:
     return m
 
 
-def is_regenerating(code: EntropyOracle, target: int, members: Iterable[int]) -> bool:
+def is_regenerating(code: LinearCode, target: int, members: Iterable[int]) -> bool:
     """Whether ``members`` is a regenerating set of ``target``.
 
     True iff dropping the target does not lower the joint entropy, i.e.
@@ -97,7 +97,7 @@ def is_regenerating(code: EntropyOracle, target: int, members: Iterable[int]) ->
 
 
 def minimal_regsets(
-    code: EntropyOracle, target: int, size_cap: int
+    code: LinearCode, target: int, size_cap: int
 ) -> list[RegeneratingSet]:
     """All inclusion-minimal regenerating sets of ``target`` up to a size cap.
 
@@ -128,7 +128,7 @@ def minimal_regsets(
 
 
 def is_nontrivial_union(
-    code: EntropyOracle, sequence: Sequence[RegeneratingSet]
+    code: LinearCode, sequence: Sequence[RegeneratingSet]
 ) -> bool:
     """Whether every target lies outside the union of the earlier sets.
 
@@ -150,7 +150,7 @@ def is_nontrivial_union(
 
 
 def check_union_entropy(
-    code: EntropyOracle, sequence: Sequence[RegeneratingSet]
+    code: LinearCode, sequence: Sequence[RegeneratingSet]
 ) -> bool:
     """Entropy of the union is at most alpha * (union size - chain length).
 
@@ -179,7 +179,7 @@ class _PhiSearch:
     the incumbent is pruned.
     """
 
-    def __init__(self, code: EntropyOracle, size_cap: int):
+    def __init__(self, code: LinearCode, size_cap: int):
         self.code = code
         self.n = code.n
         self.infeasible = code.n + 1
@@ -235,7 +235,7 @@ class _PhiSearch:
         return tuple(chain)
 
 
-def _resolve_size_cap(code: EntropyOracle, size_cap: Optional[int]) -> int:
+def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
     if size_cap is None:
         return code.n
     if size_cap < 1:
@@ -243,17 +243,8 @@ def _resolve_size_cap(code: EntropyOracle, size_cap: Optional[int]) -> int:
     return min(size_cap, code.n)
 
 
-def _check_search_cap(code: EntropyOracle, search_cap: Optional[int]) -> None:
-    cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
-    if code.n > cap:
-        raise SearchCapExceeded(
-            f"instance too large: n={code.n} exceeds the exhaustive-search "
-            f"cap of {cap} coordinates"
-        )
-
-
 def phi(
-    code: EntropyOracle,
+    code: LinearCode,
     x: int,
     size_cap: Optional[int] = None,
     search_cap: Optional[int] = None,
@@ -273,7 +264,7 @@ def phi(
 
 
 def _assert_union_not_exhaustive(
-    code: EntropyOracle, chain: Sequence[RegeneratingSet]
+    code: LinearCode, chain: Sequence[RegeneratingSet]
 ) -> None:
     # For x <= rho a minimising union must leave some coordinate out,
     # otherwise the whole file would have deficient entropy.
@@ -286,7 +277,7 @@ def _assert_union_not_exhaustive(
 
 
 def rho(
-    code: EntropyOracle,
+    code: LinearCode,
     size_cap: Optional[int] = None,
     search_cap: Optional[int] = None,
 ) -> int:
@@ -295,7 +286,7 @@ def rho(
 
 
 def phi_profile(
-    code: EntropyOracle,
+    code: LinearCode,
     x_max: Optional[int] = None,
     size_cap: Optional[int] = None,
     search_cap: Optional[int] = None,
@@ -342,7 +333,7 @@ def phi_profile(
     )
 
 
-def verify_locality(code: EntropyOracle, r: int, delta: int) -> bool:
+def verify_locality(code: LinearCode, r: int, delta: int) -> bool:
     """Whether every coordinate keeps locality r under delta-2 extra erasures.
 
     For each coordinate i and each erasure pattern E containing i with

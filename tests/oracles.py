@@ -3,7 +3,8 @@
 Everything here recomputes quantities from their definitions with the
 dumbest possible enumeration, deliberately avoiding the search engines
 under test.  Rank queries go through the public field-level
-elimination, never through the packed GF(2) engine behind min_distance.
+elimination (``matrix_rank``), never through the packed GF(2) engine
+behind ``LinearCode.entropy`` and ``min_distance``.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def random_code(
             return code
         # d >= 2 iff every single coordinate is redundant
         if all(
-            code.entropy([j for j in range(1, n + 1) if j != i]) == M
+            subset_rank(code, [j for j in range(1, n + 1) if j != i]) == M
             for i in range(1, n + 1)
         ):
             return code
@@ -95,7 +96,7 @@ def all_regenerating_sets(code: LinearCode, target: int) -> list[frozenset[int]]
     for size in range(0, n):
         for extra in combinations(others, size):
             members = frozenset((target,) + extra)
-            if code.entropy(members) == code.entropy(extra):
+            if subset_rank(code, members) == subset_rank(code, extra):
                 out.append(members)
     return out
 

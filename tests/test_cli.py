@@ -254,3 +254,42 @@ def test_optimal_square_refuses_beyond_brute_force(capsys, tmp_path):
     rc, _, err = _run(capsys, "verify", str(path), "--optimal-square")
     assert rc == 2
     assert "instance too large" in err
+
+
+def _without_r(obj):
+    del obj["metadata"]["r"]
+
+
+@pytest.mark.parametrize(
+    "verb, edit",
+    [
+        ("distance", lambda obj: obj.update(m=4.0)),
+        ("distance", lambda obj: obj.update(n=9.0)),
+        ("distance", lambda obj: obj.update(M=True)),
+        ("distance", lambda obj: obj.update(q=2.0)),
+        ("distance", lambda obj: obj.update(q="2")),
+        ("distance", lambda obj: obj.update(columns=5)),
+        ("phi", lambda obj: obj.update(columns=5)),
+        ("phi", lambda obj: obj.update(columns=[5] * 9)),
+        ("phi", lambda obj: obj.update(metadata=5)),
+        ("phi", lambda obj: obj["metadata"].update(r="two")),
+        ("phi", lambda obj: obj["metadata"].update(M=3.0)),
+        ("phi", _without_r),
+    ],
+    ids=[
+        "m-float", "n-float", "M-bool", "q-float", "q-str", "columns-int",
+        "phi-columns-int", "columns-not-lists", "metadata-int",
+        "metadata-r-str", "metadata-M-float", "metadata-r-missing",
+    ],
+)
+def test_malformed_code_file_is_domain_error(capsys, tmp_path, code_file, verb, edit):
+    with open(code_file) as fh:
+        obj = json.load(fh)
+    edit(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    argv = [verb, str(path)] + (["--x-max", "2"] if verb == "phi" else [])
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: malformed code file")

@@ -209,28 +209,67 @@ def test_matrix_rank_invariant_under_permutation_and_scaling():
         assert matrix_rank(GF16, nrows, scaled) == base
 
 
+def _dot(field, u, v):
+    out = 0
+    for a, b in zip(u, v):
+        out ^= field.mul(a, b)
+    return out
+
+
+def _combine(field, coeffs, cols, nrows):
+    return [_dot(field, coeffs, [col[i] for col in cols]) for i in range(nrows)]
+
+
 def test_solve_column_reproduces_target():
     rng = Random(29)
-    for _ in range(50):
-        nrows = rng.randrange(1, 5)
-        ncols = rng.randrange(1, 6)
-        cols = [
-            [rng.randrange(16) for _ in range(nrows)] for _ in range(ncols)
-        ]
-        weights = [rng.randrange(16) for _ in range(ncols)]
-        rhs = [0] * nrows
-        for w, col in zip(weights, cols):
-            for i in range(nrows):
-                rhs[i] ^= GF16.mul(w, col[i])
-        coeffs = solve_column(GF16, nrows, cols, rhs)
-        assert coeffs is not None
-        rebuilt = [0] * nrows
-        for c, col in zip(coeffs, cols):
-            for i in range(nrows):
-                rebuilt[i] ^= GF16.mul(c, col[i])
-        assert rebuilt == rhs
+    for field in (GF16, GF2m(1), GF2m(17)):
+        q = field.order
+        for _ in range(50):
+            nrows = rng.randrange(1, 5)
+            ncols = rng.randrange(1, 6)
+            cols = []
+            for _ in range(ncols):
+                if cols and rng.random() < 0.3:
+                    # an explicit combination of earlier columns is free
+                    w = [rng.randrange(q) for _ in cols]
+                    cols.append(_combine(field, w, cols, nrows))
+                else:
+                    cols.append([rng.randrange(q) for _ in range(nrows)])
+            weights = [rng.randrange(q) for _ in range(ncols)]
+            rhs = _combine(field, weights, cols, nrows)
+            coeffs = solve_column(field, nrows, cols, rhs)
+            assert coeffs is not None
+            assert _combine(field, coeffs, cols, nrows) == rhs
+            # only leftmost pivots carry weight: a column in the span of
+            # the columns before it is a free variable, set to zero
+            for j, c in enumerate(coeffs):
+                if matrix_rank(field, nrows, cols[: j + 1]) == matrix_rank(
+                    field, nrows, cols[:j]
+                ):
+                    assert c == 0
 
 
 def test_solve_column_detects_inconsistency():
     cols = [[1, 0], [0, 0]]
     assert solve_column(GF16, 2, cols, [0, 1]) is None
+    # random systems whose columns lie in the kernel of a functional f
+    # that does not vanish on the rhs
+    rng = Random(31)
+    for field in (GF16, GF2m(1), GF2m(17)):
+        q = field.order
+        for _ in range(50):
+            nrows = rng.randrange(1, 5)
+            f = [rng.randrange(q) for _ in range(nrows)]
+            p = rng.randrange(nrows)
+            f[p] = rng.randrange(1, q)
+            cols = []
+            for _ in range(rng.randrange(0, 6)):
+                col = [rng.randrange(q) for _ in range(nrows)]
+                col[p] = 0
+                col[p] = field.mul(field.inv(f[p]), _dot(field, f, col))
+                cols.append(col)
+            rhs = [rng.randrange(q) for _ in range(nrows)]
+            rhs[p] = 0
+            miss = _dot(field, f, rhs) ^ rng.randrange(1, q)
+            rhs[p] = field.mul(field.inv(f[p]), miss)
+            assert solve_column(field, nrows, cols, rhs) is None

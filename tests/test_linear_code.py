@@ -26,6 +26,7 @@ from oracles import (
     random_code,
     repetition_code,
     single_parity_code,
+    subset_rank,
 )
 
 
@@ -33,6 +34,33 @@ def test_full_rank_required():
     field = GF2m(4)
     with pytest.raises(DomainError):
         LinearCode(field, 3, 2, [[1, 0], [1, 0], [2, 0]])
+
+
+def test_full_rank_required_beyond_table_degrees():
+    # degree 17 multiplies by shift-and-xor, not log tables
+    field = GF2m(17)
+    rng = Random(37)
+    a, b = rng.randrange(1, field.order), rng.randrange(1, field.order)
+    u = [rng.randrange(field.order) for _ in range(3)]
+    v = [rng.randrange(field.order) for _ in range(3)]
+    w = [field.mul(a, x) ^ field.mul(b, y) for x, y in zip(u, v)]
+    with pytest.raises(DomainError):
+        LinearCode(field, 4, 3, [u, v, w, w])
+
+
+@pytest.mark.parametrize("m", [1, 3, 9, 17, 25])
+def test_entropy_matches_reference_rank(m):
+    # degree 1, log-table fields, and shift-and-xor fields above 16
+    rng = Random(100 + m)
+    field = GF2m(m)
+    for _ in range(6):
+        n = rng.randrange(2, 9)
+        M = rng.randrange(1, n + 1)
+        code = random_code(rng, field, n, M, require_repairable=False)
+        coords = list(range(1, n + 1))
+        for _ in range(25):
+            members = rng.sample(coords, rng.randrange(0, n + 1))
+            assert code.entropy(members) == subset_rank(code, members)
 
 
 def test_dimension_bounds():
