@@ -23,6 +23,7 @@ from .bounds import (
 )
 from .errors import (
     DomainError,
+    InvariantError,
     LocrepError,
     PhiUndefinedError,
     RepairError,
@@ -82,6 +83,7 @@ __all__ = [
     "DEFAULT_SEARCH_CAP",
     "DomainError",
     "GF2m",
+    "InvariantError",
     "LemmaCheck",
     "LinearCode",
     "LocrepError",

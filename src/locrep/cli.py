@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import bounds, linear_code, regsets, repair, square
-from .errors import LocrepError
+from .errors import InvariantError, LocrepError
 from .gf2m import GF2m
 
 SEARCH_CAP_ENV = "LOCREP_SEARCH_CAP"
@@ -231,6 +231,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvariantError:
+        raise  # a defect in the package, not a bad input: keep the traceback
     except LocrepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -13,6 +13,13 @@ class SearchCapExceeded(DomainError):
     """An exhaustive search was refused because the instance is too large."""
 
 
+class InvariantError(LocrepError):
+    """An internal consistency check failed: a defect in the package.
+
+    Raised instead of ``assert``, which ``python -O`` strips.
+    """
+
+
 class PhiUndefinedError(LocrepError):
     """No chain of regenerating sets of the requested length exists."""
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 
 # Log/antilog tables make multiplication a couple of list lookups but
 # take 2^m ints of memory, so large degrees fall back to shift-and-xor.
@@ -28,27 +28,60 @@ def poly_mod(a: int, b: int) -> int:
     """Remainder of a modulo b in GF(2)[z]; b must be nonzero."""
     if b == 0:
         raise DomainError("polynomial division by zero")
-    db = poly_degree(b)
-    while a and poly_degree(a) >= db:
-        a ^= b << (poly_degree(a) - db)
+    nb = b.bit_length()
+    while (na := a.bit_length()) >= nb:
+        a ^= b << (na - nb)
     return a
+
+
+def _poly_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, poly_mod(a, b)
+    return a
+
+
+def _poly_square(a: int) -> int:
+    # squaring is linear in characteristic 2: sum a_i z^i -> sum a_i z^(2i),
+    # i.e. the binary digits of a read as base-4 digits
+    return int(format(a, "b"), 4)
+
+
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime divisors of n >= 1, by trial division (n is small)."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        primes.append(n)
+    return primes
 
 
 def is_irreducible(poly: int) -> bool:
     """Whether a GF(2)[z] polynomial is irreducible.
 
-    Decided by trial division against every monic polynomial of degree
-    between 1 and deg(poly)/2.  Degree-1 polynomials are irreducible;
-    constants are not.
+    Rabin's test (Rabin, "Probabilistic algorithms in finite fields",
+    SIAM J. Comput. 1980): f of degree m >= 2 is irreducible exactly
+    when z^(2^m) = z mod f and gcd(f, z^(2^(m/p)) - z) = 1 for every
+    prime p dividing m.  The powers z^(2^k) come from m squarings
+    modulo f, so the cost is polynomial in m.  Degree-1 polynomials are
+    irreducible; constants are not.
     """
     m = poly_degree(poly)
     if m < 1:
         return False
-    for d in range(1, m // 2 + 1):
-        for low in range(1 << d):
-            if poly_mod(poly, (1 << d) | low) == 0:
-                return False
-    return True
+    if m == 1:
+        return True
+    frob = [2]  # frob[k] = z^(2^k) mod poly
+    for _ in range(m):
+        frob.append(poly_mod(_poly_square(frob[-1]), poly))
+    if frob[m] != 2:
+        return False
+    return all(_poly_gcd(poly, frob[m // p] ^ 2) == 1 for p in _prime_factors(m))
 
 
 @lru_cache(maxsize=None)
@@ -65,7 +98,7 @@ def default_modulus(degree: int) -> int:
         cand = (1 << degree) | low
         if is_irreducible(cand):
             return cand
-    raise AssertionError(f"no irreducible polynomial of degree {degree}")
+    raise InvariantError(f"no irreducible polynomial of degree {degree}")
 
 
 class GF2m:
@@ -89,7 +122,7 @@ class GF2m:
         if degree < 1:
             raise DomainError(f"field degree must be >= 1, got {degree}")
         if modulus is None:
-            # irreducible by construction; trial division is not repeated
+            # irreducible by construction; not tested again
             modulus = default_modulus(degree)
         elif poly_degree(modulus) != degree:
             raise DomainError(
@@ -111,27 +144,38 @@ class GF2m:
 
     def _build_tables(self):
         # z itself need not generate the multiplicative group (it does not
-        # for the AES polynomial), so try successive candidates.
+        # for the AES polynomial), so take the smallest g whose order is
+        # q - 1: g^((q-1)/p) != 1 for every prime p dividing q - 1.
         q = self.order
         if q == 2:
             return [1, 1], [0, 0]
+        n = q - 1
+        cofactors = [n // p for p in _prime_factors(n)]
         for g in range(2, q):
-            exp = [0] * (2 * (q - 1))
-            log = [0] * q
-            x = 1
-            ok = True
-            for i in range(q - 1):
-                if x == 1 and i > 0:
-                    ok = False
-                    break
-                exp[i] = x
-                log[x] = i
-                x = self._polymul(x, g)
-            if ok and x == 1:
-                for i in range(q - 1, 2 * (q - 1)):
-                    exp[i] = exp[i - (q - 1)]
-                return exp, log
-        raise AssertionError("no generator found; modulus cannot be irreducible")
+            if all(self._polypow(g, e) != 1 for e in cofactors):
+                break
+        else:
+            raise InvariantError("no generator found; modulus cannot be irreducible")
+        # x -> x*g is GF(2)-linear, so it is the XOR of the images of x's
+        # low byte and of its higher bits, each looked up in a table
+        lo, hi = [0], [0]
+        v = g
+        for k in range(self.degree):
+            half = lo if k < 8 else hi
+            half += [t ^ v for t in half]
+            v <<= 1
+            if v & q:
+                v ^= self.modulus
+        # both halves of exp are written here: copying the first half
+        # afterwards would briefly hold a second list of q - 1 entries
+        exp = [0] * (2 * n)
+        log = [0] * q
+        x = 1
+        for i in range(n):
+            exp[i] = exp[i + n] = x
+            log[x] = i
+            x = lo[x & 0xFF] ^ hi[x >> 8]
+        return exp, log
 
     def _polymul(self, a: int, b: int) -> int:
         r = 0
@@ -142,6 +186,15 @@ class GF2m:
             a <<= 1
             if (a >> self.degree) & 1:
                 a ^= self.modulus
+        return r
+
+    def _polypow(self, a: int, e: int) -> int:
+        r = 1
+        while e:
+            if e & 1:
+                r = self._polymul(r, a)
+            a = self._polymul(a, a)
+            e >>= 1
         return r
 
     def _check(self, a: int) -> int:

@@ -19,7 +19,7 @@ import json
 from typing import Iterable, Optional, Sequence
 
 from . import gf2m
-from .errors import DomainError, SearchCapExceeded
+from .errors import DomainError, InvariantError, SearchCapExceeded
 
 #: Largest code length accepted by exhaustive subset scans by default.
 DEFAULT_SEARCH_CAP = 24
@@ -220,7 +220,7 @@ def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
                                 break
                             u ^= w
                     if len(added) != m:
-                        raise AssertionError("GF(2) expansion lost dimensions")
+                        raise InvariantError("GF(2) expansion lost dimensions")
                     path.append(j)
                     if size + 1 > best_size:
                         best_size = size + 1

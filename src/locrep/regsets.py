@@ -16,7 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, PhiUndefinedError, SearchCapExceeded
+from .errors import (
+    DomainError,
+    InvariantError,
+    PhiUndefinedError,
+    SearchCapExceeded,
+)
 from .linear_code import LinearCode, _check_search_cap
 
 # verify_locality enumerates all erasure patterns of size < delta, which
@@ -231,7 +236,7 @@ class _PhiSearch:
                     union_mask |= set_mask
                     break
             else:
-                raise AssertionError("witness reconstruction diverged")
+                raise InvariantError("witness reconstruction diverged")
         return tuple(chain)
 
 
@@ -263,7 +268,7 @@ def phi(
     return v
 
 
-def _assert_union_not_exhaustive(
+def _check_union_not_exhaustive(
     code: LinearCode, chain: Sequence[RegeneratingSet]
 ) -> None:
     # For x <= rho a minimising union must leave some coordinate out,
@@ -271,9 +276,10 @@ def _assert_union_not_exhaustive(
     union: set[int] = set()
     for rs in chain:
         union |= rs.members
-    assert len(union) < code.n, (
-        "minimising union covers every coordinate below the rho threshold"
-    )
+    if len(union) >= code.n:
+        raise InvariantError(
+            "minimising union covers every coordinate below the rho threshold"
+        )
 
 
 def rho(
@@ -312,13 +318,14 @@ def phi_profile(
             break
         passing = code.alpha * (v - x) < code.M
         chain = search.witness(x)
-        assert chain is not None
+        if chain is None:
+            raise InvariantError(f"phi({x}) = {v} has no witness chain")
         if x_max is None or x <= x_max:
             phis.append(v)
             witnesses.append(chain)
         if passing:
             rho_val = x
-            _assert_union_not_exhaustive(code, chain)
+            _check_union_not_exhaustive(code, chain)
         # phi(x) - x never decreases, so the first failing x settles rho;
         # keep going past it only to fill the requested profile range.
         more_profile = x_max is not None and x < x_max

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, RepairError, SearchCapExceeded
+from .errors import DomainError, InvariantError, RepairError, SearchCapExceeded
 from .gf2m import solve_column
 from .linear_code import LinearCode
 from .regsets import _LOCALITY_DELTA_CAP, minimal_regsets, verify_locality
@@ -58,7 +58,7 @@ def _solve_step(code: LinearCode, target: int, members: frozenset[int]) -> Repai
     rhs = code.columns[target - 1]
     coeffs = solve_column(code.field, code.M, cols, rhs)
     if coeffs is None:
-        raise AssertionError(
+        raise InvariantError(
             f"regenerating set {sorted(members)} cannot express column {target}"
         )
     # the plan is self-validating: the combination must reproduce the column
@@ -68,7 +68,7 @@ def _solve_step(code: LinearCode, target: int, members: frozenset[int]) -> Repai
         for c, col in zip(coeffs, cols):
             acc ^= mul(c, col[row])
         if acc != rhs[row]:
-            raise AssertionError("repair coefficients fail to reproduce the column")
+            raise InvariantError("repair coefficients fail to reproduce the column")
     return RepairStep(
         target=target,
         members=tuple(sorted(members)),

@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from . import gf2m, regsets
 from .bounds import s_value
-from .errors import DomainError
+from .errors import DomainError, InvariantError
 from .linear_code import LinearCode, min_distance, to_json_dict
 from .regsets import RegeneratingSet
 
@@ -173,7 +173,7 @@ def grid_regsets(
     )
     for rs in (row, col):
         if not regsets.is_regenerating(sc.code, rs.target, rs.members):
-            raise AssertionError(
+            raise InvariantError(
                 f"grid set {rs.sorted_members()} fails to regenerate {target}"
             )
     return row, col

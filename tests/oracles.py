@@ -14,6 +14,35 @@ from itertools import combinations, product
 from random import Random
 
 from locrep import GF2m, LinearCode, matrix_rank
+from locrep.gf2m import poly_mod
+
+
+def trial_division_irreducible(poly: int) -> bool:
+    """Irreducibility over GF(2) by trial division.
+
+    Divides by every monic polynomial of degree 1 .. deg(poly)/2, so the
+    cost is exponential in the degree; use it only for small degrees.
+    Degree-1 polynomials are irreducible; constants are not.
+    """
+    m = poly.bit_length() - 1
+    if m < 1:
+        return False
+    for d in range(1, m // 2 + 1):
+        for low in range(1 << d):
+            if poly_mod(poly, (1 << d) | low) == 0:
+                return False
+    return True
+
+
+def poly_mul(a: int, b: int) -> int:
+    """Product in GF(2)[z] of two bit-vector polynomials (no reduction)."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        a <<= 1
+        b >>= 1
+    return r
 
 
 def repetition_code(n: int = 3, field: GF2m | None = None) -> LinearCode:

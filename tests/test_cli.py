@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
+from locrep import default_modulus, verify_grid_relations
 from locrep.cli import main
+from locrep.linear_code import loads
+from locrep.square import SquareCode
 
 
 def _run(capsys, *argv):
@@ -254,6 +258,26 @@ def test_optimal_square_refuses_beyond_brute_force(capsys, tmp_path):
     rc, _, err = _run(capsys, "verify", str(path), "--optimal-square")
     assert rc == 2
     assert "instance too large" in err
+
+
+@pytest.mark.parametrize("r, M", [(7, 8), (8, 9)])
+def test_build_reaches_degree_49_and_64_fields(capsys, tmp_path, r, M):
+    # the field degree is r^2; finding its modulus must take polynomial time
+    path = tmp_path / f"r{r}.json"
+    default_modulus.cache_clear()  # pay the modulus search, as a fresh process does
+    start = time.perf_counter()
+    rc, _, err = _run(
+        capsys, "build", "--family", "square", "--r", str(r), "--M", str(M),
+        "-o", str(path),
+    )
+    elapsed = time.perf_counter() - start
+    assert rc == 0, err
+    assert elapsed < 5.0, f"took {elapsed:.2f}s, budget 5s"
+    code, metadata = loads(path.read_text())
+    assert code.field.degree == r * r
+    assert metadata == {"M": M, "family": "square", "r": r}
+    sc = SquareCode(r=r, M=M, field=code.field, betas=(), code=code)
+    assert verify_grid_relations(sc)
 
 
 def _without_r(obj):

@@ -5,8 +5,8 @@ from __future__ import annotations
 from random import Random
 
 import pytest
-import sympy
-from sympy.abc import x as sym_x
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irred_p_ben_or
 
 from locrep import (
     DomainError,
@@ -17,15 +17,18 @@ from locrep import (
     matrix_rank,
     solve_column,
 )
+from locrep.gf2m import poly_mod
+from oracles import poly_mul, trial_division_irreducible
 
 GF16 = GF2m(4)  # modulus z^4 + z + 1
 Z = 2  # the element z
 
 
 def _sympy_irreducible(poly: int) -> bool:
+    # Ben-Or's test, an algorithm independent of the Rabin test under test
     m = poly.bit_length() - 1
     coeffs = [(poly >> (m - i)) & 1 for i in range(m + 1)]
-    return sympy.Poly.from_list(coeffs, sym_x, modulus=2).is_irreducible
+    return gf_irred_p_ben_or(coeffs, 2, ZZ)
 
 
 def test_default_modulus_gf16_is_z4_z_1():
@@ -33,23 +36,97 @@ def test_default_modulus_gf16_is_z4_z_1():
 
 
 def test_default_moduli_are_irreducible_and_lex_minimal():
-    for m in range(1, 11):
+    for m in range(1, 65):
         mod = default_modulus(m)
         assert mod.bit_length() == m + 1
         assert _sympy_irreducible(mod)
         # nothing smaller of the same degree is irreducible
-        for low in range((1 << m) | 0, mod):
-            cand = (1 << m) | (low & ((1 << m) - 1))
-            if cand < mod:
-                assert not _sympy_irreducible(cand)
+        for cand in range(1 << m, mod):
+            if m > 1 and (cand & 1 == 0 or cand.bit_count() % 2 == 0):
+                continue  # divisible by z, or by z + 1 (an even term count)
+            assert not _sympy_irreducible(cand)
+
+
+@pytest.mark.parametrize(
+    "degree, modulus",
+    [
+        (16, 0x1002B),
+        (25, 0x2000009),
+        (36, 0x1000000035),
+        (49, 0x2000000000071),
+        (64, 0x1000000000000001B),
+    ],
+)
+def test_default_modulus_pinned(degree, modulus):
+    # the first three are the moduli of the benchmark's golden files
+    assert default_modulus(degree) == modulus
 
 
 def test_is_irreducible_agrees_with_sympy():
     rng = Random(7)
-    for _ in range(200):
-        m = rng.randrange(2, 10)
+    for _ in range(300):
+        m = rng.randrange(2, 65)
         poly = (1 << m) | rng.randrange(1 << m)
         assert is_irreducible(poly) == _sympy_irreducible(poly)
+
+
+def test_is_irreducible_agrees_with_trial_division_up_to_degree_12():
+    for poly in range(1 << 13):
+        assert is_irreducible(poly) == trial_division_irreducible(poly), hex(poly)
+
+
+def test_product_of_the_irreducible_cubics_is_caught_by_the_gcd_step():
+    cubic_a, cubic_b = 0b1011, 0b1101  # z^3 + z + 1, z^3 + z^2 + 1
+    assert is_irreducible(cubic_a) and is_irreducible(cubic_b)
+    poly = poly_mul(cubic_a, cubic_b)
+    assert poly == 0b1111111
+    # both cubics divide z^8 - z, hence z^(2^6) - z: the Frobenius step
+    # passes, and only gcd(f, z^(2^3) - z) = f exposes the factors
+    assert poly_mod(1 << 64, poly) == Z
+    assert not is_irreducible(poly)
+
+
+def test_product_of_two_degree_18_irreducibles_rejected_at_degree_36():
+    low = default_modulus(18)
+    high = next(
+        cand for cand in range(low + 1, 1 << 19) if is_irreducible(cand)
+    )
+    assert _sympy_irreducible(high)
+    poly = poly_mul(low, high)
+    assert poly.bit_length() == 37
+    with pytest.raises(DomainError):
+        GF2m(36, modulus=poly)
+
+
+def _field_tables_are_exact(field, rng):
+    q = field.order
+    exp, log = field._exp, field._log
+    # exp runs once round the multiplicative group, twice over
+    assert len(exp) == 2 * (q - 1)
+    assert exp[: q - 1] == exp[q - 1 :]
+    assert sorted(exp[: q - 1]) == list(range(1, q))
+    assert all(log[exp[i]] == i for i in range(q - 1))
+    for _ in range(200):
+        a, b = rng.randrange(1, q), rng.randrange(q)
+        assert field.mul(a, b) == field._polymul(a, b)
+        assert field._polymul(a, field.inv(a)) == 1
+
+
+@pytest.mark.parametrize("degree", range(1, 17))
+def test_default_field_tables(degree):
+    _field_tables_are_exact(GF2m(degree), Random(degree))
+
+
+@pytest.mark.parametrize("degree, modulus", [(16, 0x1002B), (8, 0x11B)])
+def test_tables_when_z_is_not_primitive(degree, modulus):
+    field = GF2m(degree, modulus)
+    order_of_z, x = 1, Z
+    while x != 1:
+        x = field.mul(x, Z)
+        order_of_z += 1
+    assert order_of_z < field.order - 1
+    assert field._exp[1] != Z
+    _field_tables_are_exact(field, Random(modulus))
 
 
 def test_reducible_modulus_rejected():
