@@ -214,6 +214,8 @@ def bound_report(
     # square
     if r is None:
         raise DomainError("the square bound requires r")
+    if alpha != 1:
+        raise DomainError("the square bound applies to scalar codes (alpha=1)")
     value = bound_square(n, M, r)
     return BoundReport(
         theorem, {"n": n, "M": M, "r": r}, value, {"s": s_value(M, r)}

@@ -18,6 +18,18 @@ from .errors import DomainError, InvariantError
 # take 2^m ints of memory, so large degrees fall back to shift-and-xor.
 _TABLE_DEGREE_MAX = 16
 
+#: Largest field degree accepted.  Rabin's test on a given modulus takes
+#: m squarings, each reduced bit by bit, and the default-modulus search
+#: runs it on many candidates; this bound keeps both within seconds.
+MAX_DEGREE = 512
+
+
+def _check_degree(degree: int) -> None:
+    if not 1 <= degree <= MAX_DEGREE:
+        raise DomainError(
+            f"field degree must be in 1..{MAX_DEGREE}, got {degree}"
+        )
+
 
 def poly_degree(p: int) -> int:
     """Degree of a GF(2)[z] polynomial bit-vector (-1 for the zero poly)."""
@@ -92,8 +104,7 @@ def default_modulus(degree: int) -> int:
     irreducible one wins, so every run and every machine picks the same
     modulus (e.g. z^4 + z + 1 for degree 4).
     """
-    if degree < 1:
-        raise DomainError(f"field degree must be >= 1, got {degree}")
+    _check_degree(degree)
     for low in range(1 << degree):
         cand = (1 << degree) | low
         if is_irreducible(cand):
@@ -107,7 +118,8 @@ class GF2m:
     Parameters
     ----------
     degree : int
-        Extension degree m >= 1; the field has 2^m elements.
+        Extension degree 1 <= m <= :data:`MAX_DEGREE`; the field has 2^m
+        elements.
     modulus : int or None
         Monic irreducible polynomial as a bit-vector with bit ``degree``
         set.  ``None`` selects :func:`default_modulus`.
@@ -119,8 +131,7 @@ class GF2m:
     __slots__ = ("degree", "modulus", "order", "_exp", "_log")
 
     def __init__(self, degree: int, modulus: Optional[int] = None):
-        if degree < 1:
-            raise DomainError(f"field degree must be >= 1, got {degree}")
+        _check_degree(degree)
         if modulus is None:
             # irreducible by construction; not tested again
             modulus = default_modulus(degree)

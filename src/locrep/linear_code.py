@@ -16,6 +16,7 @@ GF(2^m)-span of the column, so rank is tracked with integer XOR alone.
 from __future__ import annotations
 
 import json
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import gf2m
@@ -240,6 +241,32 @@ def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
 
     dfs(0, 0, 0)
     return best_size, best_set
+
+
+def _circuits(
+    code: LinearCode, size_cap: int, target: Optional[int] = None
+) -> list[int]:
+    """Circuit bitmasks (through ``target``, if given), by size then lex.
+
+    The circuits through i are its minimal regenerating sets; none has
+    more than M+1 members.  A candidate containing a found circuit is
+    skipped; any other is a circuit iff dropping its pivot (the target,
+    or else its lowest member) keeps its rank.
+    """
+    size_cap = min(size_cap, code.n, code.M + 1)
+    fixed = 0 if target is None else 1 << (target - 1)
+    free = [1 << i for i in range(code.n) if 1 << i != fixed]
+    rank = code._rank
+    found: list[int] = []
+    for size in range(1, size_cap + 1):
+        for extra in combinations(free, size - (fixed != 0)):
+            # distinct bits, so the sum is their union
+            mask = fixed + sum(extra)
+            if any(c & mask == c for c in found):
+                continue
+            if rank(mask) == rank(mask ^ (fixed or mask & -mask)):
+                found.append(mask)
+    return found
 
 
 def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:

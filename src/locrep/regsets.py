@@ -6,8 +6,10 @@ with and without i).  Chains of regenerating sets whose targets stay
 outside the union of the earlier sets ("nontrivial unions") drive the
 distance bounds: phi(x) is the smallest union such a chain of x sets
 can have, and rho is the largest x for which phi(x) - x still falls
-short of M/alpha.  Everything here talks to the code only through its
-entropy, :meth:`LinearCode.entropy`.
+short of M/alpha.  The minimal regenerating sets of i are the circuits
+through i of the column matroid.  Everything here talks to the code
+through bitmask ranks, ``LinearCode._rank``, and the circuit scan
+``linear_code._circuits``; the searches keep sets as bitmasks.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     PhiUndefinedError,
     SearchCapExceeded,
 )
-from .linear_code import LinearCode, _check_search_cap
+from .linear_code import LinearCode, _check_search_cap, _circuits
 
 # verify_locality enumerates all erasure patterns of size < delta, which
 # is only practical for small tolerance and desk-scale lengths.
@@ -74,19 +76,8 @@ class PhiProfile:
         }
 
 
-def _validate_coords(code: LinearCode, members: Iterable[int]) -> frozenset[int]:
-    out = frozenset(members)
-    for i in out:
-        if not isinstance(i, int) or not 1 <= i <= code.n:
-            raise DomainError(f"coordinate {i!r} is not in 1..{code.n}")
-    return out
-
-
-def _mask(members: Iterable[int]) -> int:
-    m = 0
-    for i in members:
-        m |= 1 << (i - 1)
-    return m
+def _coords(mask: int) -> frozenset[int]:
+    return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
 def is_regenerating(code: LinearCode, target: int, members: Iterable[int]) -> bool:
@@ -95,10 +86,11 @@ def is_regenerating(code: LinearCode, target: int, members: Iterable[int]) -> bo
     True iff dropping the target does not lower the joint entropy, i.e.
     the rest of the set already determines the target's value.
     """
-    mset = _validate_coords(code, members)
+    mask = code._coord_mask(members)
+    mset = _coords(mask)
     if target not in mset:
         raise DomainError(f"target {target} is not a member of {sorted(mset)}")
-    return code.entropy(mset) == code.entropy(mset - {target})
+    return code._rank(mask) == code._rank(mask ^ (1 << (target - 1)))
 
 
 def minimal_regsets(
@@ -106,30 +98,15 @@ def minimal_regsets(
 ) -> list[RegeneratingSet]:
     """All inclusion-minimal regenerating sets of ``target`` up to a size cap.
 
-    Candidates are scanned by size, then lexicographically, so the
-    output order is deterministic.  A candidate containing an already
-    found (hence smaller) regenerating set is not minimal and is
-    skipped.  Supersets of regenerating sets regenerate too, so the
-    minimal ones form the floor of the whole collection.
+    These are the circuits through ``target``, listed by size, then
+    lexicographically.  Supersets of regenerating sets regenerate too,
+    so the minimal ones form the floor of the whole collection.
     """
-    _validate_coords(code, [target])
-    # A minimal regenerating set has at most M+1 members: the entropy
-    # oracle is integer-valued, monotone and submodular, so any
-    # determining set shrinks to one of at most M essential members.
-    size_cap = min(size_cap, code.n, code.M + 1)
-    others = [j for j in range(1, code.n + 1) if j != target]
-    found: list[RegeneratingSet] = []
-    found_masks: list[int] = []
-    for size in range(1, size_cap + 1):
-        for extra in combinations(others, size - 1):
-            members = (target,) + extra
-            cand_mask = _mask(members)
-            if any(fm & cand_mask == fm for fm in found_masks):
-                continue
-            if code.entropy(members) == code.entropy(extra):
-                found.append(RegeneratingSet(target, frozenset(members)))
-                found_masks.append(cand_mask)
-    return found
+    code._coord_mask([target])  # validates the target
+    return [
+        RegeneratingSet(target, _coords(mask))
+        for mask in _circuits(code, size_cap, target)
+    ]
 
 
 def is_nontrivial_union(
@@ -141,16 +118,16 @@ def is_nontrivial_union(
     a non-regenerating item is rejected as a usage error rather than
     returning False.
     """
-    union: set[int] = set()
+    union = 0
     ok = True
     for rs in sequence:
         if not is_regenerating(code, rs.target, rs.members):
             raise DomainError(
                 f"set {rs.sorted_members()} does not regenerate {rs.target}"
             )
-        if rs.target in union:
+        if (union >> (rs.target - 1)) & 1:
             ok = False
-        union |= rs.members
+        union |= code._coord_mask(rs.members)
     return ok
 
 
@@ -165,11 +142,9 @@ def check_union_entropy(
     """
     if not is_nontrivial_union(code, sequence):
         raise DomainError("sequence does not have a nontrivial union")
-    union: set[int] = set()
-    for rs in sequence:
-        union |= rs.members
-    bound = code.alpha * (len(union) - len(sequence))
-    return code.entropy(union) <= bound
+    union = code._coord_mask(i for rs in sequence for i in rs.members)
+    bound = code.alpha * (union.bit_count() - len(sequence))
+    return code._rank(union) <= bound
 
 
 class _PhiSearch:
@@ -182,16 +157,17 @@ class _PhiSearch:
     memoised; within a state, a candidate whose optimistic completion
     (current union plus one new element per remaining set) cannot beat
     the incumbent is pruned.
+    Candidates are (set mask, target bit) pairs, target-major; their
+    order decides which minimising chain :meth:`witness` returns.
     """
 
     def __init__(self, code: LinearCode, size_cap: int):
-        self.code = code
-        self.n = code.n
         self.infeasible = code.n + 1
-        self.candidates: list[tuple[int, RegeneratingSet]] = []
-        for i in range(1, code.n + 1):
-            for rs in minimal_regsets(code, i, size_cap):
-                self.candidates.append((_mask(rs.members), rs))
+        circuits = _circuits(code, size_cap)
+        self.candidates = [
+            (mask, 1 << i) for i in range(code.n)
+            for mask in circuits if (mask >> i) & 1
+        ]
         self._memo: dict[tuple[int, int], int] = {}
 
     def completion(self, union_mask: int, k: int) -> int:
@@ -203,8 +179,8 @@ class _PhiSearch:
         if cached is not None:
             return cached
         best = self.infeasible
-        for set_mask, rs in self.candidates:
-            if (union_mask >> (rs.target - 1)) & 1:
+        for set_mask, target_bit in self.candidates:
+            if union_mask & target_bit:
                 continue
             grown = union_mask | set_mask
             if grown.bit_count() + (k - 1) >= best:
@@ -219,20 +195,22 @@ class _PhiSearch:
         v = self.completion(0, x)
         return None if v >= self.infeasible else v
 
-    def witness(self, x: int) -> Optional[tuple[RegeneratingSet, ...]]:
-        """Lexicographically smallest minimizing chain (targets, then members)."""
+    def witness(self, x: int) -> tuple[RegeneratingSet, ...]:
+        """Lexicographically smallest minimizing chain (targets, then members).
+
+        Only called for an x whose chains exist.
+        """
         goal = self.completion(0, x)
-        if goal >= self.infeasible:
-            return None
         chain: list[RegeneratingSet] = []
         union_mask = 0
         for step in range(x):
             remaining = x - step - 1
-            for set_mask, rs in self.candidates:
-                if (union_mask >> (rs.target - 1)) & 1:
+            for set_mask, target_bit in self.candidates:
+                if union_mask & target_bit:
                     continue
                 if self.completion(union_mask | set_mask, remaining) == goal:
-                    chain.append(rs)
+                    target = target_bit.bit_length()
+                    chain.append(RegeneratingSet(target, _coords(set_mask)))
                     union_mask |= set_mask
                     break
             else:
@@ -273,10 +251,8 @@ def _check_union_not_exhaustive(
 ) -> None:
     # For x <= rho a minimising union must leave some coordinate out,
     # otherwise the whole file would have deficient entropy.
-    union: set[int] = set()
-    for rs in chain:
-        union |= rs.members
-    if len(union) >= code.n:
+    union = code._coord_mask(i for rs in chain for i in rs.members)
+    if union.bit_count() >= code.n:
         raise InvariantError(
             "minimising union covers every coordinate below the rho threshold"
         )
@@ -318,8 +294,6 @@ def phi_profile(
             break
         passing = code.alpha * (v - x) < code.M
         chain = search.witness(x)
-        if chain is None:
-            raise InvariantError(f"phi({x}) = {v} has no witness chain")
         if x_max is None or x <= x_max:
             phis.append(v)
             witnesses.append(chain)
@@ -358,17 +332,16 @@ def verify_locality(code: LinearCode, r: int, delta: int) -> bool:
             f"delta <= {_LOCALITY_DELTA_CAP} and n <= {_LOCALITY_N_CAP} "
             f"(got delta={delta}, n={code.n})"
         )
-    for i in range(1, code.n + 1):
-        set_masks = [
-            _mask(rs.members) for rs in minimal_regsets(code, i, r + 1)
-        ]
+    circuits = _circuits(code, r + 1)
+    bits = [1 << i for i in range(code.n)]
+    for i_bit in bits:
+        set_masks = [c for c in circuits if c & i_bit]
         if not set_masks:
             return False
-        i_bit = 1 << (i - 1)
-        others = [j for j in range(1, code.n + 1) if j != i]
+        others = [b for b in bits if b != i_bit]
         for extra in range(delta - 1):
             for blocked in combinations(others, extra):
-                e_mask = i_bit | _mask(blocked)
+                e_mask = i_bit + sum(blocked)
                 if not any(sm & e_mask == i_bit for sm in set_masks):
                     return False
     return True

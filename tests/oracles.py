@@ -130,6 +130,25 @@ def all_regenerating_sets(code: LinearCode, target: int) -> list[frozenset[int]]
     return out
 
 
+def locality_holds(code: LinearCode, r: int, delta: int) -> bool:
+    """Locality r with delta-2 extra erasures, straight from the definition.
+
+    Every coordinate i and every erasure pattern E containing i with
+    |E| < delta need some regenerating set of i with at most r+1
+    members that meets E only in i.
+    """
+    n = code.n
+    for i in range(1, n + 1):
+        small = [R for R in all_regenerating_sets(code, i) if len(R) <= r + 1]
+        others = [j for j in range(1, n + 1) if j != i]
+        for extra in range(delta - 1):
+            for blocked in combinations(others, extra):
+                erased = {i, *blocked}
+                if not any(R & erased == {i} for R in small):
+                    return False
+    return True
+
+
 def exhaustive_phi(code: LinearCode, x: int) -> int | None:
     """Minimum nontrivial-union size over ALL regenerating sets (no minimality).
 

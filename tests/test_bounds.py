@@ -184,3 +184,9 @@ def test_bound_report_dispatch():
         bound_report("nonsense", n=1, M=1)
     with pytest.raises(DomainError):
         bound_report("rdc", n=16, M=6, alpha=2, r=3, delta=3)
+
+
+def test_bound_square_rejects_vector_codes():
+    # the square bound, like rdc, is stated for scalar codes only
+    with pytest.raises(DomainError, match="alpha"):
+        bound_report("square", n=16, M=6, alpha=2, r=3)

@@ -131,6 +131,15 @@ def test_bounds_domain_error_exit_code(capsys):
     assert "(r+1)^2" in err
 
 
+def test_bounds_square_rejects_alpha(capsys):
+    rc, out, err = _run(
+        capsys, "bounds", "--theorem", "square", "--n", "16", "--M", "6",
+        "--r", "3", "--alpha", "2",
+    )
+    assert rc == 2 and out == ""
+    assert "alpha" in err
+
+
 def test_verify_locality_pass_and_fail(capsys, code_file):
     rc, out, _ = _run(
         capsys, "verify", code_file, "--locality", "2", "--delta", "3"
@@ -317,3 +326,29 @@ def test_malformed_code_file_is_domain_error(capsys, tmp_path, code_file, verb, 
     assert rc == 2
     assert out == ""
     assert err.startswith("error: malformed code file")
+
+
+def test_huge_field_degree_in_code_file_is_rejected_fast(capsys, tmp_path, code_file):
+    # Rabin's test on a degree-20000 modulus would take minutes
+    with open(code_file) as fh:
+        obj = json.load(fh)
+    obj["m"] = 20000
+    obj["modulus_hex"] = format((1 << 20000) | 0b1011, "x")
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(obj))
+    start = time.perf_counter()
+    rc, out, err = _run(capsys, "distance", str(path))
+    elapsed = time.perf_counter() - start
+    assert rc == 2 and out == ""
+    assert "field degree" in err
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize(
+    "extra", [["--r", "2", "--M", "3", "--m", "513"], ["--r", "23", "--M", "24"]],
+    ids=["m-override", "r-squared"],
+)
+def test_build_rejects_field_degree_above_bound(capsys, extra):
+    rc, out, err = _run(capsys, "build", "--family", "square", *extra)
+    assert rc == 2 and out == ""
+    assert "field degree" in err

@@ -17,7 +17,7 @@ from locrep import (
     matrix_rank,
     solve_column,
 )
-from locrep.gf2m import poly_mod
+from locrep.gf2m import MAX_DEGREE, poly_mod
 from oracles import poly_mul, trial_division_irreducible
 
 GF16 = GF2m(4)  # modulus z^4 + z + 1
@@ -138,6 +138,18 @@ def test_reducible_modulus_rejected():
 def test_wrong_degree_modulus_rejected():
     with pytest.raises(DomainError):
         GF2m(4, modulus=0b1011)  # degree 3
+
+
+def test_field_degree_is_bounded():
+    # the largest accepted degree still builds, over its default modulus
+    assert GF2m(MAX_DEGREE).modulus == (1 << MAX_DEGREE) | 0x125
+    for degree in (0, MAX_DEGREE + 1, 20000):
+        with pytest.raises(DomainError):
+            GF2m(degree)
+        with pytest.raises(DomainError):
+            GF2m(degree, modulus=(1 << degree) | 0b1011)
+        with pytest.raises(DomainError):
+            default_modulus(degree)
 
 
 def test_mul_z3_by_z_wraps_to_z_plus_1():

@@ -13,6 +13,7 @@ from locrep import (
     RegeneratingSet,
     SearchCapExceeded,
     bound_general,
+    build_square_code,
     check_union_entropy,
     g_function,
     is_nontrivial_union,
@@ -21,12 +22,16 @@ from locrep import (
     minimal_regsets,
     phi,
     phi_profile,
+    repair_tolerance,
     rho,
     verify_locality,
 )
+from locrep.linear_code import _circuits
 
 from oracles import (
+    all_regenerating_sets,
     exhaustive_phi,
+    locality_holds,
     random_code,
     random_nontrivial_chain,
     repetition_code,
@@ -295,3 +300,128 @@ def test_verify_locality_guards():
         verify_locality(code, 1, 1)
     with pytest.raises(SearchCapExceeded):
         verify_locality(code, 1, 5)
+
+
+def _oracle_codes(square_r2_m3, square_r2_m4):
+    rng = Random(73)
+    field = GF2m(3)
+    codes = [square_r2_m3.code, square_r2_m4.code]
+    codes += [repetition_code(), repetition_code(5), single_parity_code()]
+    for _ in range(4):
+        n = rng.randrange(4, 9)
+        M = rng.randrange(1, n)
+        codes.append(random_code(rng, field, n, M, require_repairable=False))
+    return codes
+
+
+def _size_lex(sets):
+    return sorted(sets, key=lambda s: (len(s), sorted(s)))
+
+
+def test_circuit_scan_matches_the_regenerating_set_oracle(
+    square_r2_m3, square_r2_m4
+):
+    # minimal regenerating sets are the inclusion-minimal members of the
+    # brute-force collection; both scans must list all of them, in order
+    for code in _oracle_codes(square_r2_m3, square_r2_m4):
+        minimal_by_target = {}
+        for t in range(1, code.n + 1):
+            every = all_regenerating_sets(code, t)
+            minimal_by_target[t] = _size_lex(
+                R for R in every if not any(S < R for S in every)
+            )
+        for cap in range(1, code.n + 1):
+            expected = set()
+            for t, minimal in minimal_by_target.items():
+                within = [R for R in minimal if len(R) <= cap]
+                got = [rs.members for rs in minimal_regsets(code, t, cap)]
+                assert got == within, (code, t, cap)
+                expected.update(within)
+            circuits = [
+                frozenset(i + 1 for i in range(code.n) if (mask >> i) & 1)
+                for mask in _circuits(code, cap)
+            ]
+            assert circuits == _size_lex(expected), (code, cap)
+
+
+def test_locality_and_tolerance_match_the_oracle(square_r2_m3, square_r2_m4):
+    for code in _oracle_codes(square_r2_m3, square_r2_m4):
+        for r in (1, 2, 3):
+            holds = {
+                delta: locality_holds(code, r, delta) for delta in (2, 3, 4)
+            }
+            for delta, expected in holds.items():
+                assert verify_locality(code, r, delta) == expected, (code, r, delta)
+            t = 0
+            while t + 2 in holds and holds[t + 2]:
+                t += 1
+            if t + 2 in holds:
+                assert repair_tolerance(code, r) == t
+            else:
+                with pytest.raises(SearchCapExceeded):
+                    repair_tolerance(code, r)
+
+
+def _profile_dict(phi_values, rho_value, size_cap, chains):
+    return {
+        "phi": phi_values,
+        "rho": rho_value,
+        "size_cap": size_cap,
+        "witnesses": [
+            [{"target": t, "members": list(m)} for t, m in chain]
+            for chain in chains
+        ],
+    }
+
+
+# Frozen from the per-target search this scan replaced.  The witness
+# chains depend on the order candidates are tried in, so they pin it.
+_ROW_1 = (1, (1, 2, 3, 4))
+_COL_5 = (5, (1, 5, 9, 13))
+_COL_6 = (6, (2, 6, 10, 14))
+_CHAINS_R3_CAP4 = [
+    [],
+    [_ROW_1],
+    [_ROW_1, _COL_5],
+    [_ROW_1, _COL_5, _COL_6],
+    [_ROW_1, _COL_5, _COL_6, (7, (5, 6, 7, 8))],
+    [_ROW_1, _COL_5, _COL_6, (7, (3, 7, 11, 15)), (8, (5, 6, 7, 8))],
+]
+_PINNED_R3_PROFILES = {
+    (M, 4): _profile_dict(phi_values, rho_value, 4, _CHAINS_R3_CAP4[: len(phi_values)])
+    for M, phi_values, rho_value in (
+        (4, [0, 4, 7], 1),
+        (5, [0, 4, 7], 1),
+        (6, [0, 4, 7, 10], 2),
+        (7, [0, 4, 7, 10], 2),
+        (8, [0, 4, 7, 10, 12], 3),
+        (9, [0, 4, 7, 10, 12, 14], 4),
+    )
+}
+_PINNED_R3_PROFILES[4, None] = _profile_dict(
+    [0, 4, 6], 1, 16, [[], [_ROW_1], [_ROW_1, (5, (1, 2, 3, 5, 6))]]
+)
+
+
+@pytest.mark.parametrize("M, size_cap", list(_PINNED_R3_PROFILES))
+def test_square_r3_profiles_are_pinned(M, size_cap):
+    code = build_square_code(3, M).code
+    profile = phi_profile(code, size_cap=size_cap)
+    assert profile.to_json_dict() == _PINNED_R3_PROFILES[M, size_cap]
+
+
+def test_witness_takes_the_smallest_target_first(square_r2_m3):
+    # phi(4) = 7 is also reached through the grid column {2, 5, 8}, a
+    # circuit scanned before {4, 5, 6}; the witness still prefers the
+    # chain whose targets are smaller (frozen from the per-target search)
+    profile = phi_profile(square_r2_m3.code, x_max=4)
+    assert profile.to_json_dict() == _profile_dict(
+        [0, 3, 5, 6, 7], 1, 9,
+        [
+            [],
+            [(1, (1, 2, 3))],
+            [(1, (1, 2, 3)), (4, (1, 4, 7))],
+            [(1, (1, 2, 3)), (4, (1, 4, 7)), (5, (1, 2, 4, 5))],
+            [(1, (1, 2, 3)), (4, (1, 4, 7)), (5, (1, 2, 4, 5)), (6, (4, 5, 6))],
+        ],
+    )
