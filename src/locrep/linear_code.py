@@ -16,7 +16,6 @@ GF(2^m)-span of the column, so rank is tracked with integer XOR alone.
 from __future__ import annotations
 
 import json
-from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 from . import gf2m
@@ -104,35 +103,11 @@ class LinearCode:
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        M = self.M
-        # pivots[p]: the echelon vector whose leading bit is p, or 0
-        pivots = [0] * (M * self.field.degree)
-        rank = 0
-        rest = mask
-        while rest and rank < M:
-            low = rest & -rest
-            rest ^= low
-            images = self._packed[low.bit_length() - 1]
-            v = images[0]
-            while v:
-                w = pivots[v.bit_length() - 1]
-                if not w:
-                    break
-                v ^= w
-            if not v:
-                continue
-            rank += 1
-            if rest and rank < M:
-                # a column outside the span adds all m of its images
-                for u in images:
-                    while u:
-                        p = u.bit_length() - 1
-                        w = pivots[p]
-                        if not w:
-                            pivots[p] = u
-                            break
-                        u ^= w
-        self._rank_cache[mask] = rank
+        # the top column is only tested, never added to the echelon
+        top = mask.bit_length() - 1
+        echelon = _Echelon(self)
+        echelon.sync(mask ^ (1 << top))
+        rank = self._rank_cache[mask] = echelon.rank_with(top)
         return rank
 
     def entropy(self, members: Iterable[int]) -> int:
@@ -161,6 +136,87 @@ class LinearCode:
             f"LinearCode(n={self.n}, M={self.M}, "
             f"field=GF(2^{self.field.degree}))"
         )
+
+
+class _Echelon:
+    """GF(2) echelon of some of a code's packed columns, kept as a stack.
+
+    The columns sit in increasing order, each with the rank before it
+    and the pivot positions it added: all m of its images, or none if
+    it was in the span.  The stack ends at the column that brings the
+    rank to M, whose images are not added either: every later column
+    is in the span.  ``sync`` moves the echelon to another column set
+    by popping back to the lowest column where the two sets differ, so
+    walking sets in lex order rebuilds only the tails in which they
+    differ.
+    """
+
+    __slots__ = ("_packed", "_M", "pivots", "rank", "mask", "_stack")
+
+    def __init__(self, code: LinearCode):
+        self._packed = code._packed
+        self._M = code.M
+        # pivots[p]: the echelon vector whose leading bit is p, or 0
+        self.pivots = [0] * (code.M * code.field.degree)
+        self.rank = 0
+        self.mask = 0
+        self._stack: list[tuple[int, int, list[int]]] = []
+
+    def sync(self, mask: int) -> None:
+        """Make the echelon that of the columns selected by ``mask``."""
+        diff = self.mask ^ mask
+        if not diff:
+            return
+        low = diff & -diff
+        pivots = self.pivots
+        stack = self._stack
+        while stack and stack[-1][0] >= low:
+            _, self.rank, added = stack.pop()
+            for p in added:
+                pivots[p] = 0
+        rest = mask & -low
+        # once the rank is M the rest of the columns are in the span
+        while rest and self.rank < self._M:
+            col = rest & -rest
+            rest ^= col
+            rank = self.rank
+            added = []
+            images = self._packed[col.bit_length() - 1]
+            v = _reduce(pivots, images[0])
+            if v:
+                self.rank += 1
+            if v and self.rank < self._M:
+                # a column outside the span adds all m of its images
+                p = v.bit_length() - 1
+                pivots[p] = v
+                added.append(p)
+                for u in images[1:]:
+                    while u:
+                        p = u.bit_length() - 1
+                        w = pivots[p]
+                        if not w:
+                            pivots[p] = u
+                            added.append(p)
+                            break
+                        u ^= w
+            stack.append((col, rank, added))
+        self.mask = mask
+
+    def rank_with(self, j: int) -> int:
+        """Rank of the echelon's columns together with column j (0-based)."""
+        if self.rank == self._M or not _reduce(self.pivots, self._packed[j][0]):
+            return self.rank
+        return self.rank + 1
+
+
+def _reduce(pivots: list[int], v: int) -> int:
+    """``v`` reduced against an echelon: 0 exactly when v is in its span."""
+    while v:
+        w = pivots[v.bit_length() - 1]
+        if not w:
+            return v
+        v ^= w
+    return 0
 
 
 def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
@@ -249,23 +305,69 @@ def _circuits(
     """Circuit bitmasks (through ``target``, if given), by size then lex.
 
     The circuits through i are its minimal regenerating sets; none has
-    more than M+1 members.  A candidate containing a found circuit is
-    skipped; any other is a circuit iff dropping its pivot (the target,
-    or else its lowest member) keeps its rank.
+    more than M+1 members.  The scan is level-wise.  A level holds the
+    circuit-free sets of one size: the independent sets, or with a
+    target, the sets holding it whose other members do not span it.  A
+    candidate of the next size extends a level set, its base, by one
+    column above the base's members other than the target, and each of
+    its facets that keeps the target must be in the level too, so it
+    holds no smaller circuit (through the target).  A candidate is a
+    circuit iff dropping its pivot (the target, or else its lowest
+    member) keeps its rank; otherwise it joins the next level.  The
+    candidates, and so the subsets ranked, are those of a scan over all
+    subsets by size, then lex, that skips supersets of the circuits
+    found.  A rank missing from the cache is that of the base, or of
+    the base less its pivot, plus one if the new column lies outside
+    its span; the two echelons follow the bases in lex order, so a base
+    rebuilds only the tail in which it differs from the last one.
     """
     size_cap = min(size_cap, code.n, code.M + 1)
+    if size_cap < 1:
+        return []
+    n = code.n
+    cache = code._rank_cache
     fixed = 0 if target is None else 1 << (target - 1)
-    free = [1 << i for i in range(code.n) if 1 << i != fixed]
-    rank = code._rank
+    if fixed and code._rank(fixed) == 0:
+        # a zero column is a circuit by itself, inside every candidate
+        return [fixed]
     found: list[int] = []
-    for size in range(1, size_cap + 1):
-        for extra in combinations(free, size - (fixed != 0)):
-            # distinct bits, so the sum is their union
-            mask = fixed + sum(extra)
-            if any(c & mask == c for c in found):
-                continue
-            if rank(mask) == rank(mask ^ (fixed or mask & -mask)):
-                found.append(mask)
+    level = [fixed]
+    # echelons of the current base and of the base less its pivot
+    with_pivot, without_pivot = _Echelon(code), _Echelon(code)
+    for _ in range(size_cap - (fixed != 0)):
+        in_level = set(level)
+        grown: list[int] = []
+        for base in level:
+            others = base ^ fixed
+            pivot = fixed or base & -base
+            for j in range(others.bit_length(), n):
+                col = 1 << j
+                if col == fixed:
+                    continue
+                mask = base | col
+                rest = others
+                while rest:
+                    low = rest & -rest
+                    if mask ^ low not in in_level:
+                        break
+                    rest ^= low
+                if rest:
+                    continue
+                rank = cache.get(mask)
+                if rank is None:
+                    with_pivot.sync(base)
+                    rank = cache[mask] = with_pivot.rank_with(j)
+                # the pivot of a singleton is itself; rank(0) is cached
+                dropped = mask ^ (pivot or col)
+                less = cache.get(dropped)
+                if less is None:
+                    without_pivot.sync(base ^ pivot)
+                    less = cache[dropped] = without_pivot.rank_with(j)
+                if rank == less:
+                    found.append(mask)
+                else:
+                    grown.append(mask)
+        level = grown
     return found
 
 

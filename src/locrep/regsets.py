@@ -100,12 +100,14 @@ def minimal_regsets(
 
     These are the circuits through ``target``, listed by size, then
     lexicographically.  Supersets of regenerating sets regenerate too,
-    so the minimal ones form the floor of the whole collection.
+    so the minimal ones form the floor of the whole collection.  A size
+    cap below 1 is a :class:`DomainError`.
     """
     code._coord_mask([target])  # validates the target
+    cap = _resolve_size_cap(code, size_cap)
     return [
         RegeneratingSet(target, _coords(mask))
-        for mask in _circuits(code, size_cap, target)
+        for mask in _circuits(code, cap, target)
     ]
 
 

@@ -4,7 +4,9 @@ Everything here recomputes quantities from their definitions with the
 dumbest possible enumeration, deliberately avoiding the search engines
 under test.  Rank queries go through the public field-level
 elimination (``matrix_rank``), never through the packed GF(2) engine
-behind ``LinearCode.entropy`` and ``min_distance``.
+behind ``LinearCode.entropy`` and ``min_distance``; the one exception,
+``reference_circuits``, ranks through that engine on purpose, to pin
+which subsets the circuit scan ranks.
 """
 
 from __future__ import annotations
@@ -128,6 +130,32 @@ def all_regenerating_sets(code: LinearCode, target: int) -> list[frozenset[int]]
             if subset_rank(code, members) == subset_rank(code, extra):
                 out.append(members)
     return out
+
+
+def reference_circuits(
+    code: LinearCode, size_cap: int, target: int | None = None
+) -> list[int]:
+    """Circuit bitmasks by size then lex, by the plain superset-test scan.
+
+    Visits every subset of up to min(size_cap, n, M+1) coordinates
+    (through ``target``, if given), skips those containing a circuit
+    already found, and accepts one when dropping its pivot (the target,
+    or else its lowest member) keeps its rank.  It ranks through
+    ``code._rank``, so it leaves in the rank cache exactly the subsets
+    this scan ranks, for comparison with ``linear_code._circuits``.
+    """
+    size_cap = min(size_cap, code.n, code.M + 1)
+    fixed = 0 if target is None else 1 << (target - 1)
+    free = [1 << i for i in range(code.n) if 1 << i != fixed]
+    found: list[int] = []
+    for size in range(1, size_cap + 1):
+        for extra in combinations(free, size - (fixed != 0)):
+            mask = fixed + sum(extra)
+            if any(c & mask == c for c in found):
+                continue
+            if code._rank(mask) == code._rank(mask ^ (fixed or mask & -mask)):
+                found.append(mask)
+    return found
 
 
 def locality_holds(code: LinearCode, r: int, delta: int) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from locrep import (
     DomainError,
     GF2m,
+    LinearCode,
     PhiUndefinedError,
     RegeneratingSet,
     SearchCapExceeded,
@@ -34,8 +36,10 @@ from oracles import (
     locality_holds,
     random_code,
     random_nontrivial_chain,
+    reference_circuits,
     repetition_code,
     single_parity_code,
+    subset_rank,
 )
 
 
@@ -85,6 +89,12 @@ def test_minimal_regsets_single_parity_empty_below_full_support():
     assert minimal_regsets(single_parity_code(), 1, 2) == []
     full = minimal_regsets(single_parity_code(), 1, 4)
     assert [rs.sorted_members() for rs in full] == [(1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_minimal_regsets_rejects_a_size_cap_below_one(square_r2_m3, cap):
+    with pytest.raises(DomainError, match="size cap must be >= 1"):
+        minimal_regsets(square_r2_m3.code, 1, cap)
 
 
 def test_minimal_regsets_are_inclusion_minimal(square_r2_m3):
@@ -307,6 +317,8 @@ def _oracle_codes(square_r2_m3, square_r2_m4):
     field = GF2m(3)
     codes = [square_r2_m3.code, square_r2_m4.code]
     codes += [repetition_code(), repetition_code(5), single_parity_code()]
+    # coordinate 2 is a zero column: a circuit on its own
+    codes.append(LinearCode(field, 4, 2, [[1, 0], [0, 0], [0, 1], [1, 1]]))
     for _ in range(4):
         n = rng.randrange(4, 9)
         M = rng.randrange(1, n)
@@ -342,6 +354,48 @@ def test_circuit_scan_matches_the_regenerating_set_oracle(
                 for mask in _circuits(code, cap)
             ]
             assert circuits == _size_lex(expected), (code, cap)
+
+
+def test_circuit_scan_matches_the_superset_test_scan(square_r2_m3, square_r2_m4):
+    # same circuits, and the same subsets ranked: the rank caches agree
+    codes = _oracle_codes(square_r2_m3, square_r2_m4)
+    codes.append(build_square_code(3, 4).code)
+    for code in codes:
+        ours, reference = (
+            LinearCode(code.field, code.n, code.M, code.columns) for _ in range(2)
+        )
+        for cap in sorted({1, 2, 3, 4, code.n}):
+            for target in (None, *range(1, code.n + 1)):
+                expected = reference_circuits(reference, cap, target)
+                assert _circuits(ours, cap, target) == expected, (code, cap, target)
+                assert ours._rank_cache == reference._rank_cache, (code, cap, target)
+
+
+# Every circuit of square r=3 codes: the row and column circuits of the
+# grid are the only ones with at most r+1 = 4 members.
+_R3_CIRCUIT_COUNTS = {4: 4280, 5: 7488, 6: 9576, 7: 8514, 8: 4186, 9: 106}
+
+
+def test_square_r3_circuit_counts_are_pinned():
+    rng = Random(79)
+    for M, count in _R3_CIRCUIT_COUNTS.items():
+        code = build_square_code(3, M).code
+        assert len(_circuits(code, 4)) == 8, M
+        assert len(_circuits(code, code.n)) == count, M
+        # a fixed sample of the cached ranks, against field-level elimination
+        cache = code._rank_cache
+        for mask in rng.sample(sorted(cache), 60):
+            members = [i + 1 for i in range(code.n) if (mask >> i) & 1]
+            assert cache[mask] == subset_rank(code, members), (M, members)
+
+
+def test_exact_r3_profiles_within_budget():
+    codes = [build_square_code(3, M).code for M in (4, 5)]
+    start = time.perf_counter()
+    for code in codes:
+        phi_profile(code)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"took {elapsed:.2f}s, budget 1.5s"
 
 
 def test_locality_and_tolerance_match_the_oracle(square_r2_m3, square_r2_m4):
