@@ -25,11 +25,14 @@ def _search_cap() -> int:
     if raw is None:
         return linear_code.DEFAULT_SEARCH_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
+        cap = 0  # not an integer: rejected with the same message
+    if cap < 1:
         raise LocrepError(
-            f"{SEARCH_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
+            f"{SEARCH_CAP_ENV} must be a positive integer, got {raw!r}"
+        )
+    return cap
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

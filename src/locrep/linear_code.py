@@ -6,7 +6,10 @@ column.  Coordinates are numbered 1..n throughout the public API.  The
 joint entropy of a coordinate subset (in 2^m-ary symbol units) equals
 the rank of the corresponding columns, which is the single oracle every
 higher-level query goes through; minimum distance is the exact
-subset-rank quantity n - max{|E| : rank(E) < M}.
+subset-rank quantity n - max{|E| : rank(E) < M}, which is also the
+size of the smallest circuit of the parity-check code.  It is searched
+on whichever side of that duality has the smaller rank: the generator
+for low-rate codes, the parity-check code when 2M >= n.
 
 Every rank is taken over GF(2): a column and its multiples z^t * column
 (t < m) are packed into m integers, whose GF(2)-span equals the
@@ -221,6 +224,8 @@ def _reduce(pivots: list[int], v: int) -> int:
 
 def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
+    if not _is_int(cap) or cap < 1:
+        raise DomainError(f"search cap must be a positive integer, got {cap!r}")
     if code.n > cap:
         raise SearchCapExceeded(
             f"instance too large: n={code.n} exceeds the exhaustive-search "
@@ -371,16 +376,109 @@ def _circuits(
     return found
 
 
-def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
-    """Exact minimum distance: n minus the largest deficient subset size.
+def _dual(code: LinearCode) -> LinearCode:
+    """The parity-check code: its columns are dual to the generator's.
 
-    A subset is deficient when its joint entropy falls below M.  The
-    scan is exhaustive over subsets, so the code length is gated by
-    ``search_cap`` (default :data:`DEFAULT_SEARCH_CAP`).
+    From the reduced row echelon form of the generator, with pivot
+    columns P and free columns F, row i is the unit vector e_i on P and
+    some a_i on F.  The parity-check column at pivot p_i is a_i, and
+    at the k-th free column it is e_k: in characteristic 2, -A^T = A^T.
+    Its column matroid is the dual of the generator's, so its circuits
+    are the generator's cocircuits.  Needs M < n.
+
+    G.H^T = 0 is checked on the packed images: parity-check row h
+    weights generator column j by x = H[h][j], and x * column is the
+    XOR of the images z^t * column over the set bits t of x.
+    """
+    n = code.n
+    rows, pivot_cols = gf2m._eliminate(code.field, code.M, code.columns)
+    free = [j for j in range(n) if j not in pivot_cols]
+    columns: list[list[int]] = [[]] * n
+    for k, f in enumerate(free):
+        columns[f] = [int(i == k) for i in range(len(free))]
+    for row, p in zip(rows, pivot_cols):
+        columns[p] = [row[f] for f in free]
+    for h in range(len(free)):
+        total = 0
+        for images, col in zip(code._packed, columns):
+            x = col[h]
+            t = 0
+            while x:
+                if x & 1:
+                    total ^= images[t]
+                x >>= 1
+                t += 1
+        if total:
+            raise InvariantError("parity-check rows are not orthogonal to G")
+    return LinearCode(code.field, n, n - code.M, columns)
+
+
+def _smallest_circuit(code: LinearCode) -> int:
+    """Size of the smallest circuit of the column matroid.
+
+    Depth-first scan over independent sets in lexicographic order,
+    keeping an incremental GF(2) echelon of the packed columns.  A
+    column in the current span closes a dependent set one larger,
+    which holds a circuit no larger; every circuit is found this way,
+    as its lex-last member over the rest.  Any M+1 columns are
+    dependent, so M+1 is the starting incumbent, and a branch whose
+    next dependent set could not beat it is dropped.  Ranks are never
+    cached: the scan leaves the code untouched.
+    """
+    n, M = code.n, code.M
+    packed = code._packed
+    pivots = [0] * (M * code.field.degree)
+    best = M + 1
+
+    def dfs(start: int, size: int) -> None:
+        nonlocal best
+        for j in range(start, n):
+            if size + 1 >= best:
+                return
+            images = packed[j]
+            if not _reduce(pivots, images[0]):
+                best = size + 1
+                return
+            if size + 2 < best:
+                added = []
+                for u in images:
+                    while u:
+                        p = u.bit_length() - 1
+                        w = pivots[p]
+                        if not w:
+                            pivots[p] = u
+                            added.append(p)
+                            break
+                        u ^= w
+                dfs(j + 1, size + 1)
+                for p in added:
+                    pivots[p] = 0
+
+    dfs(0, 0)
+    return best
+
+
+def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
+    """Exact minimum distance, searched on the cheaper side of duality.
+
+    d is n minus the largest deficient subset size (a subset is
+    deficient when its joint entropy falls below M); equivalently, it
+    is the smallest cocircuit of the column matroid, the smallest
+    circuit of the parity-check code's.  The primal scan walks sets of
+    rank up to M-1 and the dual one sets of rank up to n-M, so a
+    high-rate code (2M >= n) is searched on the dual side.  When M = n
+    every coordinate is a coloop and d = 1.  Either scan is exhaustive
+    over subsets, so the code length is gated by ``search_cap``
+    (default :data:`DEFAULT_SEARCH_CAP`).
     """
     _check_search_cap(code, search_cap)
+    n, M = code.n, code.M
+    if M == n:
+        return 1
+    if 2 * M >= n:
+        return _smallest_circuit(_dual(code))
     size, _ = _max_deficient(code)
-    return code.n - size
+    return n - size
 
 
 def erasure_decodable(code: LinearCode, failed: Iterable[int]) -> bool:

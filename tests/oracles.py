@@ -81,6 +81,26 @@ def random_code(
             return code
 
 
+def oracle_codes(*codes: LinearCode) -> list[LinearCode]:
+    """The given codes plus a fixed set of small ones with odd corners.
+
+    Two repetition codes, the single-parity code, a GF(8) code whose
+    coordinate 2 is a zero column (a circuit on its own) and four
+    random GF(8) codes with n <= 8 (seed 73), for the tests that check
+    an engine against a brute-force oracle.
+    """
+    rng = Random(73)
+    field = GF2m(3)
+    out = list(codes)
+    out += [repetition_code(), repetition_code(5), single_parity_code()]
+    out.append(LinearCode(field, 4, 2, [[1, 0], [0, 0], [0, 1], [1, 1]]))
+    for _ in range(4):
+        n = rng.randrange(4, 9)
+        M = rng.randrange(1, n)
+        out.append(random_code(rng, field, n, M, require_repairable=False))
+    return out
+
+
 def subset_rank(code: LinearCode, members) -> int:
     """Rank of selected columns via the public elimination only."""
     cols = [code.columns[i - 1] for i in members]

@@ -7,6 +7,7 @@ measured wall time wherever a budget applies.
 
 from __future__ import annotations
 
+import json
 import time
 from itertools import combinations
 from random import Random
@@ -85,6 +86,32 @@ def test_criterion_2_square_tightness_r3(capsys):
     _verdict(capsys, name, ok, f" ({elapsed:.2f}s)")
     assert not mismatches, mismatches
     assert elapsed < 30.0, f"took {elapsed:.2f}s, budget 30s"
+
+
+def test_criterion_2_square_tightness_r4(capsys, tmp_path, monkeypatch):
+    name = "criterion 2: square tightness r=4 (M=15,16 over n=25, dual side)"
+    start = time.perf_counter()
+    field = GF2m(16)
+    mismatches = []
+    for M in (15, 16):
+        sc = build_square_code(4, M, field=field)
+        expected = 25 - M + 1 - s_value(M, 4)
+        d = min_distance(sc.code, search_cap=25)
+        if d != expected:
+            mismatches.append((M, d, expected))
+    elapsed = time.perf_counter() - start
+    # n = 25 is one over the default cap, so the CLI needs the env override
+    path = tmp_path / "square_r4_M16.json"
+    assert cli_main(["build", "--family", "square", "--r", "4", "--M", "16",
+                     "-o", str(path)]) == 0
+    monkeypatch.setenv("LOCREP_SEARCH_CAP", "25")
+    rc = cli_main(["distance", str(path)])
+    cli_ok = rc == 0 and json.loads(capsys.readouterr().out) == {"d": 4}
+    ok = not mismatches and cli_ok and elapsed < 2.0
+    _verdict(capsys, name, ok, f" ({elapsed:.2f}s)")
+    assert not mismatches, mismatches
+    assert cli_ok
+    assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
 
 
 def test_criterion_3_comparison_table(capsys):

@@ -77,6 +77,17 @@ def test_invalid_env_cap_is_usage_error(capsys, code_file, monkeypatch):
     assert "LOCREP_SEARCH_CAP" in err
 
 
+@pytest.mark.parametrize("verb", [["distance"], ["phi", "--x-max", "2"], ["rho"]])
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_env_cap_below_one_is_usage_error(capsys, code_file, monkeypatch, verb, raw):
+    # a cap below 1 is malformed, not a cap the instance happens to exceed
+    monkeypatch.setenv("LOCREP_SEARCH_CAP", raw)
+    rc, out, err = _run(capsys, verb[0], code_file, *verb[1:])
+    assert rc == 2 and out == ""
+    assert f"LOCREP_SEARCH_CAP must be a positive integer, got '{raw}'" in err
+    assert "exceeds" not in err
+
+
 def test_round_trip_matches_in_memory_pipeline(capsys, code_file):
     from locrep import build_square_code, min_distance
 

@@ -11,18 +11,28 @@ import pytest
 from locrep import (
     DomainError,
     GF2m,
+    InvariantError,
     LinearCode,
     SearchCapExceeded,
+    build_square_code,
     erasure_decodable,
     from_json_dict,
     min_distance,
     to_json_dict,
 )
-from locrep.linear_code import _max_deficient, dumps, loads
+from locrep import linear_code
+from locrep.linear_code import (
+    _dual,
+    _max_deficient,
+    _smallest_circuit,
+    dumps,
+    loads,
+)
 
 from oracles import (
     codeword_min_weight,
     naive_min_distance,
+    oracle_codes,
     random_code,
     repetition_code,
     single_parity_code,
@@ -141,6 +151,145 @@ def test_min_distance_agrees_with_codeword_enumeration(square_r2_m3, square_r2_m
 def test_min_distance_refuses_large_instances(square_r2_m3):
     with pytest.raises(SearchCapExceeded):
         min_distance(square_r2_m3.code, search_cap=8)
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
+def test_search_cap_must_be_a_positive_integer(square_r2_m3, cap):
+    with pytest.raises(DomainError, match="must be a positive integer") as info:
+        min_distance(square_r2_m3.code, search_cap=cap)
+    assert not isinstance(info.value, SearchCapExceeded)
+    # the smallest valid cap is still a cap, not a malformed one
+    with pytest.raises(SearchCapExceeded):
+        min_distance(square_r2_m3.code, search_cap=1)
+
+
+def _coloop_code() -> LinearCode:
+    # coordinate 4 alone reaches the third message symbol: a coloop
+    field = GF2m(3)
+    columns = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1], [1, 2, 0]]
+    return LinearCode(field, 5, 3, columns)
+
+
+def _dual_test_codes(square_r2_m3, square_r2_m4) -> list[LinearCode]:
+    """The oracle codes, a code with a coloop and six random GF(8) codes; M < n."""
+    codes = oracle_codes(square_r2_m3.code, square_r2_m4.code, _coloop_code())
+    rng = Random(59)
+    field = GF2m(3)
+    for _ in range(6):
+        n = rng.randrange(3, 9)
+        codes.append(random_code(rng, field, n, rng.randrange(1, n),
+                                 require_repairable=False))
+    return codes
+
+
+def _is_orthogonal(code: LinearCode, dual: LinearCode) -> bool:
+    mul = code.field.mul
+    for g in range(code.M):
+        for h in range(dual.M):
+            s = 0
+            for gen, par in zip(code.columns, dual.columns):
+                s ^= mul(gen[g], par[h])
+            if s:
+                return False
+    return True
+
+
+@pytest.fixture(scope="module")
+def square_r3_codes():
+    field = GF2m(9)
+    return [build_square_code(3, M, field=field).code for M in range(4, 10)]
+
+
+def test_dual_is_orthogonal_with_rank_n_minus_M(
+    square_r2_m3, square_r2_m4, square_r3_codes
+):
+    codes = _dual_test_codes(square_r2_m3, square_r2_m4) + square_r3_codes
+    for code in codes:
+        dual = _dual(code)
+        assert (dual.n, dual.M, dual.field) == (code.n, code.n - code.M, code.field)
+        assert _is_orthogonal(code, dual), code
+        assert subset_rank(dual, range(1, code.n + 1)) == code.n - code.M
+
+
+def test_dual_rank_is_the_dual_matroid_rank(square_r2_m3, square_r2_m4):
+    # rank*(X) = |X| + rank(E \ X) - M, for every subset X
+    for code in _dual_test_codes(square_r2_m3, square_r2_m4):
+        dual = _dual(code)
+        n, M = code.n, code.M
+        for mask in range(1 << n):
+            X = [i + 1 for i in range(n) if (mask >> i) & 1]
+            rest = [i + 1 for i in range(n) if not (mask >> i) & 1]
+            assert subset_rank(dual, X) == len(X) + subset_rank(code, rest) - M
+
+
+def test_dual_turns_coloops_into_zero_columns():
+    dual = _dual(_coloop_code())
+    assert dual.columns[3] == (0, 0)
+    assert min_distance(_coloop_code()) == 1
+
+
+def test_dual_rejects_a_parity_check_that_is_not_orthogonal(monkeypatch):
+    code = single_parity_code()
+    real = linear_code.gf2m._eliminate
+
+    def corrupted(field, nrows, columns):
+        rows, pivots = real(field, nrows, columns)
+        rows[0][-1] ^= 1
+        return rows, pivots
+
+    monkeypatch.setattr(linear_code.gf2m, "_eliminate", corrupted)
+    with pytest.raises(InvariantError):
+        _dual(code)
+
+
+def test_min_distance_of_a_code_with_M_equal_n_builds_no_dual(monkeypatch):
+    def refuse(code):
+        raise AssertionError("M = n has no dual to build")
+
+    monkeypatch.setattr(linear_code, "_dual", refuse)
+    rng = Random(61)
+    for n in (1, 3, 6):
+        code = random_code(rng, GF2m(2), n, n, require_repairable=False)
+        assert min_distance(code) == 1
+        assert naive_min_distance(code)[0] == 1
+
+
+def test_min_distance_with_M_equal_n_minus_1():
+    rng = Random(67)
+    for field in (GF2m(1), GF2m(2), GF2m(3)):
+        for n in (2, 4, 7):
+            code = random_code(rng, field, n, n - 1, require_repairable=False)
+            d = min_distance(code)
+            assert d == naive_min_distance(code)[0]
+            assert d == _smallest_circuit(_dual(code))
+    assert min_distance(single_parity_code()) == 2
+
+
+def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes):
+    codes = _dual_test_codes(square_r2_m3, square_r2_m4) + square_r3_codes
+    for code in codes:
+        primal = code.n - _max_deficient(code)[0]
+        assert primal == _smallest_circuit(_dual(code)) == min_distance(code), code
+
+
+def test_smallest_circuit_leaves_the_rank_cache_alone(square_r3_m9):
+    dual = _dual(square_r3_m9.code)
+    before = dict(dual._rank_cache)
+    assert _smallest_circuit(dual) == 4
+    assert dual._rank_cache == before
+
+
+def test_high_rate_min_distance_agrees_with_the_oracles():
+    # 2M >= n routes through the dual code; M = n included
+    rng = Random(71)
+    for field in (GF2m(1), GF2m(2)):
+        for _ in range(12):
+            n = rng.randrange(2, 8)
+            M = rng.randrange((n + 1) // 2, n + 1)
+            code = random_code(rng, field, n, M, require_repairable=False)
+            d = min_distance(code)
+            assert d == naive_min_distance(code)[0], code
+            assert d == codeword_min_weight(code), code
 
 
 def test_erasure_decodable_basics(square_r2_m3):

@@ -34,6 +34,7 @@ from oracles import (
     all_regenerating_sets,
     exhaustive_phi,
     locality_holds,
+    oracle_codes,
     random_code,
     random_nontrivial_chain,
     reference_circuits,
@@ -312,20 +313,6 @@ def test_verify_locality_guards():
         verify_locality(code, 1, 5)
 
 
-def _oracle_codes(square_r2_m3, square_r2_m4):
-    rng = Random(73)
-    field = GF2m(3)
-    codes = [square_r2_m3.code, square_r2_m4.code]
-    codes += [repetition_code(), repetition_code(5), single_parity_code()]
-    # coordinate 2 is a zero column: a circuit on its own
-    codes.append(LinearCode(field, 4, 2, [[1, 0], [0, 0], [0, 1], [1, 1]]))
-    for _ in range(4):
-        n = rng.randrange(4, 9)
-        M = rng.randrange(1, n)
-        codes.append(random_code(rng, field, n, M, require_repairable=False))
-    return codes
-
-
 def _size_lex(sets):
     return sorted(sets, key=lambda s: (len(s), sorted(s)))
 
@@ -335,7 +322,7 @@ def test_circuit_scan_matches_the_regenerating_set_oracle(
 ):
     # minimal regenerating sets are the inclusion-minimal members of the
     # brute-force collection; both scans must list all of them, in order
-    for code in _oracle_codes(square_r2_m3, square_r2_m4):
+    for code in oracle_codes(square_r2_m3.code, square_r2_m4.code):
         minimal_by_target = {}
         for t in range(1, code.n + 1):
             every = all_regenerating_sets(code, t)
@@ -358,7 +345,7 @@ def test_circuit_scan_matches_the_regenerating_set_oracle(
 
 def test_circuit_scan_matches_the_superset_test_scan(square_r2_m3, square_r2_m4):
     # same circuits, and the same subsets ranked: the rank caches agree
-    codes = _oracle_codes(square_r2_m3, square_r2_m4)
+    codes = oracle_codes(square_r2_m3.code, square_r2_m4.code)
     codes.append(build_square_code(3, 4).code)
     for code in codes:
         ours, reference = (
@@ -399,7 +386,7 @@ def test_exact_r3_profiles_within_budget():
 
 
 def test_locality_and_tolerance_match_the_oracle(square_r2_m3, square_r2_m4):
-    for code in _oracle_codes(square_r2_m3, square_r2_m4):
+    for code in oracle_codes(square_r2_m3.code, square_r2_m4.code):
         for r in (1, 2, 3):
             holds = {
                 delta: locality_holds(code, r, delta) for delta in (2, 3, 4)
