@@ -199,6 +199,20 @@ class GF2m:
                 a ^= self.modulus
         return r
 
+    def _mul(self, a: int, b: int) -> int:
+        """Product of two elements already known to lie in the field."""
+        if a == 0 or b == 0:
+            return 0
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        return self._polymul(a, b)
+
+    def _inv(self, a: int) -> int:
+        """Inverse of a nonzero element already known to lie in the field."""
+        if self._exp is not None:
+            return self._exp[self.order - 1 - self._log[a]]
+        return self._polypow(a, self.order - 2)
+
     def _polypow(self, a: int, e: int) -> int:
         r = 1
         while e:
@@ -320,6 +334,8 @@ def _eliminate(
                 f"ragged column: expected {nrows} entries, got {len(col)}"
             )
     rows = [[field._check(col[i]) for col in columns] for i in range(nrows)]
+    # every entry is checked once above; the elimination multiplies unchecked
+    mul = field._mul
     pivot_cols: list[int] = []
     r = 0
     for c in range(len(columns)):
@@ -329,12 +345,12 @@ def _eliminate(
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = field.inv(rows[r][c])
-        rows[r] = [field.mul(scale, x) for x in rows[r]]
+        scale = field._inv(rows[r][c])
+        rows[r] = [mul(scale, x) for x in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [x ^ field.mul(f, y) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [x ^ mul(f, y) for x, y in zip(rows[i], rows[r])]
         pivot_cols.append(c)
         r += 1
     return rows, pivot_cols

@@ -14,6 +14,11 @@ for low-rate codes, the parity-check code when 2M >= n.
 Every rank is taken over GF(2): a column and its multiples z^t * column
 (t < m) are packed into m integers, whose GF(2)-span equals the
 GF(2^m)-span of the column, so rank is tracked with integer XOR alone.
+The one exception is the generator side of the distance, a search over
+flats for the largest hyperplane, which keeps each column's GF(2^m)
+coordinates in the quotient by the current flat: one field
+multiplication per coordinate where the packed images would need m
+XOR passes.
 """
 
 from __future__ import annotations
@@ -236,72 +241,139 @@ def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
 def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     """Largest rank-deficient coordinate subset and its lex-first witness.
 
-    Depth-first scan over subsets in lexicographic order, keeping an
-    incremental GF(2) echelon of the packed columns.  Two prunes keep
-    it exact but fast: a subset that already has full rank cannot sit
-    inside a deficient one, and a branch that cannot exceed the best
-    size found so far is dropped.  The result (and witness) match a
-    naive size-descending scan that stops at the first deficient subset
-    of each size.
+    A largest deficient set is closed and of rank M-1: a hyperplane.
+    For M = 1 that is the set of zero columns.  Otherwise every
+    hyperplane is a flat of rank M-2 plus the columns on one line
+    through it, so :class:`_HyperplaneSearch` visits the flats of rank
+    up to M-2 and groups the columns outside each one by that line.
+    The result (and witness) match a naive size-descending scan that
+    stops at the first deficient subset of each size.
     """
-    n, M = code.n, code.M
-    m = code.field.degree
-    packed = code._packed
-    pivots = [0] * (M * m)
-    # Any M-1 columns are trivially deficient, so that is the floor and
-    # the first M-1 coordinates are its lex-first witness.
-    best_size = M - 1
-    best_set = tuple(range(1, M))
-    path: list[int] = []
+    loops = 0
+    residues = []
+    for j, col in enumerate(code.columns):
+        if any(col):
+            residues.append((j, col))
+        else:
+            loops |= 1 << j
+    if code.M == 1:
+        best = loops
+    else:
+        search = _HyperplaneSearch(code)
+        search.visit(loops, -1, residues, code.M - 2)
+        best = search.mask
+    return best.bit_count(), tuple(
+        i + 1 for i in range(code.n) if (best >> i) & 1
+    )
 
-    def dfs(start: int, size: int, rank: int) -> None:
-        nonlocal best_size, best_set
-        for j in range(start, n):
-            if size + (n - j) <= best_size:
+
+class _HyperplaneSearch:
+    """Depth-first search over flats for the largest hyperplane.
+
+    A flat is reached once, through its greedy basis: each basis column
+    is the lowest column outside the span of the ones before it.  The
+    search carries the residues of the columns outside the flat, their
+    coordinates in the quotient by the flat's span, in GF(2^m).
+    Pushing a basis column eliminates one quotient coordinate from
+    every residue, one field multiplication per entry; a residue that
+    becomes zero joins the closure, and one below the pushed column
+    means the basis is not greedy, so that flat is reached elsewhere.
+
+    At rank M-2 the quotient is a plane and each residue (x, y) is a
+    point on one of its lines, keyed by x/y (or y = 0): every line is a
+    hyperplane over the flat, and its size is read off one dict pass.
+    A hyperplane is counted at the flat spanned by the first M-2
+    columns of its own greedy basis, so only where its columns outside
+    the flat all lie above the last basis column.  Every hyperplane
+    found below a flat lies within the flat and the columns above its
+    last basis column, which bounds the branch.
+
+    Of two hyperplanes of one size, the lex-first holds the lowest
+    column of their symmetric difference, so its greedy basis is the
+    lex-first too, and so is the flat it is counted at; at one flat,
+    lines are met in the order of their lowest columns.  The search
+    visits flats in the lex order of their bases, so the first largest
+    hyperplane it meets is the lex-first one: a later one replaces it
+    only when strictly larger, and a branch is cut when it cannot be.
+    """
+
+    __slots__ = ("field", "size", "mask")
+
+    def __init__(self, code: LinearCode):
+        self.field = code.field
+        # any M-1 coordinates are deficient: the floor, and its lex-first
+        # witness is the first M-1 coordinates
+        self.size = code.M - 1
+        self.mask = (1 << (code.M - 1)) - 1
+
+    def visit(
+        self,
+        flat: int,
+        last: int,
+        residues: list[tuple[int, Sequence[int]]],
+        depth: int,
+    ) -> None:
+        """Search the flats above ``flat`` for ``depth`` more basis columns.
+
+        ``last`` is the flat's last basis column (-1 for none) and
+        ``residues`` lists each column outside it with its residue, in
+        column order.
+        """
+        if depth == 0:
+            self._group(flat, last, residues)
+            return
+        mul, inv = self.field._mul, self.field._inv
+        size = flat.bit_count()
+        count = len(residues)
+        for pos, (j, res) in enumerate(residues):
+            if j < last:
+                continue
+            # the flat plus every outside column from j up, at most
+            if size + count - pos <= self.size:
                 break
-            vecs = packed[j]
-            v = vecs[0]
-            while v:
-                p = v.bit_length() - 1
-                w = pivots[p]
-                if not w:
+            p = next(i for i, x in enumerate(res) if x)
+            scale = inv(res[p])
+            step = [mul(scale, x) for x in res[p + 1:]]
+            child = []
+            joined = 0
+            for c, other in residues:
+                if c == j:
+                    continue
+                a = other[p]
+                if a:
+                    rest = other[:p] + tuple(
+                        [u ^ mul(a, x) for u, x in zip(other[p + 1:], step)]
+                    )
+                else:
+                    rest = other[:p] + other[p + 1:]
+                if any(rest):
+                    child.append((c, rest))
+                elif c < j:
                     break
-                v ^= w
-            if v:
-                # column independent of the current span
-                if rank + 1 < M:
-                    added = []
-                    for vec in vecs:
-                        u = vec
-                        while u:
-                            p = u.bit_length() - 1
-                            w = pivots[p]
-                            if not w:
-                                pivots[p] = u
-                                added.append(p)
-                                break
-                            u ^= w
-                    if len(added) != m:
-                        raise InvariantError("GF(2) expansion lost dimensions")
-                    path.append(j)
-                    if size + 1 > best_size:
-                        best_size = size + 1
-                        best_set = tuple(c + 1 for c in path)
-                    dfs(j + 1, size + 1, rank + 1)
-                    path.pop()
-                    for p in added:
-                        pivots[p] = 0
-                # rank would reach M: every superset is full-rank, skip
+                else:
+                    joined |= 1 << c
             else:
-                path.append(j)
-                if size + 1 > best_size:
-                    best_size = size + 1
-                    best_set = tuple(c + 1 for c in path)
-                dfs(j + 1, size + 1, rank)
-                path.pop()
+                self.visit(flat | 1 << j | joined, j, child, depth - 1)
 
-    dfs(0, 0, 0)
-    return best_size, best_set
+    def _group(
+        self, flat: int, last: int, residues: list[tuple[int, Sequence[int]]]
+    ) -> None:
+        size = flat.bit_count()
+        if size + sum(1 for c, _ in residues if c > last) <= self.size:
+            return
+        mul, inv = self.field._mul, self.field._inv
+        blocked = set()
+        lines: dict[int, int] = {}
+        for c, (x, y) in residues:
+            key = mul(x, inv(y)) if y else -1
+            if c < last:
+                blocked.add(key)
+            elif key not in blocked:
+                lines[key] = lines.get(key, 0) | 1 << c
+        for line in lines.values():
+            total = size + line.bit_count()
+            if total > self.size:
+                self.size, self.mask = total, flat | line
 
 
 def _circuits(
@@ -425,36 +497,43 @@ def _smallest_circuit(code: LinearCode) -> int:
     next dependent set could not beat it is dropped.  Ranks are never
     cached: the scan leaves the code untouched.
     """
-    n, M = code.n, code.M
-    packed = code._packed
-    pivots = [0] * (M * code.field.degree)
-    best = M + 1
+    pivots = [0] * (code.M * code.field.degree)
+    return _shortest_dependent(code._packed, pivots, 0, 0, code.M + 1)
 
-    def dfs(start: int, size: int) -> None:
-        nonlocal best
-        for j in range(start, n):
-            if size + 1 >= best:
-                return
-            images = packed[j]
-            if not _reduce(pivots, images[0]):
-                best = size + 1
-                return
-            if size + 2 < best:
-                added = []
-                for u in images:
-                    while u:
-                        p = u.bit_length() - 1
-                        w = pivots[p]
-                        if not w:
-                            pivots[p] = u
-                            added.append(p)
-                            break
-                        u ^= w
-                dfs(j + 1, size + 1)
-                for p in added:
-                    pivots[p] = 0
 
-    dfs(0, 0)
+def _shortest_dependent(
+    packed: Sequence[tuple[int, ...]],
+    pivots: list[int],
+    start: int,
+    size: int,
+    best: int,
+) -> int:
+    """``_smallest_circuit``'s scan below an independent set of ``size``.
+
+    ``pivots`` is the set's echelon and ``start`` the first column that
+    may extend it; returns the smaller of ``best`` and the smallest
+    dependent set found.
+    """
+    for j in range(start, len(packed)):
+        if size + 1 >= best:
+            break
+        images = packed[j]
+        if not _reduce(pivots, images[0]):
+            return size + 1
+        if size + 2 < best:
+            added = []
+            for u in images:
+                while u:
+                    p = u.bit_length() - 1
+                    w = pivots[p]
+                    if not w:
+                        pivots[p] = u
+                        added.append(p)
+                        break
+                    u ^= w
+            best = _shortest_dependent(packed, pivots, j + 1, size + 1, best)
+            for p in added:
+                pivots[p] = 0
     return best
 
 
@@ -464,9 +543,9 @@ def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     d is n minus the largest deficient subset size (a subset is
     deficient when its joint entropy falls below M); equivalently, it
     is the smallest cocircuit of the column matroid, the smallest
-    circuit of the parity-check code's.  The primal scan walks sets of
-    rank up to M-1 and the dual one sets of rank up to n-M, so a
-    high-rate code (2M >= n) is searched on the dual side.  When M = n
+    circuit of the parity-check code's.  The primal search visits flats
+    of rank up to M-2 and the dual one independent sets of rank up to
+    n-M, so a high-rate code (2M >= n) is searched on the dual side.  When M = n
     every coordinate is a coloop and d = 1.  Either scan is exhaustive
     over subsets, so the code length is gated by ``search_cap``
     (default :data:`DEFAULT_SEARCH_CAP`).

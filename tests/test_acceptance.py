@@ -114,6 +114,24 @@ def test_criterion_2_square_tightness_r4(capsys, tmp_path, monkeypatch):
     assert elapsed < 2.0, f"took {elapsed:.2f}s, budget 2s"
 
 
+def test_criterion_2_square_tightness_r4_primal(capsys):
+    name = "criterion 2: square tightness r=4 (M=5,6 over n=25, primal side)"
+    start = time.perf_counter()
+    field = GF2m(16)
+    mismatches = []
+    for M in (5, 6):
+        sc = build_square_code(4, M, field=field)
+        expected = 25 - M + 1 - s_value(M, 4)
+        d = min_distance(sc.code, search_cap=25)
+        if d != expected:
+            mismatches.append((M, d, expected))
+    elapsed = time.perf_counter() - start
+    ok = not mismatches and elapsed < 3.0
+    _verdict(capsys, name, ok, f" ({elapsed:.2f}s)")
+    assert not mismatches, mismatches
+    assert elapsed < 3.0, f"took {elapsed:.2f}s, budget 3s"
+
+
 def test_criterion_3_comparison_table(capsys):
     name = "criterion 3: table --r 5 rows and square <= rdc for r in 2..8"
     rc = cli_main(["table", "--r", "5"])

@@ -215,6 +215,37 @@ def test_untabled_field_inverse_roundtrip():
         assert field.mul(field.inv(a), field.mul(a, b)) == b
 
 
+@pytest.mark.parametrize("degree", [1, 4, 9, 17])
+def test_unchecked_mul_and_inv_agree_with_the_checked_ones(degree):
+    # degree 17 has no log tables: shift-and-xor and square-and-multiply
+    field = GF2m(degree)
+    rng = Random(41)
+    for _ in range(100):
+        a, b = rng.randrange(field.order), rng.randrange(field.order)
+        assert field._mul(a, b) == field.mul(a, b)
+        if a:
+            assert field._inv(a) == field.inv(a)
+
+
+def test_elimination_checks_each_entry_once(monkeypatch):
+    field = GF2m(9)
+    rng = Random(43)
+    cols = [[rng.randrange(field.order) for _ in range(4)] for _ in range(7)]
+    checked = []
+    real = GF2m._check
+
+    def counting(self, a):
+        checked.append(a)
+        return real(self, a)
+
+    monkeypatch.setattr(GF2m, "_check", counting)
+    assert matrix_rank(field, 4, cols) == 4
+    assert len(checked) == 4 * 7
+    cols[3][2] = field.order
+    with pytest.raises(DomainError):
+        matrix_rank(field, 4, cols)
+
+
 def test_frobenius_identity_power():
     for a in range(16):
         assert GF16.frobenius(a, 0) == a

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from itertools import combinations
 from random import Random
@@ -17,6 +18,7 @@ from locrep import (
     build_square_code,
     erasure_decodable,
     from_json_dict,
+    matrix_rank,
     min_distance,
     to_json_dict,
 )
@@ -135,6 +137,53 @@ def test_min_distance_agrees_with_naive_scan():
         size, witness = _max_deficient(code)
         assert code.n - size == d_naive
         assert witness == witness_naive
+
+
+def _cornered_code(rng: Random, field: GF2m, n: int, M: int) -> LinearCode:
+    """A random full-rank code with zero, scaled and sparse columns.
+
+    Half the entries are 0 or 1, so that large deficient sets beyond
+    the trivial M-1 columns are common even over big fields.
+    """
+    q = field.order
+    while True:
+        cols = []
+        for _ in range(n):
+            kind = rng.random()
+            if kind < 0.15:
+                cols.append([0] * M)
+            elif kind < 0.4 and cols:
+                scale = rng.randrange(1, q)
+                cols.append([field.mul(scale, x) for x in rng.choice(cols)])
+            else:
+                cols.append([rng.randrange(q) if rng.random() < 0.5
+                             else rng.randrange(2) for _ in range(M)])
+        if matrix_rank(field, M, cols) == M:
+            return LinearCode(field, n, M, cols)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 17])
+def test_max_deficient_agrees_with_the_naive_scan(degree):
+    # size and lex-first witness; degree 17 has no log tables
+    field = GF2m(degree)
+    rng = Random(79 + degree)
+    for _ in range(16):
+        n = rng.randrange(3, 9)
+        for M in sorted({1, 2, n - 1, rng.randrange(1, n)}):
+            code = _cornered_code(rng, field, n, M)
+            d, witness = naive_min_distance(code)
+            assert _max_deficient(code) == (n - d, witness), code.columns
+    # every column but the first is deficient, since the first alone
+    # reaches the last message symbol: the bound at the root is tight
+    for n, M in ((4, 3), (6, 3), (7, 5)):
+        cols = [[0] * (M - 1) + [1]]
+        while matrix_rank(field, M, cols[1:]) < M - 1:
+            cols[1:] = [[rng.randrange(field.order) for _ in range(M - 1)] + [0]
+                        for _ in range(n - 1)]
+        code = LinearCode(field, n, M, cols)
+        d, witness = naive_min_distance(code)
+        assert d == 1
+        assert _max_deficient(code) == (n - 1, witness), code.columns
 
 
 def test_min_distance_agrees_with_codeword_enumeration(square_r2_m3, square_r2_m4):
@@ -270,6 +319,19 @@ def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes
     for code in codes:
         primal = code.n - _max_deficient(code)[0]
         assert primal == _smallest_circuit(_dual(code)) == min_distance(code), code
+
+
+def test_distance_searches_leave_no_reference_cycles(square_r3_codes):
+    # a cycle would keep each request's field tables alive until the
+    # collector runs; M = 4 is searched on the primal side, M = 8 the dual
+    gc.collect()
+    gc.disable()
+    try:
+        for code in (square_r3_codes[0], square_r3_codes[4]):
+            assert min_distance(code) in (12, 6)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_smallest_circuit_leaves_the_rank_cache_alone(square_r3_m9):
