@@ -16,9 +16,10 @@ Every rank is taken over GF(2): a column and its multiples z^t * column
 GF(2^m)-span of the column, so rank is tracked with integer XOR alone.
 The one exception is the generator side of the distance, a search over
 flats for the largest hyperplane, which keeps each column's GF(2^m)
-coordinates in the quotient by the current flat: one field
-multiplication per coordinate where the packed images would need m
-XOR passes.
+coordinates in the quotient by the current flat.  It eliminates in the
+log domain: one table lookup per coordinate (a multiplication where
+the field has no log tables) where the packed images would need m XOR
+passes.
 """
 
 from __future__ import annotations
@@ -246,8 +247,11 @@ def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     hyperplane is a flat of rank M-2 plus the columns on one line
     through it, so :class:`_HyperplaneSearch` visits the flats of rank
     up to M-2 and groups the columns outside each one by that line.
-    The result (and witness) match a naive size-descending scan that
-    stops at the first deficient subset of each size.
+    For M = 2 the empty flat's quotient is already the plane: the
+    columns get a zero first coordinate and are grouped under a pivot
+    row that eliminates nothing.  The result (and witness) match a
+    naive size-descending scan that stops at the first deficient
+    subset of each size.
     """
     loops = 0
     residues = []
@@ -260,7 +264,11 @@ def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
         best = loops
     else:
         search = _HyperplaneSearch(code)
-        search.visit(loops, -1, residues, code.M - 2)
+        if code.M == 2:
+            padded = [(j, (0,) + col) for j, col in residues]
+            search.group(loops, -1, padded, 0, [None, None])
+        else:
+            search.visit(loops, -1, residues, code.M - 2)
         best = search.mask
     return best.bit_count(), tuple(
         i + 1 for i in range(code.n) if (best >> i) & 1
@@ -275,18 +283,29 @@ class _HyperplaneSearch:
     search carries the residues of the columns outside the flat, their
     coordinates in the quotient by the flat's span, in GF(2^m).
     Pushing a basis column eliminates one quotient coordinate from
-    every residue, one field multiplication per entry; a residue that
-    becomes zero joins the closure, and one below the pushed column
-    means the basis is not greedy, so that flat is reached elsewhere.
+    every residue; a residue that becomes zero joins the closure, and
+    one below the pushed column means the basis is not greedy, so that
+    flat is reached elsewhere.
 
-    At rank M-2 the quotient is a plane and each residue (x, y) is a
-    point on one of its lines, keyed by x/y (or y = 0): every line is a
-    hyperplane over the flat, and its size is read off one dict pass.
-    A hyperplane is counted at the flat spanned by the first M-2
-    columns of its own greedy basis, so only where its columns outside
-    the flat all lie above the last basis column.  Every hyperplane
-    found below a flat lies within the flat and the columns above its
-    last basis column, which bounds the branch.
+    Elimination runs in the log domain.  The pushed column's pivot row,
+    scaled to a leading 1, is turned into discrete logs once, so each
+    entry update is one table lookup, u ^ exp[log a + log x], and no
+    method call.  Fields without log tables keep elements where the
+    logs would be and multiply instead: only the few scalar
+    expressions that touch the tables choose between the two.
+
+    Pushing the (M-2)-th basis column, onto a flat of rank M-3, is
+    fused with the grouping.  The quotient by the new flat is a plane,
+    and each residue (x, y) there is a point on one of its lines, keyed
+    by log x - log y (or x = 0, or y = 0): every line is a hyperplane
+    over the flat.  One pass in column order reduces each 3-coordinate
+    residue straight to its plane point and files it under its line,
+    and builds no child residues.  A hyperplane is counted at the flat
+    spanned by the first M-2 columns of its own greedy basis, so only
+    where its columns outside the flat all lie above the last basis
+    column: a line met below it is blocked.  Every hyperplane found
+    below a flat lies within the flat and the columns above its last
+    basis column, which bounds the branch.
 
     Of two hyperplanes of one size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
@@ -317,12 +336,12 @@ class _HyperplaneSearch:
 
         ``last`` is the flat's last basis column (-1 for none) and
         ``residues`` lists each column outside it with its residue, in
-        column order.
+        column order.  ``depth`` is at least 1; the last push is
+        :meth:`group`'s.
         """
-        if depth == 0:
-            self._group(flat, last, residues)
-            return
-        mul, inv = self.field._mul, self.field._inv
+        field = self.field
+        exp, log, mul = field._exp, field._log, field._mul
+        period = field.order - 1
         size = flat.bit_count()
         count = len(residues)
         for pos, (j, res) in enumerate(residues):
@@ -332,8 +351,15 @@ class _HyperplaneSearch:
             if size + count - pos <= self.size:
                 break
             p = next(i for i, x in enumerate(res) if x)
-            scale = inv(res[p])
-            step = [mul(scale, x) for x in res[p + 1:]]
+            # res[p+1:] / res[p]: logs, or elements without tables; None for 0
+            lp = log[res[p]] if log else field._inv(res[p])
+            tail = [
+                ((log[x] - lp) % period if log else mul(x, lp)) if x else None
+                for x in res[p + 1:]
+            ]
+            if depth == 1:
+                self.group(flat | 1 << j, j, residues, p, tail)
+                continue
             child = []
             joined = 0
             for c, other in residues:
@@ -341,9 +367,12 @@ class _HyperplaneSearch:
                     continue
                 a = other[p]
                 if a:
-                    rest = other[:p] + tuple(
-                        [u ^ mul(a, x) for u, x in zip(other[p + 1:], step)]
-                    )
+                    la = log[a] if log else a
+                    rest = other[:p] + tuple([
+                        u if lx is None
+                        else u ^ (exp[la + lx] if log else mul(la, lx))
+                        for u, lx in zip(other[p + 1:], tail)
+                    ])
                 else:
                     rest = other[:p] + other[p + 1:]
                 if any(rest):
@@ -355,21 +384,64 @@ class _HyperplaneSearch:
             else:
                 self.visit(flat | 1 << j | joined, j, child, depth - 1)
 
-    def _group(
-        self, flat: int, last: int, residues: list[tuple[int, Sequence[int]]]
+    def group(
+        self,
+        flat: int,
+        j: int,
+        residues: list[tuple[int, Sequence[int]]],
+        p: int,
+        tail: list[Optional[int]],
     ) -> None:
-        size = flat.bit_count()
-        if size + sum(1 for c, _ in residues if c > last) <= self.size:
-            return
-        mul, inv = self.field._mul, self.field._inv
+        """Push column j and group the columns outside the flat by line.
+
+        ``flat`` already holds j, ``residues`` have three coordinates,
+        and j's pivot is coordinate p with ``tail`` the rest of its
+        pivot row, as :meth:`visit` makes them.  Returns early when the
+        basis is not greedy.
+        """
+        field = self.field
+        exp, log, mul = field._exp, field._log, field._mul
+        period = field.order - 1
+        # the plane's coordinates, and the pivot row's logs over them
+        k1, k2 = [k for k in range(3) if k != p]
+        l1, l2 = [None] * p + tail
         blocked = set()
         lines: dict[int, int] = {}
-        for c, (x, y) in residues:
-            key = mul(x, inv(y)) if y else -1
-            if c < last:
+        joined = 0
+        for c, other in residues:
+            if c == j:
+                continue
+            x, y = other[k1], other[k2]
+            a = other[p]
+            if a:
+                la = log[a] if log else a
+                if l1 is not None:
+                    x ^= exp[la + l1] if log else mul(la, l1)
+                if l2 is not None:
+                    y ^= exp[la + l2] if log else mul(la, l2)
+            # the line through the point: x/y as a log, -2 for x = 0 and
+            # -1 for y = 0
+            if y:
+                if x:
+                    key = (
+                        (log[x] - log[y]) % period
+                        if log else mul(x, field._inv(y))
+                    )
+                else:
+                    key = -2
+            elif x:
+                key = -1
+            elif c < j:
+                return
+            else:
+                joined |= 1 << c
+                continue
+            if c < j:
                 blocked.add(key)
             elif key not in blocked:
                 lines[key] = lines.get(key, 0) | 1 << c
+        flat |= joined
+        size = flat.bit_count()
         for line in lines.values():
             total = size + line.bit_count()
             if total > self.size:
@@ -546,8 +618,8 @@ def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     circuit of the parity-check code's.  The primal search visits flats
     of rank up to M-2 and the dual one independent sets of rank up to
     n-M, so a high-rate code (2M >= n) is searched on the dual side.  When M = n
-    every coordinate is a coloop and d = 1.  Either scan is exhaustive
-    over subsets, so the code length is gated by ``search_cap``
+    every coordinate is a coloop and d = 1.  Both counts can grow
+    exponentially with n, so the code length is gated by ``search_cap``
     (default :data:`DEFAULT_SEARCH_CAP`).
     """
     _check_search_cap(code, search_cap)

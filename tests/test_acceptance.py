@@ -115,11 +115,11 @@ def test_criterion_2_square_tightness_r4(capsys, tmp_path, monkeypatch):
 
 
 def test_criterion_2_square_tightness_r4_primal(capsys):
-    name = "criterion 2: square tightness r=4 (M=5,6 over n=25, primal side)"
+    name = "criterion 2: square tightness r=4 (M=5,6,7 over n=25, primal side)"
     start = time.perf_counter()
     field = GF2m(16)
     mismatches = []
-    for M in (5, 6):
+    for M in (5, 6, 7):
         sc = build_square_code(4, M, field=field)
         expected = 25 - M + 1 - s_value(M, 4)
         d = min_distance(sc.code, search_cap=25)

@@ -162,9 +162,11 @@ def _cornered_code(rng: Random, field: GF2m, n: int, M: int) -> LinearCode:
             return LinearCode(field, n, M, cols)
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 17])
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 16, 17])
 def test_max_deficient_agrees_with_the_naive_scan(degree):
-    # size and lex-first witness; degree 17 has no log tables
+    # size and lex-first witness.  Degree 8's modulus 0x11b has no
+    # primitive z, so its logs are to base 3; degree 16 is the largest
+    # with log tables, and degree 17 has none
     field = GF2m(degree)
     rng = Random(79 + degree)
     for _ in range(16):
@@ -319,6 +321,30 @@ def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes
     for code in codes:
         primal = code.n - _max_deficient(code)[0]
         assert primal == _smallest_circuit(_dual(code)) == min_distance(code), code
+
+
+# (size, lex-first witness) of square r=3 M=4..9 over GF(2^9) and
+# r=4 M=5, 6 over GF(2^16): too long for the naive scan
+PINNED_MAX_DEFICIENT = {
+    (3, 4): (4, (1, 2, 3, 4)),
+    (3, 5): (5, (1, 2, 3, 4, 5)),
+    (3, 6): (7, (1, 2, 3, 4, 5, 9, 13)),
+    (3, 7): (8, (1, 2, 3, 4, 5, 6, 7, 8)),
+    (3, 8): (10, (1, 2, 3, 4, 5, 6, 7, 8, 9, 13)),
+    (3, 9): (12, (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 14)),
+    (4, 5): (5, (1, 2, 3, 4, 5)),
+    (4, 6): (6, (1, 2, 3, 4, 5, 6)),
+}
+
+
+def test_max_deficient_pinned_on_square_codes(square_r3_codes):
+    field = GF2m(16)
+    codes = {(3, code.M): code for code in square_r3_codes}
+    for M in (5, 6):
+        codes[4, M] = build_square_code(4, M, field=field).code
+    assert {key: _max_deficient(code) for key, code in codes.items()} == (
+        PINNED_MAX_DEFICIENT
+    )
 
 
 def test_distance_searches_leave_no_reference_cycles(square_r3_codes):
