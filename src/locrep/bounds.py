@@ -51,6 +51,14 @@ def bound_general(n: int, M: int, alpha: int, rho: int) -> int:
     return n - _ceil_div(M, alpha) + 1 - rho
 
 
+def _rho_floor(M: int, alpha: int, r: int, delta: int = 2) -> int:
+    """The rho guaranteed by locality r with delta - 1 repair sets.
+
+    (ceil(M/(r*alpha)) - 1)(delta - 1); delta = 2 is plain locality r.
+    """
+    return (_ceil_div(M, r * alpha) - 1) * (delta - 1)
+
+
 def bound_locality_r(n: int, M: int, alpha: int, r: int) -> int:
     """d <= n - ceil(M/alpha) - ceil(M/(r*alpha)) + 2 for all-symbol locality r.
 
@@ -58,8 +66,7 @@ def bound_locality_r(n: int, M: int, alpha: int, r: int) -> int:
     coordinate has a regenerating set of size at most r+1.
     """
     _require_positive(n=n, M=M, alpha=alpha, r=r)
-    rho_floor = _ceil_div(M, r * alpha) - 1
-    return bound_general(n, M, alpha, rho_floor)
+    return bound_general(n, M, alpha, _rho_floor(M, alpha, r))
 
 
 def bound_lrc(n: int, M: int, alpha: int, r: int, delta: int) -> int:
@@ -67,8 +74,7 @@ def bound_lrc(n: int, M: int, alpha: int, r: int, delta: int) -> int:
     _require_positive(n=n, M=M, alpha=alpha, r=r)
     if delta < 2:
         raise DomainError(f"parameter delta must be >= 2, got {delta}")
-    rho_floor = (_ceil_div(M, r * alpha) - 1) * (delta - 1)
-    return bound_general(n, M, alpha, rho_floor)
+    return bound_general(n, M, alpha, _rho_floor(M, alpha, r, delta))
 
 
 def rdc_mu(M: int, r: int, delta: int) -> int:
@@ -181,23 +187,21 @@ def bound_report(
         if r is None:
             raise DomainError("the locality_r bound requires r")
         value = bound_locality_r(n, M, alpha, r)
-        rho_floor = _ceil_div(M, r * alpha) - 1
         return BoundReport(
             theorem,
             {"n": n, "M": M, "alpha": alpha, "r": r},
             value,
-            {"rho_lower": rho_floor},
+            {"rho_lower": _rho_floor(M, alpha, r)},
         )
     if theorem == "lrc":
         if r is None or delta is None:
             raise DomainError("the lrc bound requires r and delta")
         value = bound_lrc(n, M, alpha, r, delta)
-        rho_floor = (_ceil_div(M, r * alpha) - 1) * (delta - 1)
         return BoundReport(
             theorem,
             {"n": n, "M": M, "alpha": alpha, "r": r, "delta": delta},
             value,
-            {"rho_lower": rho_floor},
+            {"rho_lower": _rho_floor(M, alpha, r, delta)},
         )
     if theorem == "rdc":
         if r is None or delta is None:

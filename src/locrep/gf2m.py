@@ -246,9 +246,7 @@ class GF2m:
         self._check(a)
         if a == 0:
             raise DomainError("zero has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self.pow(a, self.order - 2)
+        return self._inv(a)
 
     def pow(self, a: int, e: int) -> int:
         """a raised to a nonnegative integer power (square and multiply)."""

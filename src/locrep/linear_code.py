@@ -300,12 +300,14 @@ class _HyperplaneSearch:
     by log x - log y (or x = 0, or y = 0): every line is a hyperplane
     over the flat.  One pass in column order reduces each 3-coordinate
     residue straight to its plane point and files it under its line,
-    and builds no child residues.  A hyperplane is counted at the flat
-    spanned by the first M-2 columns of its own greedy basis, so only
-    where its columns outside the flat all lie above the last basis
-    column: a line met below it is blocked.  Every hyperplane found
-    below a flat lies within the flat and the columns above its last
-    basis column, which bounds the branch.
+    and builds no child residues.  Only the columns above the pushed
+    one are filed.  A hyperplane is counted in full at the flat spanned
+    by the first M-2 columns of its own greedy basis, where its columns
+    outside the flat all lie above the last basis column.  A line with
+    a column below it is counted without that column, a set strictly
+    inside a hyperplane counted at another flat, so it never ties the
+    best.  Every set counted below a flat lies within the flat and the
+    columns above its last basis column, which bounds the branch.
 
     Of two hyperplanes of one size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
@@ -397,7 +399,7 @@ class _HyperplaneSearch:
         ``flat`` already holds j, ``residues`` have three coordinates,
         and j's pivot is coordinate p with ``tail`` the rest of its
         pivot row, as :meth:`visit` makes them.  Returns early when the
-        basis is not greedy.
+        basis is not greedy: a column below j joins the closure.
         """
         field = self.field
         exp, log, mul = field._exp, field._log, field._mul
@@ -405,7 +407,6 @@ class _HyperplaneSearch:
         # the plane's coordinates, and the pivot row's logs over them
         k1, k2 = [k for k in range(3) if k != p]
         l1, l2 = [None] * p + tail
-        blocked = set()
         lines: dict[int, int] = {}
         joined = 0
         for c, other in residues:
@@ -419,26 +420,21 @@ class _HyperplaneSearch:
                     x ^= exp[la + l1] if log else mul(la, l1)
                 if l2 is not None:
                     y ^= exp[la + l2] if log else mul(la, l2)
-            # the line through the point: x/y as a log, -2 for x = 0 and
-            # -1 for y = 0
-            if y:
-                if x:
-                    key = (
-                        (log[x] - log[y]) % period
-                        if log else mul(x, field._inv(y))
-                    )
-                else:
-                    key = -2
-            elif x:
-                key = -1
-            elif c < j:
-                return
-            else:
+            if not (x or y):
+                if c < j:
+                    return
                 joined |= 1 << c
-                continue
-            if c < j:
-                blocked.add(key)
-            elif key not in blocked:
+            elif c > j:
+                # the line through the point: x/y as a log, -2 for x = 0
+                # and -1 for y = 0
+                if not y:
+                    key = -1
+                elif not x:
+                    key = -2
+                elif log:
+                    key = (log[x] - log[y]) % period
+                else:
+                    key = mul(x, field._inv(y))
                 lines[key] = lines.get(key, 0) | 1 << c
         flat |= joined
         size = flat.bit_count()
@@ -560,52 +556,33 @@ def _dual(code: LinearCode) -> LinearCode:
 def _smallest_circuit(code: LinearCode) -> int:
     """Size of the smallest circuit of the column matroid.
 
-    Depth-first scan over independent sets in lexicographic order,
-    keeping an incremental GF(2) echelon of the packed columns.  A
-    column in the current span closes a dependent set one larger,
+    Depth-first scan over independent sets in lexicographic order on
+    one :class:`_Echelon`, which follows the sets as a stack.  A column
+    in the span of the current set closes a dependent set one larger,
     which holds a circuit no larger; every circuit is found this way,
     as its lex-last member over the rest.  Any M+1 columns are
     dependent, so M+1 is the starting incumbent, and a branch whose
     next dependent set could not beat it is dropped.  Ranks are never
     cached: the scan leaves the code untouched.
     """
-    pivots = [0] * (code.M * code.field.degree)
-    return _shortest_dependent(code._packed, pivots, 0, 0, code.M + 1)
+    return _shortest_dependent(_Echelon(code), code.n, 0, code.M + 1)
 
 
-def _shortest_dependent(
-    packed: Sequence[tuple[int, ...]],
-    pivots: list[int],
-    start: int,
-    size: int,
-    best: int,
-) -> int:
-    """``_smallest_circuit``'s scan below an independent set of ``size``.
+def _shortest_dependent(echelon: _Echelon, n: int, base: int, best: int) -> int:
+    """``_smallest_circuit``'s scan below the independent set ``base``.
 
-    ``pivots`` is the set's echelon and ``start`` the first column that
-    may extend it; returns the smaller of ``best`` and the smallest
-    dependent set found.
+    Returns the smaller of ``best`` and the smallest dependent set that
+    extends ``base`` by columns above its highest member.
     """
-    for j in range(start, len(packed)):
+    size = base.bit_count()
+    for j in range(base.bit_length(), n):
         if size + 1 >= best:
             break
-        images = packed[j]
-        if not _reduce(pivots, images[0]):
+        echelon.sync(base)
+        if echelon.rank_with(j) == size:
             return size + 1
         if size + 2 < best:
-            added = []
-            for u in images:
-                while u:
-                    p = u.bit_length() - 1
-                    w = pivots[p]
-                    if not w:
-                        pivots[p] = u
-                        added.append(p)
-                        break
-                    u ^= w
-            best = _shortest_dependent(packed, pivots, j + 1, size + 1, best)
-            for p in added:
-                pivots[p] = 0
+            best = _shortest_dependent(echelon, n, base | 1 << j, best)
     return best
 
 
@@ -617,8 +594,8 @@ def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     is the smallest cocircuit of the column matroid, the smallest
     circuit of the parity-check code's.  The primal search visits flats
     of rank up to M-2 and the dual one independent sets of rank up to
-    n-M, so a high-rate code (2M >= n) is searched on the dual side.  When M = n
-    every coordinate is a coloop and d = 1.  Both counts can grow
+    n-M, so a high-rate code (2M >= n) is searched on the dual side.
+    When M = n every coordinate is a coloop and d = 1.  Both counts can grow
     exponentially with n, so the code length is gated by ``search_cap``
     (default :data:`DEFAULT_SEARCH_CAP`).
     """
@@ -659,6 +636,14 @@ def _elem_from_hex(s: str) -> int:
 def _is_int(value) -> bool:
     # JSON true/false load as bool, a subclass of int
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value, low: int, what: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer >= ``low``."""
+    if not _is_int(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{what} must be >= {low}, got {value}")
 
 
 def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:

@@ -24,7 +24,7 @@ from .errors import (
     PhiUndefinedError,
     SearchCapExceeded,
 )
-from .linear_code import LinearCode, _check_search_cap, _circuits
+from .linear_code import LinearCode, _check_int, _check_search_cap, _circuits
 
 # verify_locality enumerates all erasure patterns of size < delta, which
 # is only practical for small tolerance and desk-scale lengths.
@@ -101,7 +101,7 @@ def minimal_regsets(
     These are the circuits through ``target``, listed by size, then
     lexicographically.  Supersets of regenerating sets regenerate too,
     so the minimal ones form the floor of the whole collection.  A size
-    cap below 1 is a :class:`DomainError`.
+    cap that is not an integer >= 1 is a :class:`DomainError`.
     """
     code._coord_mask([target])  # validates the target
     cap = _resolve_size_cap(code, size_cap)
@@ -155,21 +155,20 @@ class _PhiSearch:
     Only inclusion-minimal regenerating sets are branched on: every
     regenerating set contains a minimal one with the same target, and
     shrinking a chain's sets keeps the targets-outside-prefix property
-    while never growing the union.  States (union, sets-remaining) are
-    memoised; within a state, a candidate whose optimistic completion
+    while never growing the union.  Those are the circuits, and every
+    target of one circuit grows the union to the same set, so a step
+    branches on circuits: a circuit can extend the chain exactly when
+    it has a member outside the union.  States (union, sets-remaining)
+    are memoised; within a state, a circuit whose optimistic completion
     (current union plus one new element per remaining set) cannot beat
-    the incumbent is pruned.
-    Candidates are (set mask, target bit) pairs, target-major; their
-    order decides which minimising chain :meth:`witness` returns.
+    the incumbent is pruned.  :meth:`witness` tries targets, then the
+    circuits through each, and that order decides which minimising
+    chain it returns.
     """
 
     def __init__(self, code: LinearCode, size_cap: int):
-        self.infeasible = code.n + 1
-        circuits = _circuits(code, size_cap)
-        self.candidates = [
-            (mask, 1 << i) for i in range(code.n)
-            for mask in circuits if (mask >> i) & 1
-        ]
+        self.n = code.n
+        self.circuits = _circuits(code, size_cap)
         self._memo: dict[tuple[int, int], int] = {}
 
     def completion(self, union_mask: int, k: int) -> int:
@@ -180,12 +179,10 @@ class _PhiSearch:
         cached = self._memo.get(key)
         if cached is not None:
             return cached
-        best = self.infeasible
-        for set_mask, target_bit in self.candidates:
-            if union_mask & target_bit:
-                continue
-            grown = union_mask | set_mask
-            if grown.bit_count() + (k - 1) >= best:
+        best = self.n + 1
+        for circuit in self.circuits:
+            grown = union_mask | circuit
+            if grown == union_mask or grown.bit_count() + (k - 1) >= best:
                 continue
             v = self.completion(grown, k - 1)
             if v < best:
@@ -195,7 +192,7 @@ class _PhiSearch:
 
     def value(self, x: int) -> Optional[int]:
         v = self.completion(0, x)
-        return None if v >= self.infeasible else v
+        return None if v > self.n else v
 
     def witness(self, x: int) -> tuple[RegeneratingSet, ...]:
         """Lexicographically smallest minimizing chain (targets, then members).
@@ -205,26 +202,31 @@ class _PhiSearch:
         goal = self.completion(0, x)
         chain: list[RegeneratingSet] = []
         union_mask = 0
-        for step in range(x):
-            remaining = x - step - 1
-            for set_mask, target_bit in self.candidates:
-                if union_mask & target_bit:
-                    continue
-                if self.completion(union_mask | set_mask, remaining) == goal:
-                    target = target_bit.bit_length()
-                    chain.append(RegeneratingSet(target, _coords(set_mask)))
-                    union_mask |= set_mask
-                    break
-            else:
-                raise InvariantError("witness reconstruction diverged")
+        for remaining in range(x - 1, -1, -1):
+            target, circuit = self._next_step(union_mask, remaining, goal)
+            chain.append(RegeneratingSet(target + 1, _coords(circuit)))
+            union_mask |= circuit
         return tuple(chain)
+
+    def _next_step(
+        self, union_mask: int, remaining: int, goal: int
+    ) -> tuple[int, int]:
+        """First (target, circuit) outside the union that still reaches goal."""
+        for target in range(self.n):
+            if (union_mask >> target) & 1:
+                continue
+            for circuit in self.circuits:
+                if (circuit >> target) & 1 and (
+                    self.completion(union_mask | circuit, remaining) == goal
+                ):
+                    return target, circuit
+        raise InvariantError("witness reconstruction diverged")
 
 
 def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
     if size_cap is None:
         return code.n
-    if size_cap < 1:
-        raise DomainError(f"size cap must be >= 1, got {size_cap}")
+    _check_int(size_cap, 1, "size cap")
     return min(size_cap, code.n)
 
 
@@ -235,8 +237,7 @@ def phi(
     search_cap: Optional[int] = None,
 ) -> int:
     """Minimum union size of a nontrivial chain of x regenerating sets."""
-    if x < 0:
-        raise DomainError(f"chain length must be >= 0, got {x}")
+    _check_int(x, 0, "chain length")
     if x == 0:
         return 0
     _check_search_cap(code, search_cap)
@@ -282,8 +283,8 @@ def phi_profile(
     simply ends at the last feasible x.
     """
     _check_search_cap(code, search_cap)
-    if x_max is not None and x_max < 0:
-        raise DomainError(f"x_max must be >= 0, got {x_max}")
+    if x_max is not None:
+        _check_int(x_max, 0, "x_max")
     cap = _resolve_size_cap(code, size_cap)
     search = _PhiSearch(code, cap)
     phis: list[int] = [0]
@@ -324,10 +325,8 @@ def verify_locality(code: LinearCode, r: int, delta: int) -> bool:
     exactly {i}.  Minimal regenerating sets suffice: shrinking a
     qualifying set keeps both conditions.
     """
-    if r < 1:
-        raise DomainError(f"locality must be >= 1, got {r}")
-    if delta < 2:
-        raise DomainError(f"repair parameter delta must be >= 2, got {delta}")
+    _check_int(r, 1, "locality")
+    _check_int(delta, 2, "repair parameter delta")
     if delta > _LOCALITY_DELTA_CAP or code.n > _LOCALITY_N_CAP:
         raise SearchCapExceeded(
             f"locality verification is exhaustive and limited to "

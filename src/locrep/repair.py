@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvariantError, RepairError, SearchCapExceeded
 from .gf2m import solve_column
-from .linear_code import LinearCode
+from .linear_code import LinearCode, _check_int
 from .regsets import _LOCALITY_DELTA_CAP, minimal_regsets, verify_locality
 
 
@@ -87,8 +87,7 @@ def plan_repair(
     afterwards.  Raises :class:`RepairError` naming the stuck coordinate
     when no progress is possible.
     """
-    if locality_cap < 1:
-        raise DomainError(f"locality cap must be >= 1, got {locality_cap}")
+    _check_int(locality_cap, 1, "locality cap")
     remaining = set(failed)
     code._coord_mask(remaining)  # validates the coordinate range
     steps: list[RepairStep] = []
@@ -157,8 +156,7 @@ def repair_tolerance(code: LinearCode, locality_cap: int) -> int:
     The scan refuses rather than guess when t would exceed what the
     exhaustive locality check can certify.
     """
-    if locality_cap < 1:
-        raise DomainError(f"locality cap must be >= 1, got {locality_cap}")
+    _check_int(locality_cap, 1, "locality cap")
     t = 0
     while True:
         delta = t + 2

@@ -224,7 +224,9 @@ def test_unchecked_mul_and_inv_agree_with_the_checked_ones(degree):
         a, b = rng.randrange(field.order), rng.randrange(field.order)
         assert field._mul(a, b) == field.mul(a, b)
         if a:
-            assert field._inv(a) == field.inv(a)
+            # inv is _inv behind the argument check, so check the inverse
+            assert field.inv(a) == field._inv(a)
+            assert field.mul(a, field._inv(a)) == 1
 
 
 def test_elimination_checks_each_entry_once(monkeypatch):

@@ -36,6 +36,7 @@ from oracles import (
     naive_min_distance,
     oracle_codes,
     random_code,
+    reference_circuits,
     repetition_code,
     single_parity_code,
     subset_rank,
@@ -365,6 +366,19 @@ def test_smallest_circuit_leaves_the_rank_cache_alone(square_r3_m9):
     before = dict(dual._rank_cache)
     assert _smallest_circuit(dual) == 4
     assert dual._rank_cache == before
+
+
+def test_smallest_circuit_agrees_with_the_reference_circuits(
+    square_r2_m3, square_r2_m4
+):
+    # on each code and its dual, so zero columns (a coloop's image in
+    # the dual) and coloops are both covered; the oracle fills the rank
+    # cache, so it runs on a fresh copy
+    for code in _dual_test_codes(square_r2_m3, square_r2_m4):
+        for side in (code, _dual(code)):
+            fresh = LinearCode(side.field, side.n, side.M, side.columns)
+            smallest = reference_circuits(fresh, side.n)[0].bit_count()
+            assert _smallest_circuit(side) == smallest, side.columns
 
 
 def test_high_rate_min_distance_agrees_with_the_oracles():

@@ -195,6 +195,41 @@ def test_phi_rejects_negative_x(square_r2_m3):
         phi(square_r2_m3.code, -1)
 
 
+def test_phi_rejects_a_chain_length_that_is_not_an_integer(square_r2_m3):
+    # a float once ran the search and reported no chain of 1.5 sets
+    with pytest.raises(DomainError, match="chain length must be an integer"):
+        phi(square_r2_m3.code, 1.5)
+
+
+def test_phi_profile_rejects_an_x_max_that_is_not_an_integer(square_r2_m3):
+    with pytest.raises(DomainError, match="x_max must be an integer"):
+        phi_profile(square_r2_m3.code, x_max=1.5)
+
+
+@pytest.mark.parametrize("cap", [2.5, "3", True])
+def test_size_cap_must_be_an_integer(square_r2_m3, cap):
+    # True once acted as cap 1; 2.5 and "3" raised TypeError
+    code = square_r2_m3.code
+    with pytest.raises(DomainError, match="size cap must be an integer"):
+        minimal_regsets(code, 1, cap)
+    with pytest.raises(DomainError, match="size cap must be an integer"):
+        phi(code, 1, size_cap=cap)
+    with pytest.raises(DomainError, match="size cap must be an integer"):
+        phi_profile(code, size_cap=cap)
+
+
+@pytest.mark.parametrize(
+    ("r", "delta", "message"),
+    [(2.5, 3, "locality must be an integer"),
+     (2, 2.5, "repair parameter delta must be an integer")],
+)
+def test_verify_locality_rejects_parameters_that_are_not_integers(
+    square_r2_m3, r, delta, message
+):
+    with pytest.raises(DomainError, match=message):
+        verify_locality(square_r2_m3.code, r, delta)
+
+
 def test_phi_respects_search_cap(square_r2_m3):
     with pytest.raises(SearchCapExceeded):
         phi(square_r2_m3.code, 1, search_cap=4)

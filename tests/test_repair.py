@@ -99,6 +99,16 @@ def test_execute_rejects_wrong_length(square_r2_m3):
         execute_repair([0] * 5, plan)
 
 
+def test_locality_cap_must_be_an_integer(square_r2_m3):
+    code = square_r2_m3.code
+    with pytest.raises(DomainError, match="locality cap must be an integer"):
+        plan_repair(code, [1], 2.5)
+    with pytest.raises(DomainError, match="locality cap must be an integer"):
+        repair_tolerance(code, 2.5)
+    with pytest.raises(DomainError, match="locality cap must be >= 1, got 0"):
+        plan_repair(code, [1], 0)
+
+
 def test_repair_tolerance_square(square_r2_m3, square_r2_m4):
     assert repair_tolerance(square_r2_m3.code, 2) == 2
     assert repair_tolerance(square_r2_m4.code, 2) == 2
