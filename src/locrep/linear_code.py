@@ -11,15 +11,18 @@ size of the smallest circuit of the parity-check code.  It is searched
 on whichever side of that duality has the smaller rank: the generator
 for low-rate codes, the parity-check code when 2M >= n.
 
-Every rank is taken over GF(2): a column and its multiples z^t * column
-(t < m) are packed into m integers, whose GF(2)-span equals the
-GF(2^m)-span of the column, so rank is tracked with integer XOR alone.
-The one exception is the generator side of the distance, a search over
-flats for the largest hyperplane, which keeps each column's GF(2^m)
-coordinates in the quotient by the current flat.  It eliminates in the
-log domain: one table lookup per coordinate (a multiplication where
-the field has no log tables) where the packed images would need m XOR
-passes.
+Single ranks, the full-rank check and the dual's circuit search are
+taken over GF(2): a column and its multiples z^t * column (t < m) are
+packed into m integers, whose GF(2)-span equals the GF(2^m)-span of
+the column, so rank is tracked with integer XOR alone.  The two scans
+that rank many columns against one span work in GF(2^m) instead: the
+circuit scan, and the generator side of the distance, a search over
+flats for the largest hyperplane.  Each keeps the columns' coordinates
+in the quotient by the current span and eliminates in the log domain:
+one table lookup per coordinate (a multiplication where the field has
+no log tables) where the packed images would need m XOR passes.  The
+circuit scan scales each quotient vector to a leading 1, so a rank
+query there is one tuple comparison.
 """
 
 from __future__ import annotations
@@ -158,6 +161,12 @@ class _Echelon:
     by popping back to the lowest column where the two sets differ, so
     walking sets in lex order rebuilds only the tails in which they
     differ.
+
+    It serves ``LinearCode._rank`` and :func:`_smallest_circuit`; the
+    circuit scan uses :class:`_Residues`.  An echelon of one scaled
+    GF(2^m) vector per column, in place of m images, does field
+    arithmetic on every reduction: it ran the full-rank check at m = 36,
+    where the field has no log tables, 2-3x slower.
     """
 
     __slots__ = ("_packed", "_M", "pivots", "rank", "mask", "_stack")
@@ -228,10 +237,110 @@ def _reduce(pivots: list[int], v: int) -> int:
     return 0
 
 
+class _Residues:
+    """Ranks of a column set plus one higher column, from normalized residues.
+
+    ``sync(mask)`` pushes every member of the mask but the highest, its
+    top column, and keeps, for each column above the last one pushed,
+    its GF(2^m) coordinates in the quotient by the pushed columns'
+    span, scaled to a leading 1 (None for the zero residue).  Two
+    nonzero residues are dependent exactly when they are equal, so for
+    a column j above every pushed one, rank(mask + j) is the pushed
+    rank, plus one if the top's residue is nonzero, plus one if j's is
+    nonzero and differs from the top's: one tuple comparison.  The top
+    column itself is never pushed.
+
+    Pushes follow the mask as a stack, as :class:`_Echelon`'s do, and
+    eliminate in the log domain, as :class:`_HyperplaneSearch` does: the
+    pushed residue is turned into discrete logs once, so each entry
+    update is one table lookup, and a residue whose leading entry was
+    eliminated is scaled to a leading 1 again.  A column whose residue
+    has a zero where the pushed one leads keeps its residue as it is.
+    Fields without log tables keep elements where the logs would be
+    and multiply.
+    """
+
+    __slots__ = ("field", "rank", "top", "residues", "_prefix", "_pushed", "_stack")
+
+    def __init__(self, code: LinearCode):
+        self.field = code.field
+        # rank of the synced mask, and its top column's residue
+        self.rank = 0
+        self.top: Optional[tuple[int, ...]] = None
+        self.residues = [self._normalized(col) for col in code.columns]
+        # the pushed columns and their rank
+        self._prefix = self._pushed = 0
+        # (column bit, rank before it, residues before it), per push
+        self._stack: list[tuple[int, int, list]] = []
+
+    def _normalized(self, res: Sequence[int]) -> Optional[tuple[int, ...]]:
+        """``res`` over its leading nonzero entry, or None if it is zero."""
+        lead = next(filter(None, res), 0)
+        if lead == 1:
+            return tuple(res)
+        if not lead:
+            return None
+        field = self.field
+        exp, log = field._exp, field._log
+        if log:
+            shift = field.order - 1 - log[lead]
+            return tuple([exp[log[x] + shift] if x else 0 for x in res])
+        scale, mul = field._inv(lead), field._mul
+        return tuple([mul(x, scale) for x in res])
+
+    def sync(self, mask: int) -> None:
+        """Push every column of ``mask`` but its top one, and read the top."""
+        top = mask.bit_length() - 1
+        prefix = mask ^ (1 << top) if mask else 0
+        diff = self._prefix ^ prefix
+        if diff:
+            low = diff & -diff
+            stack = self._stack
+            while stack and stack[-1][0] >= low:
+                _, self._pushed, self.residues = stack.pop()
+            rest = prefix & -low
+            while rest:
+                col = rest & -rest
+                rest ^= col
+                stack.append((col, self._pushed, self.residues))
+                self._pushed += self._push(col.bit_length() - 1)
+            self._prefix = prefix
+        self.top = self.residues[top] if mask else None
+        self.rank = self._pushed + (self.top is not None)
+
+    def _push(self, j: int) -> bool:
+        """Quotient the residues above column j by j's; False if j's is zero."""
+        residues = self.residues
+        pivot = residues[j]
+        if pivot is None:
+            return False
+        field = self.field
+        exp, log, mul = field._exp, field._log, field._mul
+        p = pivot.index(1)
+        # the pivot row as logs, or as elements without tables; None for 0
+        row = [(log[x] if log else x) if x else None for x in pivot]
+        reduced: list[Optional[tuple[int, ...]]] = [None] * (j + 1)
+        for res in residues[j + 1:]:
+            if res is not None and res[p]:
+                a = res[p]
+                la = log[a] if log else a
+                res = self._normalized([
+                    x if lx is None else x ^ (exp[la + lx] if log else mul(la, lx))
+                    for x, lx in zip(res, row)
+                ])
+            reduced.append(res)
+        self.residues = reduced
+        return True
+
+    def rank_with(self, j: int) -> int:
+        """Rank of the synced mask with column j, above every pushed column."""
+        res = self.residues[j]
+        return self.rank + (res is not None and res != self.top)
+
+
 def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
     cap = DEFAULT_SEARCH_CAP if search_cap is None else search_cap
-    if not _is_int(cap) or cap < 1:
-        raise DomainError(f"search cap must be a positive integer, got {cap!r}")
+    _check_int(cap, 1, "search cap")
     if code.n > cap:
         raise SearchCapExceeded(
             f"instance too large: n={code.n} exceeds the exhaustive-search "
@@ -461,10 +570,13 @@ def _circuits(
     member) keeps its rank; otherwise it joins the next level.  The
     candidates, and so the subsets ranked, are those of a scan over all
     subsets by size, then lex, that skips supersets of the circuits
-    found.  A rank missing from the cache is that of the base, or of
-    the base less its pivot, plus one if the new column lies outside
-    its span; the two echelons follow the bases in lex order, so a base
-    rebuilds only the tail in which it differs from the last one.
+    found.  A rank missing from the cache is read off a
+    :class:`_Residues` stack synced to the base, or to the base less
+    its pivot: the new column lies above every member of either but
+    the top one, with or without a target.  The two stacks follow the
+    bases in lex order, so a base re-pushes only the columns in which
+    it differs from the last one, and each is built on its first miss,
+    so a scan on a warm cache builds neither.
     """
     size_cap = min(size_cap, code.n, code.M + 1)
     if size_cap < 1:
@@ -477,8 +589,9 @@ def _circuits(
         return [fixed]
     found: list[int] = []
     level = [fixed]
-    # echelons of the current base and of the base less its pivot
-    with_pivot, without_pivot = _Echelon(code), _Echelon(code)
+    # residues of the current base and of the base less its pivot, built
+    # on their first rank-cache miss
+    with_pivot = without_pivot = None
     for _ in range(size_cap - (fixed != 0)):
         in_level = set(level)
         grown: list[int] = []
@@ -500,12 +613,16 @@ def _circuits(
                     continue
                 rank = cache.get(mask)
                 if rank is None:
+                    if with_pivot is None:
+                        with_pivot = _Residues(code)
                     with_pivot.sync(base)
                     rank = cache[mask] = with_pivot.rank_with(j)
                 # the pivot of a singleton is itself; rank(0) is cached
                 dropped = mask ^ (pivot or col)
                 less = cache.get(dropped)
                 if less is None:
+                    if without_pivot is None:
+                        without_pivot = _Residues(code)
                     without_pivot.sync(base ^ pivot)
                     less = cache[dropped] = without_pivot.rank_with(j)
                 if rank == less:

@@ -205,10 +205,19 @@ def test_min_distance_refuses_large_instances(square_r2_m3):
         min_distance(square_r2_m3.code, search_cap=8)
 
 
-@pytest.mark.parametrize("cap", [0, -3, 2.5, True])
-def test_search_cap_must_be_a_positive_integer(square_r2_m3, cap):
-    with pytest.raises(DomainError, match="must be a positive integer") as info:
+@pytest.mark.parametrize(
+    "cap, message",
+    [
+        pytest.param(0, "search cap must be >= 1, got 0", id="0"),
+        pytest.param(-3, "search cap must be >= 1, got -3", id="-3"),
+        pytest.param(2.5, "search cap must be an integer, got 2.5", id="2.5"),
+        pytest.param(True, "search cap must be an integer, got True", id="True"),
+    ],
+)
+def test_search_cap_must_be_a_positive_integer(square_r2_m3, cap, message):
+    with pytest.raises(DomainError) as info:
         min_distance(square_r2_m3.code, search_cap=cap)
+    assert str(info.value) == message
     assert not isinstance(info.value, SearchCapExceeded)
     # the smallest valid cap is still a cap, not a malformed one
     with pytest.raises(SearchCapExceeded):

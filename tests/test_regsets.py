@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from random import Random
 
@@ -20,6 +21,7 @@ from locrep import (
     g_function,
     is_nontrivial_union,
     is_regenerating,
+    matrix_rank,
     min_distance,
     minimal_regsets,
     phi,
@@ -28,6 +30,7 @@ from locrep import (
     rho,
     verify_locality,
 )
+from locrep import linear_code
 from locrep.linear_code import _circuits
 
 from oracles import (
@@ -391,6 +394,88 @@ def test_circuit_scan_matches_the_superset_test_scan(square_r2_m3, square_r2_m4)
                 expected = reference_circuits(reference, cap, target)
                 assert _circuits(ours, cap, target) == expected, (code, cap, target)
                 assert ours._rank_cache == reference._rank_cache, (code, cap, target)
+
+
+def _scan_test_codes() -> list[LinearCode]:
+    """Small full-rank codes over GF(2), GF(2^8), GF(2^16) and GF(2^17).
+
+    Dimensions 1, 2, 3, n-1 and n.  Where the rank allows, a code has a
+    zero column and a scaled copy of another column; the copy is an
+    exact one over GF(2).  GF(2^8) uses the AES modulus 0x11b and
+    GF(2^17) has no log tables.
+    """
+    rng = Random(83)
+    codes = []
+    for field in (GF2m(1), GF2m(8, 0x11b), GF2m(16), GF2m(17)):
+        # (n, M, zero column, scaled copy)
+        for n, M, zero, copy in (
+            (5, 1, True, True),
+            (6, 2, True, True),
+            (6, 3, True, True),
+            (5, 4, True, False),
+            (6, 5, False, True),
+            (4, 4, False, False),
+        ):
+            while True:
+                cols = [
+                    [rng.randrange(field.order) for _ in range(M)]
+                    for _ in range(n - zero - copy)
+                ]
+                if copy:
+                    scale = rng.randrange(1, field.order)
+                    source = cols[rng.randrange(len(cols))]
+                    cols.insert(
+                        rng.randrange(len(cols) + 1),
+                        [field.mul(scale, x) for x in source],
+                    )
+                if zero:
+                    cols.insert(rng.randrange(len(cols) + 1), [0] * M)
+                if matrix_rank(field, M, cols) == M:
+                    codes.append(LinearCode(field, n, M, cols))
+                    break
+    return codes
+
+
+def test_circuit_scan_matches_the_superset_test_scan_on_odd_codes():
+    # parallel and zero columns, M = 1, 2, n-1 and n, and fields with
+    # and without log tables: same circuits, same rank caches
+    for code in _scan_test_codes():
+        ours, reference = (
+            LinearCode(code.field, code.n, code.M, code.columns) for _ in range(2)
+        )
+        for cap in sorted({1, 2, 3, 4, code.M + 1, code.n}):
+            for target in (None, *range(1, code.n + 1)):
+                expected = reference_circuits(reference, cap, target)
+                assert _circuits(ours, cap, target) == expected, (code, cap, target)
+                assert ours._rank_cache == reference._rank_cache, (code, cap, target)
+
+
+def test_circuit_scan_on_a_warm_rank_cache_builds_no_residues(monkeypatch):
+    code = build_square_code(3, 5).code
+    scans = [(4, None), (code.n, None), (4, 1), (code.n, 9)]
+    first = [_circuits(code, cap, target) for cap, target in scans]
+
+    def refuse(code):
+        raise AssertionError("residues built on a warm rank cache")
+
+    monkeypatch.setattr(linear_code, "_Residues", refuse)
+    assert [_circuits(code, cap, target) for cap, target in scans] == first
+    # a cold cache still needs them
+    with pytest.raises(AssertionError, match="warm rank cache"):
+        _circuits(build_square_code(3, 5).code, 4)
+
+
+def test_phi_profile_leaves_no_reference_cycles():
+    # a cycle through the scan's residue stacks would keep them, and the
+    # field, alive until the collector runs
+    code = build_square_code(3, 4).code
+    gc.collect()
+    gc.disable()
+    try:
+        phi_profile(code)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Every circuit of square r=3 codes: the row and column circuits of the
