@@ -562,6 +562,22 @@ _PINNED_R3_PROFILES = {
 _PINNED_R3_PROFILES[4, None] = _profile_dict(
     [0, 4, 6], 1, 16, [[], [_ROW_1], [_ROW_1, (5, (1, 2, 3, 5, 6))]]
 )
+# The exact default-range profiles of M = 5..9, frozen from the
+# branch-and-bound over every circuit.  Only M = 6 differs from the
+# capped values: its third set is a circuit of seven members.
+_PINNED_R3_PROFILES[6, None] = _profile_dict(
+    [0, 4, 7, 9], 2, 16,
+    _CHAINS_R3_CAP4[:3] + [[_ROW_1, _COL_5, (6, (1, 2, 3, 5, 6, 7, 9))]],
+)
+for _M, _phi_values, _rho_value in (
+    (5, [0, 4, 7], 1),
+    (7, [0, 4, 7, 10], 2),
+    (8, [0, 4, 7, 10, 12], 3),
+    (9, [0, 4, 7, 10, 12, 14], 4),
+):
+    _PINNED_R3_PROFILES[_M, None] = _profile_dict(
+        _phi_values, _rho_value, 16, _CHAINS_R3_CAP4[: len(_phi_values)]
+    )
 
 
 @pytest.mark.parametrize("M, size_cap", list(_PINNED_R3_PROFILES))
