@@ -14,13 +14,15 @@ for low-rate codes, the parity-check code when 2M >= n.
 Single ranks, the full-rank check and the dual's circuit search are
 taken over GF(2): a column and its multiples z^t * column (t < m) are
 packed into m integers, whose GF(2)-span equals the GF(2^m)-span of
-the column, so rank is tracked with integer XOR alone.  The two scans
+the column, so rank is tracked with integer XOR alone.  The scans
 that rank many columns against one span work in GF(2^m) instead: the
-circuit scan, and the generator side of the distance, a search over
-flats for the largest hyperplane.  Each keeps the columns' coordinates
-in the quotient by the current span and eliminates in the log domain:
-one table lookup per coordinate (a multiplication where the field has
-no log tables) where the packed images would need m XOR passes.  The
+circuit scan, and the search over flats for the largest flat of a given
+rank, which gives the generator side of the distance (the largest
+hyperplane) and the rank hierarchy behind exact phi.  Each keeps the
+columns' coordinates in the quotient by the current span, and every
+push is one elimination step, :func:`_quotient`, in the log domain: one
+table lookup per coordinate (a multiplication where the field has no
+log tables) where the packed images would need m XOR passes.  The
 circuit scan scales each quotient vector to a leading 1, so a rank
 query there is one tuple comparison.
 """
@@ -28,7 +30,9 @@ query there is one tuple comparison.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Optional, Sequence
+from bisect import bisect
+from itertools import compress, islice, repeat
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf2m
 from .errors import DomainError, InvariantError, SearchCapExceeded
@@ -250,14 +254,10 @@ class _Residues:
     nonzero and differs from the top's: one tuple comparison.  The top
     column itself is never pushed.
 
-    Pushes follow the mask as a stack, as :class:`_Echelon`'s do, and
-    eliminate in the log domain, as :class:`_HyperplaneSearch` does: the
-    pushed residue is turned into discrete logs once, so each entry
-    update is one table lookup, and a residue whose leading entry was
-    eliminated is scaled to a leading 1 again.  A column whose residue
-    has a zero where the pushed one leads keeps its residue as it is.
-    Fields without log tables keep elements where the logs would be
-    and multiply.
+    Pushes follow the mask as a stack, as :class:`_Echelon`'s do.  A
+    push is one :func:`_quotient` of the pushed residue and those above
+    it, which drops one coordinate from each, and a residue whose
+    leading entry was eliminated is scaled to a leading 1 again.
     """
 
     __slots__ = ("field", "rank", "top", "residues", "_prefix", "_pushed", "_stack")
@@ -267,26 +267,11 @@ class _Residues:
         # rank of the synced mask, and its top column's residue
         self.rank = 0
         self.top: Optional[tuple[int, ...]] = None
-        self.residues = [self._normalized(col) for col in code.columns]
+        self.residues = [_normalized(self.field, col) for col in code.columns]
         # the pushed columns and their rank
         self._prefix = self._pushed = 0
         # (column bit, rank before it, residues before it), per push
         self._stack: list[tuple[int, int, list]] = []
-
-    def _normalized(self, res: Sequence[int]) -> Optional[tuple[int, ...]]:
-        """``res`` over its leading nonzero entry, or None if it is zero."""
-        lead = next(filter(None, res), 0)
-        if lead == 1:
-            return tuple(res)
-        if not lead:
-            return None
-        field = self.field
-        exp, log = field._exp, field._log
-        if log:
-            shift = field.order - 1 - log[lead]
-            return tuple([exp[log[x] + shift] if x else 0 for x in res])
-        scale, mul = field._inv(lead), field._mul
-        return tuple([mul(x, scale) for x in res])
 
     def sync(self, mask: int) -> None:
         """Push every column of ``mask`` but its top one, and read the top."""
@@ -314,22 +299,19 @@ class _Residues:
         pivot = residues[j]
         if pivot is None:
             return False
-        field = self.field
-        exp, log, mul = field._exp, field._log, field._mul
         p = pivot.index(1)
-        # the pivot row as logs, or as elements without tables; None for 0
-        row = [(log[x] if log else x) if x else None for x in pivot]
-        reduced: list[Optional[tuple[int, ...]]] = [None] * (j + 1)
-        for res in residues[j + 1:]:
-            if res is not None and res[p]:
-                a = res[p]
-                la = log[a] if log else a
-                res = self._normalized([
-                    x if lx is None else x ^ (exp[la + lx] if log else mul(la, lx))
-                    for x, lx in zip(res, row)
-                ])
-            reduced.append(res)
-        self.residues = reduced
+        field = self.field
+        olds = residues[j + 1:]
+        zero = (0,) * len(pivot)
+        # j's own residue is column 0; a one-coordinate quotient leaves no
+        # rows, and every residue is zero
+        rows = _quotient(field, list(zip(pivot, *[old or zero for old in olds])), 0)
+        news = islice(zip(*rows), 1, None) if rows else repeat(())
+        # only a residue that led at p lost its leading 1
+        self.residues = [None] * (j + 1) + [
+            None if old is None else _normalized(field, new) if old[p] else new
+            for old, new in zip(olds, news)
+        ]
         return True
 
     def rank_with(self, j: int) -> int:
@@ -351,189 +333,235 @@ def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
 def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     """Largest rank-deficient coordinate subset and its lex-first witness.
 
-    A largest deficient set is closed and of rank M-1: a hyperplane.
-    For M = 1 that is the set of zero columns.  Otherwise every
-    hyperplane is a flat of rank M-2 plus the columns on one line
-    through it, so :class:`_HyperplaneSearch` visits the flats of rank
-    up to M-2 and groups the columns outside each one by that line.
-    For M = 2 the empty flat's quotient is already the plane: the
-    columns get a zero first coordinate and are grouped under a pivot
-    row that eliminates nothing.  The result (and witness) match a
-    naive size-descending scan that stops at the first deficient
-    subset of each size.
+    A largest deficient set is closed and of rank M-1: a hyperplane,
+    the largest flat of rank M-1 (for M = 1, the set of zero columns).
+    Any M-1 coordinates are deficient, so the search starts from the
+    first M-1 as its incumbent.  The result (and witness) match a naive
+    size-descending scan that stops at the first deficient subset of
+    each size.
+    """
+    floor = code.M - 1
+    size, best = _largest_flat(code.field, code.columns, floor, floor, (1 << floor) - 1)
+    return size, tuple(i + 1 for i in range(code.n) if (best >> i) & 1)
+
+
+def _largest_flat(
+    field: gf2m.GF2m,
+    columns: Sequence[Sequence[int]],
+    rank: int,
+    size: int,
+    mask: int = 0,
+    limit: Optional[int] = None,
+) -> tuple[int, int]:
+    """Size and mask of the lex-first largest flat of rank ``rank``.
+
+    ``columns`` are bare vectors of one length that span a space of
+    dimension greater than ``rank``; a code's generator columns or a
+    contraction's residues both qualify.  ``size`` and ``mask`` are the
+    incumbent: a flat replaces it only when strictly larger, and the
+    incumbent comes back unchanged when none is.  With ``limit`` the
+    search stops at the first flat of at least that many columns.
+
+    Rank 0 is the set of zero columns.  Otherwise every flat of rank t
+    is a flat of rank t-1 plus the columns whose residues over it are
+    multiples of one vector, so :class:`_FlatSearch` visits the flats
+    of rank t-1 and groups the columns outside each one by direction.
     """
     loops = 0
-    residues = []
-    for j, col in enumerate(code.columns):
+    cols: list[int] = []
+    for j, col in enumerate(columns):
         if any(col):
-            residues.append((j, col))
+            cols.append(j)
         else:
             loops |= 1 << j
-    if code.M == 1:
-        best = loops
+    rows = list(zip(*(columns[j] for j in cols)))
+    if rank == 0:
+        return (loops.bit_count(), loops) if loops.bit_count() > size else (size, mask)
+    search = _FlatSearch(field, size, mask, len(columns) + 1 if limit is None else limit)
+    if rank == 1:
+        search.group(loops, -1, cols, rows)
     else:
-        search = _HyperplaneSearch(code)
-        if code.M == 2:
-            padded = [(j, (0,) + col) for j, col in residues]
-            search.group(loops, -1, padded, 0, [None, None])
+        search.visit(loops, -1, cols, rows, rank - 1)
+    return search.size, search.mask
+
+
+def _normalized(field: gf2m.GF2m, res: Sequence[int]) -> Optional[tuple[int, ...]]:
+    """``res`` over its leading nonzero entry, or None if it is zero."""
+    lead = next(filter(None, res), 0)
+    if lead == 1:
+        return tuple(res)
+    if not lead:
+        return None
+    exp, log = field._exp, field._log
+    if log:
+        shift = field.order - 1 - log[lead]
+        return tuple([exp[log[x] + shift] if x else 0 for x in res])
+    scale, mul = field._inv(lead), field._mul
+    return tuple([mul(x, scale) for x in res])
+
+
+def _quotient(
+    field: gf2m.GF2m,
+    rows: Sequence[Sequence[int]],
+    pos: int,
+    factors: Optional[list] = None,
+) -> list[Sequence[int]]:
+    """Columns in the quotient by the span of the one at ``pos``.
+
+    The columns are given coordinate-major: ``rows[k][c]`` is coordinate
+    k of column c, and column ``pos`` is nonzero.  With p its leading
+    coordinate, each column v becomes v - (v[p] / v_pos[p]) * v_pos,
+    and row p is dropped, so every column, the one at ``pos`` included,
+    comes back with one coordinate fewer.  This is the one elimination
+    step of the GF(2^m) searches.  It runs in the log domain: row p is
+    turned into discrete logs once, so each entry update is one table
+    lookup, u ^ exp[log a + log x], and no method call, and a row whose
+    entry at ``pos`` is zero is kept as it is.  Fields without log
+    tables keep elements where the logs would be and multiply instead.
+    ``factors``, one slot per row, caches row p's logs for the next
+    push against the same rows.
+    """
+    exp, log, mul = field._exp, field._log, field._mul
+    for p, pivot in enumerate(rows):
+        if pivot[pos]:
+            break
+    row_logs = factors[p] if factors is not None else None
+    if row_logs is None:
+        if log:
+            row_logs = [log[a] if a else None for a in pivot]
         else:
-            search.visit(loops, -1, residues, code.M - 2)
-        best = search.mask
-    return best.bit_count(), tuple(
-        i + 1 for i in range(code.n) if (best >> i) & 1
-    )
+            row_logs = [a or None for a in pivot]
+        if factors is not None:
+            factors[p] = row_logs
+    if log:
+        period = field.order - 1
+        lead = row_logs[pos]
+    else:
+        scale = field._inv(pivot[pos])
+    out = []
+    for k, row in enumerate(rows):
+        x = row[pos]
+        if k == p:
+            continue
+        if not x:
+            out.append(row)
+        elif log:
+            # x over the pivot's leading entry, as a log
+            lx = (log[x] - lead) % period
+            out.append([
+                u if la is None else u ^ exp[la + lx] for u, la in zip(row, row_logs)
+            ])
+        else:
+            lx = mul(x, scale)
+            out.append([
+                u if la is None else u ^ mul(la, lx) for u, la in zip(row, row_logs)
+            ])
+    return out
 
 
-class _HyperplaneSearch:
-    """Depth-first search over flats for the largest hyperplane.
+class _FlatSearch:
+    """Depth-first search over flats for the largest flat of one rank.
 
     A flat is reached once, through its greedy basis: each basis column
     is the lowest column outside the span of the ones before it.  The
     search carries the residues of the columns outside the flat, their
     coordinates in the quotient by the flat's span, in GF(2^m).
-    Pushing a basis column eliminates one quotient coordinate from
-    every residue; a residue that becomes zero joins the closure, and
-    one below the pushed column means the basis is not greedy, so that
-    flat is reached elsewhere.
+    Pushing a basis column is one :func:`_quotient`; a residue that
+    becomes zero joins the closure, and one below the pushed column
+    means the basis is not greedy, so that flat is reached elsewhere.
 
-    Elimination runs in the log domain.  The pushed column's pivot row,
-    scaled to a leading 1, is turned into discrete logs once, so each
-    entry update is one table lookup, u ^ exp[log a + log x], and no
-    method call.  Fields without log tables keep elements where the
-    logs would be and multiply instead: only the few scalar
-    expressions that touch the tables choose between the two.
+    At a flat of rank t-1, :meth:`group` files the columns outside it
+    by direction: each direction is the flat of rank t that the column
+    adds.  In the plane over a flat of rank M-2 a direction is a line,
+    keyed by log x - log y (or x = 0, or y = 0); in more dimensions it
+    is the residue scaled to a leading 1.  Only the columns above the
+    last basis column are filed.  A flat of rank t is counted in full at
+    the flat spanned by the first t-1 columns of its own greedy basis,
+    where its columns outside that flat all lie above the last basis
+    column.  A direction with a column below it is counted without that
+    column, a set strictly inside a flat counted elsewhere, so it never
+    ties the best.  Every set counted below a flat lies within the flat
+    and the columns above its last basis column, which bounds the
+    branch.
 
-    Pushing the (M-2)-th basis column, onto a flat of rank M-3, is
-    fused with the grouping.  The quotient by the new flat is a plane,
-    and each residue (x, y) there is a point on one of its lines, keyed
-    by log x - log y (or x = 0, or y = 0): every line is a hyperplane
-    over the flat.  One pass in column order reduces each 3-coordinate
-    residue straight to its plane point and files it under its line,
-    and builds no child residues.  Only the columns above the pushed
-    one are filed.  A hyperplane is counted in full at the flat spanned
-    by the first M-2 columns of its own greedy basis, where its columns
-    outside the flat all lie above the last basis column.  A line with
-    a column below it is counted without that column, a set strictly
-    inside a hyperplane counted at another flat, so it never ties the
-    best.  Every set counted below a flat lies within the flat and the
-    columns above its last basis column, which bounds the branch.
-
-    Of two hyperplanes of one size, the lex-first holds the lowest
+    Of two flats of one rank and size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
     lex-first too, and so is the flat it is counted at; at one flat,
-    lines are met in the order of their lowest columns.  The search
-    visits flats in the lex order of their bases, so the first largest
-    hyperplane it meets is the lex-first one: a later one replaces it
+    directions are met in the order of their lowest columns.  The
+    search visits flats in the lex order of their bases, so the first
+    largest flat it meets is the lex-first one: a later one replaces it
     only when strictly larger, and a branch is cut when it cannot be.
+    Once the best reaches ``limit`` every branch is cut.
     """
 
-    __slots__ = ("field", "size", "mask")
+    __slots__ = ("field", "size", "mask", "limit")
 
-    def __init__(self, code: LinearCode):
-        self.field = code.field
-        # any M-1 coordinates are deficient: the floor, and its lex-first
-        # witness is the first M-1 coordinates
-        self.size = code.M - 1
-        self.mask = (1 << (code.M - 1)) - 1
+    def __init__(self, field: gf2m.GF2m, size: int, mask: int, limit: int):
+        self.field = field
+        self.size = size
+        self.mask = mask
+        self.limit = limit
 
     def visit(
         self,
         flat: int,
         last: int,
-        residues: list[tuple[int, Sequence[int]]],
+        cols: list[int],
+        rows: list[Sequence[int]],
         depth: int,
     ) -> None:
         """Search the flats above ``flat`` for ``depth`` more basis columns.
 
-        ``last`` is the flat's last basis column (-1 for none) and
-        ``residues`` lists each column outside it with its residue, in
-        column order.  ``depth`` is at least 1; the last push is
-        :meth:`group`'s.
+        ``last`` is the flat's last basis column (-1 for none), ``cols``
+        lists the columns outside it in order, and ``rows`` their
+        residues, coordinate-major.  ``depth`` is at least 1; after the
+        last push the columns are grouped.
         """
-        field = self.field
-        exp, log, mul = field._exp, field._log, field._mul
-        period = field.order - 1
         size = flat.bit_count()
-        count = len(residues)
-        for pos, (j, res) in enumerate(residues):
+        count = len(cols)
+        factors = [None] * len(rows)
+        for pos, j in enumerate(cols):
             if j < last:
                 continue
             # the flat plus every outside column from j up, at most
-            if size + count - pos <= self.size:
+            if size + count - pos <= self.size or self.size >= self.limit:
                 break
-            p = next(i for i, x in enumerate(res) if x)
-            # res[p+1:] / res[p]: logs, or elements without tables; None for 0
-            lp = log[res[p]] if log else field._inv(res[p])
-            tail = [
-                ((log[x] - lp) % period if log else mul(x, lp)) if x else None
-                for x in res[p + 1:]
-            ]
-            if depth == 1:
-                self.group(flat | 1 << j, j, residues, p, tail)
+            reduced = _quotient(self.field, rows, pos, factors)
+            nonzero = list(map(any, zip(*reduced)))
+            # j's own residue is now zero; one below it means the basis
+            # is not greedy, one above it joins the flat
+            if nonzero.index(False) < pos:
                 continue
-            child = []
-            joined = 0
-            for c, other in residues:
-                if c == j:
+            grown = flat | 1 << j
+            if nonzero.count(False) == 1:
+                if depth == 1:
+                    # grouping starts above j, so j's zero residue can stay
+                    self.group(grown, j, cols, reduced)
                     continue
-                a = other[p]
-                if a:
-                    la = log[a] if log else a
-                    rest = other[:p] + tuple([
-                        u if lx is None
-                        else u ^ (exp[la + lx] if log else mul(la, lx))
-                        for u, lx in zip(other[p + 1:], tail)
-                    ])
-                else:
-                    rest = other[:p] + other[p + 1:]
-                if any(rest):
-                    child.append((c, rest))
-                elif c < j:
-                    break
-                else:
-                    joined |= 1 << c
+                child_cols = cols[:pos] + cols[pos + 1:]
+                child_rows = [row[:pos] + row[pos + 1:] for row in reduced]
             else:
-                self.visit(flat | 1 << j | joined, j, child, depth - 1)
+                for c, kept in zip(cols[pos + 1:], nonzero[pos + 1:]):
+                    if not kept:
+                        grown |= 1 << c
+                child_cols = list(compress(cols, nonzero))
+                child_rows = [list(compress(row, nonzero)) for row in reduced]
+            if depth == 1:
+                self.group(grown, j, child_cols, child_rows)
+            else:
+                self.visit(grown, j, child_cols, child_rows, depth - 1)
 
     def group(
-        self,
-        flat: int,
-        j: int,
-        residues: list[tuple[int, Sequence[int]]],
-        p: int,
-        tail: list[Optional[int]],
+        self, flat: int, last: int, cols: list[int], rows: list[Sequence[int]]
     ) -> None:
-        """Push column j and group the columns outside the flat by line.
-
-        ``flat`` already holds j, ``residues`` have three coordinates,
-        and j's pivot is coordinate p with ``tail`` the rest of its
-        pivot row, as :meth:`visit` makes them.  Returns early when the
-        basis is not greedy: a column below j joins the closure.
-        """
+        """File the columns above ``last`` by direction over ``flat``."""
         field = self.field
-        exp, log, mul = field._exp, field._log, field._mul
-        period = field.order - 1
-        # the plane's coordinates, and the pivot row's logs over them
-        k1, k2 = [k for k in range(3) if k != p]
-        l1, l2 = [None] * p + tail
-        lines: dict[int, int] = {}
-        joined = 0
-        for c, other in residues:
-            if c == j:
-                continue
-            x, y = other[k1], other[k2]
-            a = other[p]
-            if a:
-                la = log[a] if log else a
-                if l1 is not None:
-                    x ^= exp[la + l1] if log else mul(la, l1)
-                if l2 is not None:
-                    y ^= exp[la + l2] if log else mul(la, l2)
-            if not (x or y):
-                if c < j:
-                    return
-                joined |= 1 << c
-            elif c > j:
+        start = bisect(cols, last)
+        lines: dict = {}
+        if len(rows) == 2:
+            log = field._log
+            period = field.order - 1
+            for c, x, y in zip(cols[start:], rows[0][start:], rows[1][start:]):
                 # the line through the point: x/y as a log, -2 for x = 0
                 # and -1 for y = 0
                 if not y:
@@ -543,9 +571,12 @@ class _HyperplaneSearch:
                 elif log:
                     key = (log[x] - log[y]) % period
                 else:
-                    key = mul(x, field._inv(y))
+                    key = field._mul(x, field._inv(y))
                 lines[key] = lines.get(key, 0) | 1 << c
-        flat |= joined
+        else:
+            for c, res in zip(cols[start:], list(zip(*rows))[start:]):
+                key = _normalized(field, res)
+                lines[key] = lines.get(key, 0) | 1 << c
         size = flat.bit_count()
         for line in lines.values():
             total = size + line.bit_count()
@@ -556,6 +587,13 @@ class _HyperplaneSearch:
 def _circuits(
     code: LinearCode, size_cap: int, target: Optional[int] = None
 ) -> list[int]:
+    """Every circuit mask :func:`_iter_circuits` yields, as a list."""
+    return list(_iter_circuits(code, size_cap, target))
+
+
+def _iter_circuits(
+    code: LinearCode, size_cap: int, target: Optional[int] = None
+) -> Iterator[int]:
     """Circuit bitmasks (through ``target``, if given), by size then lex.
 
     The circuits through i are its minimal regenerating sets; none has
@@ -576,18 +614,19 @@ def _circuits(
     the top one, with or without a target.  The two stacks follow the
     bases in lex order, so a base re-pushes only the columns in which
     it differs from the last one, and each is built on its first miss,
-    so a scan on a warm cache builds neither.
+    so a scan on a warm cache builds neither.  Circuits are yielded as
+    they are found, so a caller that stops early ranks no more subsets.
     """
     size_cap = min(size_cap, code.n, code.M + 1)
     if size_cap < 1:
-        return []
+        return
     n = code.n
     cache = code._rank_cache
     fixed = 0 if target is None else 1 << (target - 1)
     if fixed and code._rank(fixed) == 0:
         # a zero column is a circuit by itself, inside every candidate
-        return [fixed]
-    found: list[int] = []
+        yield fixed
+        return
     level = [fixed]
     # residues of the current base and of the base less its pivot, built
     # on their first rank-cache miss
@@ -626,11 +665,35 @@ def _circuits(
                     without_pivot.sync(base ^ pivot)
                     less = cache[dropped] = without_pivot.rank_with(j)
                 if rank == less:
-                    found.append(mask)
+                    yield mask
                 else:
                     grown.append(mask)
         level = grown
-    return found
+
+
+def _contraction(
+    field: gf2m.GF2m, columns: Sequence[Sequence[int]], mask: int
+) -> list[tuple[int, ...]]:
+    """The columns outside ``mask`` in the quotient by the span of those in it.
+
+    These are the columns of the contraction by ``mask``, in order; a
+    column in the span becomes zero.  Each column in ``mask`` with a
+    nonzero residue is pushed with :func:`_quotient`, so the results
+    have one coordinate per dimension left: when ``columns`` span their
+    space, the length of each is the contraction's rank.
+    """
+    rows = list(zip(*columns))
+    pos = 0  # where the next column sits among those not yet dropped
+    for j in range(len(columns)):
+        if not (mask >> j) & 1:
+            pos += 1
+            continue
+        if any(row[pos] for row in rows):
+            rows = _quotient(field, rows, pos)
+        rows = [row[:pos] + row[pos + 1:] for row in rows]
+    if not rows:
+        return [()] * pos
+    return list(zip(*rows))
 
 
 def _dual(code: LinearCode) -> LinearCode:

@@ -8,15 +8,22 @@ distance bounds: phi(x) is the smallest union such a chain of x sets
 can have, and rho is the largest x for which phi(x) - x still falls
 short of M/alpha.  The minimal regenerating sets of i are the circuits
 through i of the column matroid.  Everything here talks to the code
-through bitmask ranks, ``LinearCode._rank``, and the circuit scan
-``linear_code._circuits``; the searches keep sets as bitmasks.
+through bitmask ranks, ``LinearCode._rank``, the circuit scan
+``linear_code._iter_circuits`` and the flat search
+``linear_code._largest_flat``; the searches keep sets as bitmasks.
+
+Exact phi is Wei's generalized Hamming weight of the dual code,
+min{|U| : |U| - rank(U) >= x}, and comes from the sizes of the largest
+flats of each rank; exact rho is n - M + 1 - d.  Only a size cap that
+leaves circuits out runs the branch-and-bound over the capped circuits.
+Both kinds of profile share one witness walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -24,7 +31,16 @@ from .errors import (
     PhiUndefinedError,
     SearchCapExceeded,
 )
-from .linear_code import LinearCode, _check_int, _check_search_cap, _circuits
+from .linear_code import (
+    LinearCode,
+    _check_int,
+    _check_search_cap,
+    _circuits,
+    _contraction,
+    _iter_circuits,
+    _largest_flat,
+    min_distance,
+)
 
 # verify_locality enumerates all erasure patterns of size < delta, which
 # is only practical for small tolerance and desk-scale lengths.
@@ -150,7 +166,7 @@ def check_union_entropy(
 
 
 class _PhiSearch:
-    """Exact branch-and-bound for minimum nontrivial-union sizes.
+    """Branch-and-bound for phi over circuits up to a size cap.
 
     Only inclusion-minimal regenerating sets are branched on: every
     regenerating set contains a minimal one with the same target, and
@@ -161,9 +177,9 @@ class _PhiSearch:
     it has a member outside the union.  States (union, sets-remaining)
     are memoised; within a state, a circuit whose optimistic completion
     (current union plus one new element per remaining set) cannot beat
-    the incumbent is pruned.  :meth:`witness` tries targets, then the
-    circuits through each, and that order decides which minimising
-    chain it returns.
+    the incumbent is pruned.  A cap below M+1 (and below n) leaves some
+    circuits out, so the answer can exceed the exact phi; an exact
+    question goes to :class:`_RankHierarchy` instead.
     """
 
     def __init__(self, code: LinearCode, size_cap: int):
@@ -194,33 +210,142 @@ class _PhiSearch:
         v = self.completion(0, x)
         return None if v > self.n else v
 
-    def witness(self, x: int) -> tuple[RegeneratingSet, ...]:
-        """Lexicographically smallest minimizing chain (targets, then members).
+    def through(self, target: int, size_cap: int) -> Iterator[int]:
+        """The circuits through ``target`` (0-based), in scan order."""
+        return (c for c in self.circuits if (c >> target) & 1)
 
-        Only called for an x whose chains exist.
+    def reaches(self, grown: int, k: int, goal: int) -> bool:
+        """Whether k more sets can end on a union of at most ``goal``."""
+        return self.completion(grown, k) <= goal
+
+
+class _RankHierarchy:
+    """Exact phi from the largest flats of each rank.
+
+    For a scalar code a nontrivial chain of x regenerating sets has a
+    union U of nullity |U| - rank(U) >= x, and every such U holds one:
+    the fundamental circuits of x elements of U outside a basis of U.
+    So phi(x) = min{|U| : nullity(U) >= x}, Wei's x-th generalized
+    Hamming weight of the dual code.  With best[t] the size of a
+    largest flat of rank t, the nullity best[t] - t never falls as t
+    grows, and phi(x) = x + min{t : best[t] - t >= x}; by Wei's
+    duality theorem the phi values and the numbers best[t] + 1 for
+    t < M split 1..n between them.  best[M-1] is n - d, and best[M] is
+    n.
+
+    A witness chain is one continuation test away.  Adding circuits to
+    a union W raises its nullity by at least one each, and the
+    fundamental circuits of k elements outside a basis give back any
+    gain of k, so the smallest union k more sets can reach from W is
+    |W| + phi of the contraction by W at k: the columns outside W
+    modulo the span of W's.
+    """
+
+    def __init__(self, code: LinearCode, search_cap: Optional[int]):
+        self.code = code
+        self._search_cap = search_cap
+        self._distance: Optional[int] = None
+        self._reaches: dict[tuple[int, int, int], bool] = {}
+
+    def distance(self) -> int:
+        if self._distance is None:
+            self._distance = min_distance(self.code, self._search_cap)
+        return self._distance
+
+    def values(self, x_max: int) -> list[int]:
+        """phi(1), ..., phi(x_max), cut short where chains run out.
+
+        best[t] is searched rank by rank, from best[t-1] + 1 up and only
+        until it settles phi(x_max); rank M-1 comes from the distance.
         """
-        goal = self.completion(0, x)
-        chain: list[RegeneratingSet] = []
-        union_mask = 0
-        for remaining in range(x - 1, -1, -1):
-            target, circuit = self._next_step(union_mask, remaining, goal)
-            chain.append(RegeneratingSet(target + 1, _coords(circuit)))
-            union_mask |= circuit
-        return tuple(chain)
+        code = self.code
+        n, M = code.n, code.M
+        x_max = min(x_max, n - M)
+        out: list[int] = []
+        best = -1
+        t = 0
+        while len(out) < x_max:
+            if t == M:
+                best = n
+            elif t == M - 1:
+                best = n - self.distance()
+            else:
+                best, _ = _largest_flat(
+                    code.field, code.columns, t, best + 1, limit=x_max + t
+                )
+            while len(out) < x_max and best - t > len(out):
+                out.append(len(out) + 1 + t)
+            t += 1
+        return out
 
-    def _next_step(
-        self, union_mask: int, remaining: int, goal: int
-    ) -> tuple[int, int]:
-        """First (target, circuit) outside the union that still reaches goal."""
-        for target in range(self.n):
-            if (union_mask >> target) & 1:
-                continue
-            for circuit in self.circuits:
-                if (circuit >> target) & 1 and (
-                    self.completion(union_mask | circuit, remaining) == goal
-                ):
-                    return target, circuit
-        raise InvariantError("witness reconstruction diverged")
+    def through(self, target: int, size_cap: int) -> Iterator[int]:
+        """The circuits through ``target`` (0-based) up to a size, in scan order."""
+        return _iter_circuits(self.code, size_cap, target + 1)
+
+    def reaches(self, grown: int, k: int, goal: int) -> bool:
+        """Whether k more sets can end on a union of at most ``goal``.
+
+        That is phi(k) <= goal - |grown| in the contraction by
+        ``grown``.  As best[t] - t never falls, it holds iff at the
+        largest useful rank, t = goal - |grown| - k, a flat has at least
+        k + t columns; at the contraction's full rank every column
+        counts.
+        """
+        size = grown.bit_count()
+        t = goal - size - k
+        if k == 0 or t < 0:
+            return t >= 0
+        key = (grown, k, goal)
+        known = self._reaches.get(key)
+        if known is None:
+            code = self.code
+            columns = _contraction(code.field, code.columns, grown)
+            rank = len(columns[0]) if columns else 0
+            if t >= rank:
+                known = len(columns) - rank >= k
+            else:
+                found, _ = _largest_flat(
+                    code.field, columns, t, k + t - 1, limit=k + t
+                )
+                known = found >= k + t
+            self._reaches[key] = known
+        return known
+
+
+def _witness(
+    search, n: int, x: int, goal: int
+) -> tuple[RegeneratingSet, ...]:
+    """The first chain of x sets with union size ``goal``.
+
+    Each step tries targets outside the union in increasing order, then
+    the circuits through each in (size, lex) order, and takes the first
+    circuit after which the rest of the chain can still end on ``goal``
+    members.  That order decides which minimising chain comes back.  A
+    set that leaves k more to place grows the union by at least k more
+    members, so circuits above ``goal`` minus k members are never
+    tried.  ``search`` supplies the circuits through a target and the
+    continuation test: the branch-and-bound's memo under a size cap,
+    the rank hierarchy without one.
+    """
+    chain: list[RegeneratingSet] = []
+    union_mask = 0
+    for remaining in range(x - 1, -1, -1):
+        step = next(
+            (
+                (target, circuit)
+                for target in range(n)
+                if not (union_mask >> target) & 1
+                for circuit in search.through(target, goal - remaining)
+                if search.reaches(union_mask | circuit, remaining, goal)
+            ),
+            None,
+        )
+        if step is None:
+            raise InvariantError("witness reconstruction diverged")
+        target, circuit = step
+        chain.append(RegeneratingSet(target + 1, _coords(circuit)))
+        union_mask |= circuit
+    return tuple(chain)
 
 
 def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
@@ -230,18 +355,34 @@ def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
     return min(size_cap, code.n)
 
 
+def _is_exact(code: LinearCode, cap: int) -> bool:
+    # no circuit has more than min(n, M+1) members, so such a cap prunes none
+    return cap >= min(code.n, code.M + 1)
+
+
 def phi(
     code: LinearCode,
     x: int,
     size_cap: Optional[int] = None,
     search_cap: Optional[int] = None,
 ) -> int:
-    """Minimum union size of a nontrivial chain of x regenerating sets."""
+    """Minimum union size of a nontrivial chain of x regenerating sets.
+
+    Without a size cap (or with one no circuit exceeds) the value comes
+    from the rank hierarchy (:class:`_RankHierarchy`); a smaller cap
+    keeps only the regenerating sets within it and runs the
+    branch-and-bound (:class:`_PhiSearch`).
+    """
     _check_int(x, 0, "chain length")
+    _check_search_cap(code, search_cap)
+    cap = _resolve_size_cap(code, size_cap)
     if x == 0:
         return 0
-    _check_search_cap(code, search_cap)
-    v = _PhiSearch(code, _resolve_size_cap(code, size_cap)).value(x)
+    if _is_exact(code, cap):
+        values = _RankHierarchy(code, search_cap).values(x)
+        v = values[-1] if len(values) == x else None
+    else:
+        v = _PhiSearch(code, cap).value(x)
     if v is None:
         raise PhiUndefinedError(
             f"no nontrivial chain of {x} regenerating sets exists"
@@ -266,8 +407,45 @@ def rho(
     size_cap: Optional[int] = None,
     search_cap: Optional[int] = None,
 ) -> int:
-    """Largest x with phi(x) - x < M/alpha (0 when no chain helps)."""
-    return phi_profile(code, x_max=None, size_cap=size_cap, search_cap=search_cap).rho
+    """Largest x with phi(x) - x < M/alpha (0 when no chain helps).
+
+    Exactly, phi(x) - x < M holds while a set of nullity x has rank
+    below M, so rho = max{nullity(U) : rank(U) < M} = n - M + 1 - d:
+    one distance search, and no witness.  Under a size cap that prunes
+    circuits it comes from the capped profile.
+    """
+    _check_search_cap(code, search_cap)
+    cap = _resolve_size_cap(code, size_cap)
+    if _is_exact(code, cap):
+        return code.n - code.M + 1 - min_distance(code, search_cap)
+    return _capped_values(code, _PhiSearch(code, cap), None)[1]
+
+
+def _capped_values(
+    code: LinearCode, search: _PhiSearch, x_max: Optional[int]
+) -> tuple[list[int], int]:
+    """phi(1..) under a size cap, to x_max or just past rho, and rho.
+
+    phi(x) - x never decreases, so the first failing x settles rho; the
+    values go on past it only to fill the requested range, and past the
+    range only while x still passes.
+    """
+    values: list[int] = []
+    rho_val = 0
+    x = 0
+    while True:
+        x += 1
+        v = search.value(x)
+        if v is None:
+            break
+        passing = code.alpha * (v - x) < code.M
+        if passing:
+            rho_val = x
+        if x_max is None or x <= x_max:
+            values.append(v)
+        if not passing and (x_max is None or x >= x_max):
+            break
+    return values, rho_val
 
 
 def phi_profile(
@@ -280,35 +458,30 @@ def phi_profile(
 
     With ``x_max=None`` the profile extends just past the rho
     threshold.  If chains run out before the threshold, the profile
-    simply ends at the last feasible x.
+    simply ends at the last feasible x.  Exact profiles take their
+    values and rho from the rank hierarchy and the distance, and never
+    list every circuit: each witness step scans only the circuits
+    through one target at a time.
     """
     _check_search_cap(code, search_cap)
     if x_max is not None:
         _check_int(x_max, 0, "x_max")
     cap = _resolve_size_cap(code, size_cap)
-    search = _PhiSearch(code, cap)
-    phis: list[int] = [0]
+    if _is_exact(code, cap):
+        search = _RankHierarchy(code, search_cap)
+        rho_val = code.n - code.M + 1 - search.distance()
+        values = search.values(rho_val + 1 if x_max is None else x_max)
+    else:
+        search = _PhiSearch(code, cap)
+        values, rho_val = _capped_values(code, search, x_max)
+    phis = [0]
     witnesses: list[tuple[RegeneratingSet, ...]] = [()]
-    rho_val = 0
-    x = 1
-    while True:
-        v = search.value(x)
-        if v is None:
-            break
-        passing = code.alpha * (v - x) < code.M
-        chain = search.witness(x)
-        if x_max is None or x <= x_max:
-            phis.append(v)
-            witnesses.append(chain)
-        if passing:
-            rho_val = x
+    for x, v in enumerate(values, 1):
+        chain = _witness(search, code.n, x, v)
+        phis.append(v)
+        witnesses.append(chain)
+        if x <= rho_val:
             _check_union_not_exhaustive(code, chain)
-        # phi(x) - x never decreases, so the first failing x settles rho;
-        # keep going past it only to fill the requested profile range.
-        more_profile = x_max is not None and x < x_max
-        if not passing and not more_profile:
-            break
-        x += 1
     return PhiProfile(
         phi=tuple(phis),
         rho=rho_val,

@@ -227,6 +227,36 @@ def exhaustive_phi(code: LinearCode, x: int) -> int | None:
     return None if v > n else v
 
 
+def nullity_phi(code: LinearCode, x: int) -> int | None:
+    """min{|U| : |U| - rank(U) >= x} over all coordinate subsets.
+
+    Independent of chains and circuits: a nontrivial chain of x
+    regenerating sets of a scalar code has a union of nullity at least
+    x, and a set of nullity x holds such a chain, so this is phi(x).
+    Scans sizes upward; None when no subset has nullity x.
+    """
+    n = code.n
+    for size in range(x, n + 1):
+        for U in combinations(range(1, n + 1), size):
+            if size - subset_rank(code, U) >= x:
+                return size
+    return None
+
+
+def largest_flat(code: LinearCode, rank: int) -> tuple[int, tuple[int, ...]]:
+    """Size and lex-first witness of a largest subset of rank <= ``rank``.
+
+    Scans sizes downward and stops at the first subset of the first
+    size that has one; for rank < M that subset is a flat of that rank.
+    """
+    n = code.n
+    for size in range(n, -1, -1):
+        for X in combinations(range(1, n + 1), size):
+            if subset_rank(code, X) <= rank:
+                return size, X
+    raise AssertionError("the empty set has rank 0")
+
+
 def fraction_ceil(a: int, b: int) -> int:
     """Ceiling of a/b via divmod, as an independent check of ceil arithmetic."""
     q, rem = divmod(a, b)

@@ -24,7 +24,11 @@ from locrep import (
 )
 from locrep import linear_code
 from locrep.linear_code import (
+    _circuits,
+    _contraction,
     _dual,
+    _iter_circuits,
+    _largest_flat,
     _max_deficient,
     _smallest_circuit,
     dumps,
@@ -33,6 +37,7 @@ from locrep.linear_code import (
 
 from oracles import (
     codeword_min_weight,
+    largest_flat,
     naive_min_distance,
     oracle_codes,
     random_code,
@@ -187,6 +192,58 @@ def test_max_deficient_agrees_with_the_naive_scan(degree):
         d, witness = naive_min_distance(code)
         assert d == 1
         assert _max_deficient(code) == (n - 1, witness), code.columns
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 17])
+def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
+    # size and lex-first witness on bare columns, zero and scaled ones
+    # included; degree 17 has no log tables
+    field = GF2m(degree)
+    rng = Random(83 + degree)
+    for _ in range(10):
+        n = rng.randrange(3, 9)
+        code = _cornered_code(rng, field, n, rng.randrange(1, n))
+        for rank in range(code.M):
+            size, witness = largest_flat(code, rank)
+            mask = sum(1 << (i - 1) for i in witness)
+            assert _largest_flat(field, code.columns, rank, 0) == (size, mask), (
+                code.columns, rank)
+            # an incumbent at least as large comes back unchanged
+            assert _largest_flat(field, code.columns, rank, size, 5) == (size, 5)
+            # with a limit the search stops at the first flat that reaches it
+            found, _ = _largest_flat(field, code.columns, rank, 0, limit=size)
+            assert found == size
+
+
+def test_contraction_ranks_are_ranks_over_the_contracted_set():
+    rng = Random(89)
+    for degree in (1, 3):
+        field = GF2m(degree)
+        for _ in range(12):
+            n = rng.randrange(2, 8)
+            code = _cornered_code(rng, field, n, rng.randrange(1, n + 1))
+            W = [i for i in range(1, n + 1) if rng.random() < 0.4]
+            mask = sum(1 << (i - 1) for i in W)
+            rest = [i for i in range(1, n + 1) if i not in W]
+            columns = _contraction(field, code.columns, mask)
+            assert len(columns) == len(rest)
+            rank = code.M - subset_rank(code, W)
+            assert all(len(col) == rank for col in columns)
+            for size in range(len(rest) + 1):
+                for S in combinations(range(len(rest)), size):
+                    expected = (subset_rank(code, W + [rest[k] for k in S])
+                                - subset_rank(code, W))
+                    got = matrix_rank(field, rank, [columns[k] for k in S]) if rank else 0
+                    assert got == expected, (code.columns, W, S)
+
+
+def test_circuit_generator_stops_ranking_when_the_caller_stops():
+    code = build_square_code(3, 6).code
+    first = next(_iter_circuits(code, code.n, 5))
+    partial = len(code._rank_cache)
+    full = _circuits(code, code.n, 5)
+    assert full[0] == first
+    assert partial < len(code._rank_cache)
 
 
 def test_min_distance_agrees_with_codeword_enumeration(square_r2_m3, square_r2_m4):

@@ -30,13 +30,15 @@ from locrep import (
     rho,
     verify_locality,
 )
-from locrep import linear_code
+from locrep import linear_code, regsets
 from locrep.linear_code import _circuits
+from locrep.regsets import _capped_values, _PhiSearch, _witness
 
 from oracles import (
     all_regenerating_sets,
     exhaustive_phi,
     locality_holds,
+    nullity_phi,
     oracle_codes,
     random_code,
     random_nontrivial_chain,
@@ -602,3 +604,140 @@ def test_witness_takes_the_smallest_target_first(square_r2_m3):
             [(1, (1, 2, 3)), (4, (1, 4, 7)), (5, (1, 2, 4, 5)), (6, (4, 5, 6))],
         ],
     )
+
+
+def _random_exact_codes():
+    """Oracle codes plus random ones with zero and scaled columns."""
+    rng = Random(97)
+    codes = []
+    for degree in (1, 2, 3):
+        field = GF2m(degree)
+        for _ in range(5):
+            n = rng.randrange(2, 9)
+            M = rng.randrange(1, n + 1)
+            code = random_code(rng, field, n, M, require_repairable=False)
+            cols = [list(col) for col in code.columns]
+            cols[rng.randrange(n)] = [0] * M
+            src = rng.randrange(n)
+            cols[rng.randrange(n)] = [field.mul(rng.randrange(1, field.order), x)
+                                      for x in cols[src]]
+            if matrix_rank(field, M, cols) == M:
+                codes.append(LinearCode(field, n, M, cols))
+    return codes
+
+
+def test_exact_phi_matches_the_nullity_oracle(square_r2_m3):
+    for code in oracle_codes(square_r2_m3.code) + _random_exact_codes():
+        for x in range(code.n - code.M + 2):
+            try:
+                value = phi(code, x)
+            except PhiUndefinedError:
+                value = None
+            assert value == (nullity_phi(code, x) if x else 0), (code.columns, x)
+
+
+def test_exact_phi_matches_the_unrestricted_search():
+    for code in oracle_codes() + _random_exact_codes()[:6]:
+        for x in range(1, 4):
+            try:
+                value = phi(code, x)
+            except PhiUndefinedError:
+                value = None
+            assert value == exhaustive_phi(code, x), (code.columns, x)
+
+
+def test_exact_profiles_match_the_branch_and_bound(square_r2_m3, square_r2_m4):
+    # values, rho and witness chains, against the branch-and-bound over
+    # every circuit walked in the same order
+    codes = [square_r2_m3.code, square_r2_m4.code]
+    for code in oracle_codes(*codes) + _random_exact_codes():
+        search = _PhiSearch(code, code.n)
+        for x_max in (None, 0, 2, 3, code.n - code.M, code.n):
+            values, rho_value = _capped_values(code, search, x_max)
+            profile = phi_profile(code, x_max=x_max)
+            assert profile.phi == (0, *values), (code.columns, x_max)
+            assert profile.rho == rho_value, (code.columns, x_max)
+            assert profile.size_cap == code.n
+            assert profile.witnesses == ((), *(
+                _witness(search, code.n, x, v) for x, v in enumerate(values, 1)
+            )), (code.columns, x_max)
+
+
+def test_exact_rho_is_n_minus_m_plus_one_minus_d(square_r2_m3, square_r2_m4):
+    for code in oracle_codes(square_r2_m3.code, square_r2_m4.code):
+        expected = code.n - code.M + 1 - min_distance(code)
+        assert rho(code) == expected
+        assert phi_profile(code).rho == expected
+        # and from its definition, over the nullity oracle
+        passing = [x for x in range(1, code.n - code.M + 1)
+                   if nullity_phi(code, x) - x < code.M]
+        assert expected == max(passing, default=0)
+
+
+def test_a_cap_no_circuit_exceeds_is_exact(square_r2_m3):
+    code = square_r2_m3.code
+    for cap in (code.M + 1, code.n):
+        profile = phi_profile(code, x_max=4, size_cap=cap)
+        assert profile.to_json_dict() == dict(
+            phi_profile(code, x_max=4).to_json_dict(), size_cap=cap
+        )
+        assert rho(code, size_cap=cap) == rho(code)
+        assert phi(code, 3, size_cap=cap) == phi(code, 3)
+
+
+def test_exact_answers_never_list_every_circuit(monkeypatch):
+    calls = []
+
+    def wrap(scan):
+        def checked(code, size_cap, target=None):
+            calls.append(target)
+            assert target is not None, "exact answer listed every circuit"
+            return scan(code, size_cap, target)
+        return checked
+
+    for module in (linear_code, regsets):
+        for name in ("_circuits", "_iter_circuits"):
+            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    for M in (4, 6):
+        code = build_square_code(3, M).code
+        phi_profile(code)
+        phi_profile(code, x_max=code.n - code.M)
+        phi(code, 3)
+        rho(code)
+    assert calls  # the witnesses scan the circuits through one target
+
+
+@pytest.mark.parametrize(
+    ("kwargs", "error"),
+    [({"size_cap": 0}, "size cap must be >= 1"),
+     ({"size_cap": 1.5}, "size cap must be an integer"),
+     ({"search_cap": "x"}, "search cap must be an integer"),
+     ({"search_cap": 0}, "search cap must be >= 1")],
+)
+def test_phi_of_zero_still_validates_its_caps(square_r2_m3, kwargs, error):
+    # x = 0 once returned 0 before looking at either cap
+    with pytest.raises(DomainError, match=error):
+        phi(square_r2_m3.code, 0, **kwargs)
+    with pytest.raises(DomainError, match=error):
+        phi(square_r2_m3.code, 1, **kwargs)
+
+
+def test_phi_of_zero_respects_the_search_cap(square_r2_m3):
+    with pytest.raises(SearchCapExceeded):
+        phi(square_r2_m3.code, 0, search_cap=4)
+
+
+def test_exact_r3_answers_within_budget():
+    codes = [build_square_code(3, M).code for M in range(4, 10)]
+    start = time.perf_counter()
+    for code in codes:
+        phi_profile(code)
+    profiles = time.perf_counter() - start
+    start = time.perf_counter()
+    for code in [build_square_code(3, M).code for M in range(4, 10)]:
+        rho(code)
+    rhos = time.perf_counter() - start
+    # about 0.3 s and 0.06 s on a desktop core; the budgets leave room
+    # for slower hosts
+    assert profiles < 3.0, f"profiles took {profiles:.2f}s, budget 3s"
+    assert rhos < 0.6, f"rho took {rhos:.2f}s, budget 0.6s"
