@@ -601,42 +601,126 @@ def _iter_circuits(
     circuit-free sets of one size: the independent sets, or with a
     target, the sets holding it whose other members do not span it.  A
     candidate of the next size extends a level set, its base, by one
-    column above the base's members other than the target, and each of
-    its facets that keeps the target must be in the level too, so it
-    holds no smaller circuit (through the target).  A candidate is a
-    circuit iff dropping its pivot (the target, or else its lowest
-    member) keeps its rank; otherwise it joins the next level.  The
-    candidates, and so the subsets ranked, are those of a scan over all
-    subsets by size, then lex, that skips supersets of the circuits
-    found.  A rank missing from the cache is read off a
-    :class:`_Residues` stack synced to the base, or to the base less
-    its pivot: the new column lies above every member of either but
-    the top one, with or without a target.  The two stacks follow the
-    bases in lex order, so a base re-pushes only the columns in which
-    it differs from the last one, and each is built on its first miss,
-    so a scan on a warm cache builds neither.  Circuits are yielded as
-    they are found, so a caller that stops early ranks no more subsets.
+    column j above the base's members other than the target.
+
+    Without a target, base + j is independent exactly when j lies
+    outside the span of the base, and then every facet of base + j is
+    independent too, as a subset of an independent set: it joins the
+    next level with no facet test.  Only a dependent candidate runs the
+    facet test, and it is a circuit iff every facet is in the level
+    (:func:`_free_circuits`).  With a target, a candidate needs each
+    facet that keeps the target in the level first, and is a circuit
+    iff dropping the target keeps its rank (:func:`_circuits_through`).
+    Either way the candidates whose ranks are cached are those of a scan
+    over all subsets by size, then lex, that skips supersets of the
+    circuits found.  Circuits are yielded as they are found, so a
+    caller that stops early ranks no more subsets.
     """
     size_cap = min(size_cap, code.n, code.M + 1)
     if size_cap < 1:
         return
+    if target is None:
+        yield from _free_circuits(code, size_cap)
+    else:
+        yield from _circuits_through(code, size_cap, 1 << (target - 1))
+
+
+def _facets_in(level: set, mask: int, members: int) -> bool:
+    """Whether ``mask`` less any one of ``members`` lies in ``level``."""
+    while members:
+        low = members & -members
+        if mask ^ low not in level:
+            return False
+        members ^= low
+    return True
+
+
+def _free_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
+    """Every circuit of at most ``size_cap`` members, by size then lex.
+
+    The span test is one :class:`_Residues` stack, synced once per base:
+    j lies outside the base's span when j's residue is nonzero and
+    differs from the top's.  The stack follows the bases in lex order,
+    so a base re-pushes only the columns in which it differs from the
+    last one.  An independent set of M columns spans every column, so
+    the candidates on such a base need no stack.  The rank of a
+    candidate that holds a smaller circuit is never cached.  A base
+    whose candidates the cache holds needs no stack either, and a miss
+    before the stack exists runs the facet test first: on a warm cache
+    only a candidate that holds a smaller circuit misses, so such a
+    scan builds none.
+    """
     n = code.n
     cache = code._rank_cache
-    fixed = 0 if target is None else 1 << (target - 1)
-    if fixed and code._rank(fixed) == 0:
+    residues: Optional[_Residues] = None
+    level = [0]
+    for size in range(size_cap):
+        in_level = set(level)
+        if size == code.M:
+            # a basis spans every column: each candidate is dependent
+            for base in level:
+                for j in range(base.bit_length(), n):
+                    mask = base | 1 << j
+                    if _facets_in(in_level, mask, base):
+                        cache[mask] = size
+                        yield mask
+            return
+        grown: list[int] = []
+        for base in level:
+            j = base.bit_length()
+            # cached candidates first, until one needs the stack
+            while j < n:
+                mask = base | 1 << j
+                rank = cache.get(mask)
+                if rank is None:
+                    if residues is not None or _facets_in(in_level, mask, base):
+                        break
+                elif rank > size:
+                    grown.append(mask)
+                elif _facets_in(in_level, mask, base):
+                    yield mask
+                j += 1
+            if j == n:
+                continue
+            if residues is None:
+                residues = _Residues(code)
+            residues.sync(base)
+            top = residues.top
+            for j, res in enumerate(residues.residues[j:], j):
+                mask = base | 1 << j
+                if res is not None and res != top:
+                    cache[mask] = size + 1
+                    grown.append(mask)
+                elif _facets_in(in_level, mask, base):
+                    cache[mask] = size
+                    yield mask
+        level = grown
+
+
+def _circuits_through(code: LinearCode, size_cap: int, fixed: int) -> Iterator[int]:
+    """The circuits through the column ``fixed`` (a bit), by size then lex.
+
+    A rank missing from the cache is read off a :class:`_Residues` stack
+    synced to the base, or to the base less ``fixed``: the new column
+    lies above every member of either but the top one.  The two stacks
+    follow the bases in lex order, and each is built on its first miss,
+    so a scan on a warm cache builds neither.
+    """
+    n = code.n
+    cache = code._rank_cache
+    if code._rank(fixed) == 0:
         # a zero column is a circuit by itself, inside every candidate
         yield fixed
         return
     level = [fixed]
-    # residues of the current base and of the base less its pivot, built
+    # residues of the current base and of the base less the target, built
     # on their first rank-cache miss
     with_pivot = without_pivot = None
-    for _ in range(size_cap - (fixed != 0)):
+    for _ in range(size_cap - 1):
         in_level = set(level)
         grown: list[int] = []
         for base in level:
             others = base ^ fixed
-            pivot = fixed or base & -base
             for j in range(others.bit_length(), n):
                 col = 1 << j
                 if col == fixed:
@@ -656,13 +740,12 @@ def _iter_circuits(
                         with_pivot = _Residues(code)
                     with_pivot.sync(base)
                     rank = cache[mask] = with_pivot.rank_with(j)
-                # the pivot of a singleton is itself; rank(0) is cached
-                dropped = mask ^ (pivot or col)
+                dropped = mask ^ fixed
                 less = cache.get(dropped)
                 if less is None:
                     if without_pivot is None:
                         without_pivot = _Residues(code)
-                    without_pivot.sync(base ^ pivot)
+                    without_pivot.sync(others)
                     less = cache[dropped] = without_pivot.rank_with(j)
                 if rank == less:
                     yield mask

@@ -211,8 +211,13 @@ class _PhiSearch:
         return None if v > self.n else v
 
     def through(self, target: int, size_cap: int) -> Iterator[int]:
-        """The circuits through ``target`` (0-based), in scan order."""
-        return (c for c in self.circuits if (c >> target) & 1)
+        """The circuits through ``target`` (0-based) up to a size, in scan order."""
+        for circuit in self.circuits:
+            # the list is size-ordered, so every later circuit is too large
+            if circuit.bit_count() > size_cap:
+                return
+            if (circuit >> target) & 1:
+                yield circuit
 
     def reaches(self, grown: int, k: int, goal: int) -> bool:
         """Whether k more sets can end on a union of at most ``goal``."""

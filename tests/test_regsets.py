@@ -467,6 +467,65 @@ def test_circuit_scan_on_a_warm_rank_cache_builds_no_residues(monkeypatch):
         _circuits(build_square_code(3, 5).code, 4)
 
 
+def test_a_cold_scan_without_a_target_builds_one_residue_stack(monkeypatch):
+    # one stack, synced once per base, answers every candidate's span test
+    built = []
+    real = linear_code._Residues
+
+    def counting(code):
+        built.append(code)
+        return real(code)
+
+    monkeypatch.setattr(linear_code, "_Residues", counting)
+    for code in [build_square_code(3, 5).code, *_scan_test_codes()]:
+        for cap in sorted({1, code.M + 1, code.n}):
+            fresh = LinearCode(code.field, code.n, code.M, code.columns)
+            built.clear()
+            _circuits(fresh, cap)
+            assert len(built) == 1, (code, cap)
+
+
+def _dense_dependency_code() -> LinearCode:
+    """GF(2^2), n = 10, M = 3: a zero column and nine in four parallel classes.
+
+    Any three class directions are independent and all four are not, so
+    the circuits are the zero column, the parallel pairs and one column
+    from each class; most dependent candidates hold a smaller circuit.
+    """
+    field = GF2m(2)
+    directions = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
+    rng = Random(89)
+    cols = [[0, 0, 0]]
+    for k in range(9):
+        scale = rng.randrange(1, field.order)
+        cols.append([field.mul(scale, x) for x in directions[k % 4]])
+    rng.shuffle(cols)
+    return LinearCode(field, len(cols), 3, cols)
+
+
+def test_circuit_scan_matches_the_superset_test_scan_on_dense_dependencies(
+    monkeypatch,
+):
+    def refuse(code):
+        raise AssertionError("residues built on a warm rank cache")
+
+    code = _dense_dependency_code()
+    for cap in range(1, code.M + 2):
+        ours, reference = (
+            LinearCode(code.field, code.n, code.M, code.columns) for _ in range(2)
+        )
+        expected = reference_circuits(reference, cap)
+        assert _circuits(ours, cap) == expected, cap
+        assert ours._rank_cache == reference._rank_cache, cap
+        with monkeypatch.context() as patch:
+            patch.setattr(linear_code, "_Residues", refuse)
+            assert _circuits(ours, cap) == expected, cap
+        assert ours._rank_cache == reference._rank_cache, cap
+    # one zero column, 3 + 1 + 1 + 1 parallel pairs, 3 * 2 * 2 * 2 quadruples
+    sizes = [mask.bit_count() for mask in expected]
+    assert sizes == [1] + [2] * 6 + [4] * 24
+
+
 def test_phi_profile_leaves_no_reference_cycles():
     # a cycle through the scan's residue stacks would keep them, and the
     # field, alive until the collector runs
@@ -604,6 +663,33 @@ def test_witness_takes_the_smallest_target_first(square_r2_m3):
             [(1, (1, 2, 3)), (4, (1, 4, 7)), (5, (1, 2, 4, 5)), (6, (4, 5, 6))],
         ],
     )
+
+
+def test_witnesses_try_no_circuit_above_the_goal_less_the_sets_left(
+    monkeypatch, square_r2_m3
+):
+    # a set that leaves k more to place grows the union by at least k
+    # more members, so a circuit above goal - k members cannot be taken
+    scans = []
+    through = _PhiSearch.through
+
+    def recording(self, target, size_cap):
+        largest = max(circuit.bit_count() for circuit in self.circuits)
+        scans.append((size_cap, largest))
+        for circuit in through(self, target, size_cap):
+            assert circuit.bit_count() <= size_cap, (circuit, size_cap)
+            yield circuit
+
+    monkeypatch.setattr(_PhiSearch, "through", recording)
+    cases = [(square_r2_m3.code, 3), (build_square_code(3, 6).code, 6)]
+    cases += [(code, code.n) for code in oracle_codes(square_r2_m3.code)]
+    for code, cap in cases:
+        search = _PhiSearch(code, cap)
+        values, _ = _capped_values(code, search, None)
+        for x, goal in enumerate(values, 1):
+            _witness(search, code.n, x, goal)
+    # the bound did cut some scans short
+    assert any(size_cap < largest for size_cap, largest in scans)
 
 
 def _random_exact_codes():
