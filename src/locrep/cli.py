@@ -61,6 +61,32 @@ def _default_size_cap(code, metadata) -> Optional[int]:
     return None
 
 
+# verb -> (summary, argument specs, handler), in the order of the help listing
+_VERBS: dict = {}
+
+
+def _arg(*flags, **options):
+    """One ``add_argument`` call's arguments, kept for the verb's subparser."""
+    return flags, options
+
+
+def _verb(name: str, summary: str, *arguments):
+    """Register a handler as the verb ``name``, with its arguments."""
+
+    def register(handler):
+        _VERBS[name] = (summary, arguments, handler)
+        return handler
+
+    return register
+
+
+@_verb(
+    "build", "construct a code and write its JSON file",
+    _arg("--family", required=True, choices=["square"]),
+    _arg("--r", type=int, required=True),
+    _arg("--M", type=int, required=True),
+    _arg("--m", type=int, default=None, help="field degree override"),
+)
 def _cmd_build(args) -> int:
     field = None
     if args.m is not None:
@@ -70,6 +96,7 @@ def _cmd_build(args) -> int:
     return 0
 
 
+@_verb("distance", "exact minimum distance (brute force)", _arg("code"))
 def _cmd_distance(args) -> int:
     code, _ = _load_code(args.code)
     d = linear_code.min_distance(code, search_cap=_search_cap())
@@ -77,6 +104,11 @@ def _cmd_distance(args) -> int:
     return 0
 
 
+@_verb(
+    "phi", "minimum union sizes of regenerating-set chains",
+    _arg("code"),
+    _arg("--x-max", dest="x_max", type=int, required=True),
+)
 def _cmd_phi(args) -> int:
     code, metadata = _load_code(args.code)
     profile = regsets.phi_profile(
@@ -89,6 +121,7 @@ def _cmd_phi(args) -> int:
     return 0
 
 
+@_verb("rho", "largest x with phi(x) - x < M/alpha", _arg("code"))
 def _cmd_rho(args) -> int:
     code, metadata = _load_code(args.code)
     value = regsets.rho(
@@ -100,6 +133,16 @@ def _cmd_rho(args) -> int:
     return 0
 
 
+@_verb(
+    "bounds", "evaluate a closed-form distance bound",
+    _arg("--theorem", required=True, choices=list(bounds.THEOREMS)),
+    _arg("--n", type=int, default=None),
+    _arg("--M", type=int, default=None),
+    _arg("--alpha", type=int, default=1),
+    _arg("--r", type=int, default=None),
+    _arg("--delta", type=int, default=None),
+    _arg("--rho", type=int, default=None, help="exact rho (general theorem only)"),
+)
 def _cmd_bounds(args) -> int:
     report = bounds.bound_report(
         args.theorem,
@@ -116,6 +159,13 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+@_verb(
+    "verify", "check locality or square-code optimality",
+    _arg("code"),
+    _arg("--locality", type=int, default=None),
+    _arg("--delta", type=int, default=None),
+    _arg("--optimal-square", action="store_true"),
+)
 def _cmd_verify(args) -> int:
     code, metadata = _load_code(args.code)
     if args.optimal_square:
@@ -143,6 +193,13 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@_verb(
+    "repair", "plan the repair of erased coordinates",
+    _arg("code"),
+    _arg("--erase", required=True, help="comma-separated coordinates, e.g. 1,2,5"),
+    _arg("--cap", type=int, required=True,
+         help="locality cap r (sets of size <= r+1)"),
+)
 def _cmd_repair(args) -> int:
     code, _ = _load_code(args.code)
     try:
@@ -156,81 +213,48 @@ def _cmd_repair(args) -> int:
     return 0
 
 
+@_verb(
+    "table", "CSV comparing square vs rdc bounds", _arg("--r", type=int, required=True)
+)
 def _cmd_table(args) -> int:
     _emit(bounds.compare_table_csv(args.r), args.output)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(verb: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser; with a known ``verb``, only that verb's subparser.
+
+    A call pays for the one verb it names.  The one-verb parser keeps
+    the full verb list as the metavar, so its top-level usage line is
+    the full parser's.
+    """
     parser = argparse.ArgumentParser(
         prog="locrep",
         description="Construct, analyse and repair locally repairable codes.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("build", help="construct a code and write its JSON file")
-    p.add_argument("--family", required=True, choices=["square"])
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--M", type=int, required=True)
-    p.add_argument("--m", type=int, default=None, help="field degree override")
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("distance", help="exact minimum distance (brute force)")
-    p.add_argument("code")
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_distance)
-
-    p = sub.add_parser("phi", help="minimum union sizes of regenerating-set chains")
-    p.add_argument("code")
-    p.add_argument("--x-max", dest="x_max", type=int, required=True)
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_phi)
-
-    p = sub.add_parser("rho", help="largest x with phi(x) - x < M/alpha")
-    p.add_argument("code")
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_rho)
-
-    p = sub.add_parser("bounds", help="evaluate a closed-form distance bound")
-    p.add_argument("--theorem", required=True, choices=list(bounds.THEOREMS))
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--M", type=int, default=None)
-    p.add_argument("--alpha", type=int, default=1)
-    p.add_argument("--r", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--rho", type=int, default=None,
-                   help="exact rho (general theorem only)")
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("verify", help="check locality or square-code optimality")
-    p.add_argument("code")
-    p.add_argument("--locality", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None)
-    p.add_argument("--optimal-square", action="store_true")
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("repair", help="plan the repair of erased coordinates")
-    p.add_argument("code")
-    p.add_argument("--erase", required=True,
-                   help="comma-separated coordinates, e.g. 1,2,5")
-    p.add_argument("--cap", type=int, required=True,
-                   help="locality cap r (sets of size <= r+1)")
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_repair)
-
-    p = sub.add_parser("table", help="CSV comparing square vs rdc bounds")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("-o", dest="output", default=None)
-    p.set_defaults(func=_cmd_table)
-
+    if verb in _VERBS:
+        sub = parser.add_subparsers(
+            dest="verb", required=True, metavar="{" + ",".join(_VERBS) + "}"
+        )
+        names = [verb]
+    else:
+        # argparse's own metavar here: "required: verb" names the dest
+        sub = parser.add_subparsers(dest="verb", required=True)
+        names = list(_VERBS)
+    for name in names:
+        summary, arguments, handler = _VERBS[name]
+        p = sub.add_parser(name, help=summary)
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
+        p.add_argument("-o", dest="output", default=None)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = _build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     try:
         return args.func(args)

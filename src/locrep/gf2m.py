@@ -15,7 +15,9 @@ from typing import Iterable, Optional, Sequence
 from .errors import DomainError, InvariantError
 
 # Log/antilog tables make multiplication a couple of list lookups but
-# take 2^m ints of memory, so large degrees fall back to shift-and-xor.
+# take 2^m ints of memory and, at degree 16, milliseconds to fill, so
+# they are filled on first use, and large degrees fall back to
+# shift-and-xor.
 _TABLE_DEGREE_MAX = 16
 
 #: Largest field degree accepted.  Rabin's test on a given modulus takes
@@ -124,8 +126,15 @@ class GF2m:
         Monic irreducible polynomial as a bit-vector with bit ``degree``
         set.  ``None`` selects :func:`default_modulus`.
 
-    Instances are immutable and safe to share between threads; all
-    element operations are pure functions on ints.
+    Up to degree 16 multiplication and inversion go through log/antilog
+    tables of 2^m entries each.  They are filled on first use, not by
+    the constructor, so a field that is only built, squared or
+    serialised never pays for them.
+
+    Instances are immutable in value and safe to share between threads;
+    all element operations are pure functions on ints.  Two threads that
+    multiply first at the same time may both fill the tables; they fill
+    identical ones, and either may be kept.
     """
 
     __slots__ = ("degree", "modulus", "order", "_exp", "_log")
@@ -144,14 +153,23 @@ class GF2m:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "order", 1 << degree)
-        exp, log = (None, None)
-        if degree <= _TABLE_DEGREE_MAX:
-            exp, log = self._build_tables()
-        object.__setattr__(self, "_exp", exp)
-        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_exp", None)
+        object.__setattr__(self, "_log", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("GF2m is immutable")
+
+    def _tables(self):
+        """The log/antilog tables, filled on first use.
+
+        Returns (exp, log), or (None, None) above the table degree.
+        """
+        if self._exp is None and self.degree <= _TABLE_DEGREE_MAX:
+            exp, log = self._build_tables()
+            # _log first: whoever sees _exp filled finds _log filled too
+            object.__setattr__(self, "_log", log)
+            object.__setattr__(self, "_exp", exp)
+        return self._exp, self._log
 
     def _build_tables(self):
         # z itself need not generate the multiplicative group (it does not
@@ -203,15 +221,25 @@ class GF2m:
         """Product of two elements already known to lie in the field."""
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._polymul(a, b)
+        if self._exp is None and self._tables()[0] is None:
+            return self._polymul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def _inv(self, a: int) -> int:
         """Inverse of a nonzero element already known to lie in the field."""
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self._polypow(a, self.order - 2)
+        if self._exp is None and self._tables()[0] is None:
+            return self._polypow(a, self.order - 2)
+        return self._exp[self.order - 1 - self._log[a]]
+
+    def _square(self, a: int) -> int:
+        """Square of an element already known to lie in the field.
+
+        Squaring is GF(2)-linear: a's bits spread to the even powers and
+        reduced once.  It builds no tables, but uses them if they exist.
+        """
+        if self._exp is None:
+            return poly_mod(_poly_square(a), self.modulus)
+        return self._exp[2 * self._log[a]] if a else 0
 
     def _polypow(self, a: int, e: int) -> int:
         r = 1
@@ -237,9 +265,9 @@ class GF2m:
         self._check(b)
         if a == 0 or b == 0:
             return 0
-        if self._exp is not None:
-            return self._exp[self._log[a] + self._log[b]]
-        return self._polymul(a, b)
+        if self._exp is None and self._tables()[0] is None:
+            return self._polymul(a, b)
+        return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; zero has none."""
@@ -272,7 +300,7 @@ class GF2m:
             raise DomainError(f"frobenius power must be >= 0, got {k}")
         r = a
         for _ in range(k % self.degree):
-            r = self.mul(r, r)
+            r = self._square(r)
         return r
 
     def __eq__(self, other):

@@ -393,6 +393,8 @@ def _normalized(field: gf2m.GF2m, res: Sequence[int]) -> Optional[tuple[int, ...
     if not lead:
         return None
     exp, log = field._exp, field._log
+    if exp is None:
+        exp, log = field._tables()
     if log:
         shift = field.order - 1 - log[lead]
         return tuple([exp[log[x] + shift] if x else 0 for x in res])
@@ -421,7 +423,10 @@ def _quotient(
     ``factors``, one slot per row, caches row p's logs for the next
     push against the same rows.
     """
-    exp, log, mul = field._exp, field._log, field._mul
+    exp, log = field._exp, field._log
+    if exp is None:
+        exp, log = field._tables()
+    mul = field._mul
     for p, pivot in enumerate(rows):
         if pivot[pos]:
             break
@@ -559,7 +564,7 @@ class _FlatSearch:
         start = bisect(cols, last)
         lines: dict = {}
         if len(rows) == 2:
-            log = field._log
+            log = field._log if field._exp is not None else field._tables()[1]
             period = field.order - 1
             for c, x, y in zip(cols[start:], rows[0][start:], rows[1][start:]):
                 # the line through the point: x/y as a log, -2 for x = 0
@@ -928,6 +933,28 @@ def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:
     return obj
 
 
+def _check_square_metadata(r: int, meta_M: int, n: int, M: int) -> None:
+    # the CLI caps regenerating sets at r+1 on the declared r, so a
+    # declaration that does not fit the code would truncate its answers
+    if r < 2:
+        raise DomainError(f"malformed code file: square metadata needs r >= 2, got {r}")
+    if n != (r + 1) ** 2:
+        raise DomainError(
+            f"malformed code file: square metadata r={r} needs n={(r + 1) ** 2}, "
+            f"got n={n}"
+        )
+    if meta_M != M:
+        raise DomainError(
+            f"malformed code file: square metadata M={meta_M} differs from "
+            f"the code's M={M}"
+        )
+    if not r + 1 <= M <= r * r:
+        raise DomainError(
+            f"malformed code file: square metadata r={r} needs M in "
+            f"{r + 1}..{r * r}, got M={M}"
+        )
+
+
 def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
     """Rebuild a code (and optional metadata block) from the file format."""
     try:
@@ -959,6 +986,8 @@ def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
                 )
     if q != 2:
         raise DomainError(f"only base field GF(2) is supported, got q={q}")
+    if metadata and metadata.get("family") == "square":
+        _check_square_metadata(metadata["r"], metadata["M"], n, M)
     field = gf2m.GF2m(m, modulus)
     columns = [[_elem_from_hex(x) for x in col] for col in raw_columns]
     code = LinearCode(field, n, M, columns)

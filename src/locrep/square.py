@@ -109,14 +109,15 @@ def build_square_code(
         for j in range(r):
             acc ^= betas[i][j]
         betas[i][r] = acc
+    # each column is the Frobenius orbit of its cell value; squaring
+    # needs no log tables, so building a code never fills them
+    square = field._square
     columns = []
     for i in range(size):
         for j in range(size):
-            col = []
-            v = betas[i][j]
-            for _ in range(M):
-                col.append(v)
-                v = field.mul(v, v)
+            col = [betas[i][j]]
+            for _ in range(M - 1):
+                col.append(square(col[-1]))
             columns.append(col)
     code = LinearCode(field, size * size, M, columns)
     return SquareCode(

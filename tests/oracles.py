@@ -15,7 +15,8 @@ from functools import lru_cache
 from itertools import combinations, product
 from random import Random
 
-from locrep import GF2m, LinearCode, matrix_rank
+from locrep import GF2m, LinearCode, build_square_code, matrix_rank
+from locrep.linear_code import dumps
 from locrep.gf2m import poly_mod
 
 
@@ -58,6 +59,31 @@ def single_parity_code(field: GF2m | None = None) -> LinearCode:
     return LinearCode(
         field, 4, 3, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
     )
+
+
+def mismatched_square_files() -> dict[str, str]:
+    """Code files whose square metadata does not fit the code, by case.
+
+    Each case breaks one rule: r >= 2, n = (r+1)^2, the code's own M,
+    and M in r+1..r^2 (the last with the rest consistent).
+    """
+    code = build_square_code(2, 3).code
+    below = LinearCode(code.field, 9, 2, [col[:2] for col in code.columns])
+    above = LinearCode(
+        code.field, 9, 9, [[int(i == j) for i in range(9)] for j in range(9)]
+    )
+
+    def text(c: LinearCode, r: int, M: int) -> str:
+        return dumps(c, metadata={"family": "square", "r": r, "M": M})
+
+    return {
+        "r-zero": text(code, 0, 3),
+        "r-one": text(code, 1, 3),
+        "n-not-square": text(code, 3, 3),
+        "M-not-the-codes": text(code, 2, 4),
+        "M-below-range": text(below, 2, 2),
+        "M-above-range": text(above, 2, 9),
+    }
 
 
 def random_code(

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import argparse
+import hashlib
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from locrep import default_modulus, verify_grid_relations
+from locrep import GF2m, cli, default_modulus, verify_grid_relations
 from locrep.cli import main
 from locrep.linear_code import loads
 from locrep.square import SquareCode
+from oracles import mismatched_square_files
+
+# Frozen bytes of the CLI from before the one-verb parser, on one Python
+FROZEN = json.loads((Path(__file__).parent / "cli_bytes.json").read_text())
+_VERB_HEADS = [[verb] for verb in cli._VERBS]
 
 
 def _run(capsys, *argv):
@@ -363,3 +372,88 @@ def test_build_rejects_field_degree_above_bound(capsys, extra):
     rc, out, err = _run(capsys, "build", "--family", "square", *extra)
     assert rc == 2 and out == ""
     assert "field degree" in err
+
+
+@pytest.mark.parametrize("case", sorted(mismatched_square_files()))
+@pytest.mark.parametrize("verb", ["phi", "rho", "distance"])
+def test_square_metadata_that_does_not_fit_is_domain_error(capsys, tmp_path, verb, case):
+    path = tmp_path / "bad.json"
+    path.write_text(mismatched_square_files()[case])
+    argv = [verb, str(path)] + (["--x-max", "2"] if verb == "phi" else [])
+    rc, out, err = _run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: malformed code file: square metadata")
+
+
+def _exit_and_output(capsys, call):
+    """(exit code, stdout, stderr) of a call that may exit through argparse."""
+    try:
+        code = call()
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.skipif(
+    list(sys.version_info[:2]) != FROZEN["python"],
+    reason="argparse wording differs between Python versions",
+)
+@pytest.mark.parametrize("case", sorted(FROZEN["calls"]))
+def test_cli_bytes_match_the_frozen_ones(capsys, monkeypatch, case):
+    monkeypatch.setenv("COLUMNS", "80")
+    frozen = FROZEN["calls"][case]
+    got = _exit_and_output(capsys, lambda: main(list(frozen["argv"])))
+    assert got == (frozen["exit"], frozen["stdout"], frozen["stderr"])
+
+
+@pytest.mark.parametrize(
+    "case",
+    sorted(c for c, call in FROZEN["calls"].items() if call["argv"][:1] in _VERB_HEADS),
+)
+def test_one_verb_parser_prints_what_the_full_parser_prints(capsys, monkeypatch, case):
+    # holds on every Python version, where the frozen bytes may not
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = FROZEN["calls"][case]["argv"]
+    one = _exit_and_output(capsys, lambda: cli._build_parser(argv[0]).parse_args(argv))
+    full = _exit_and_output(capsys, lambda: cli._build_parser().parse_args(argv))
+    assert one == full
+    assert one[0] in (0, 2)
+
+
+def _verbs_registered(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
+def test_a_named_verb_gets_only_its_own_subparser():
+    for verb in cli._VERBS:
+        assert _verbs_registered(cli._build_parser(verb)) == [verb]
+    # anything else parses against every verb
+    for first in (None, "-h", "--help", "bogus", "--", "-o"):
+        assert _verbs_registered(cli._build_parser(first)) == list(cli._VERBS)
+
+
+def test_main_reads_sys_argv_when_given_none(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["locrep", "table", "--r", "2"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("M,bound_square,bound_rdc\n")
+
+
+def test_built_files_match_the_frozen_ones(capsys):
+    for args, digest in FROZEN["build_sha256"].items():
+        rc, out, err = _run(capsys, "build", "--family", "square", *args.split())
+        assert rc == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, args
+
+
+@pytest.mark.parametrize("M", ["5", "6"])
+def test_build_fills_no_field_tables(capsys, monkeypatch, M):
+    def refuse(field):
+        raise AssertionError(f"{field!r} filled its log tables")
+
+    monkeypatch.setattr(GF2m, "_build_tables", refuse)
+    rc, out, err = _run(capsys, "build", "--family", "square", "--r", "4", "--M", M)
+    assert rc == 0, err
+    assert json.loads(out)["m"] == 16

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+import threading
 from random import Random
 
 import pytest
@@ -100,7 +102,10 @@ def test_product_of_two_degree_18_irreducibles_rejected_at_degree_36():
 
 def _field_tables_are_exact(field, rng):
     q = field.order
+    # the first product fills the tables, equal to a fill from scratch
+    field.mul(1, 1)
     exp, log = field._exp, field._log
+    assert (exp, log) == field._build_tables()
     # exp runs once round the multiplicative group, twice over
     assert len(exp) == 2 * (q - 1)
     assert exp[: q - 1] == exp[q - 1 :]
@@ -127,6 +132,74 @@ def test_tables_when_z_is_not_primitive(degree, modulus):
     assert order_of_z < field.order - 1
     assert field._exp[1] != Z
     _field_tables_are_exact(field, Random(modulus))
+
+
+def test_construction_fills_no_tables():
+    field = GF2m(16)
+    assert field._exp is None and field._log is None
+    # above the table degree there are none to fill
+    assert GF2m(17)._tables() == (None, None)
+
+
+def test_threads_that_multiply_first_share_one_field():
+    # on each fresh field every thread may find the tables empty and fill
+    # them; a reader must never see _exp filled and _log still empty
+    rng = Random(12)
+    fields = [GF2m(6) for _ in range(400)]
+    pairs = [(rng.randrange(1, 64), rng.randrange(1, 64)) for _ in range(20)]
+    expected = [fields[0]._polymul(a, b) for a, b in pairs]
+    workers = 4
+    start = threading.Barrier(workers)
+    errors, wrong = [], []
+
+    def work():
+        try:
+            for field in fields:
+                start.wait(timeout=10)
+                if [field.mul(a, b) for a, b in pairs] != expected:
+                    wrong.append(field)
+        except Exception as exc:  # reported below; the others stop waiting
+            errors.append(exc)
+            start.abort()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == [] and wrong == []
+    assert all((f._exp, f._log) == fields[0]._tables() for f in fields)
+
+
+@pytest.mark.parametrize(
+    "degree, modulus", [(d, None) for d in range(1, 11)] + [(8, 0x11B)]
+)
+def test_table_free_squaring_on_every_element(degree, modulus):
+    field = GF2m(degree, modulus)
+    elements = range(field.order)
+    squares = [field._square(v) for v in elements]
+    assert field._exp is None  # squaring filled no tables
+    assert squares == [field.mul(v, v) for v in elements]
+    # once the product has filled them, squaring looks squares up
+    assert field._exp is not None
+    assert squares == [field._square(v) for v in elements]
+
+
+@pytest.mark.parametrize("degree", [16, 25, 36])
+def test_table_free_squaring_on_samples(degree):
+    field = GF2m(degree)
+    rng = Random(degree)
+    samples = [0, 1, field.order - 1] + [rng.randrange(field.order) for _ in range(300)]
+    squares = [field._square(v) for v in samples]
+    assert field._exp is None
+    assert squares == [field.mul(v, v) for v in samples]
+    assert squares == [field._square(v) for v in samples]
 
 
 def test_reducible_modulus_rejected():

@@ -38,6 +38,7 @@ from locrep.linear_code import (
 from oracles import (
     codeword_min_weight,
     largest_flat,
+    mismatched_square_files,
     naive_min_distance,
     oracle_codes,
     random_code,
@@ -518,6 +519,24 @@ def test_dumps_is_deterministic(square_r2_m4):
     assert a == b
     code2, _ = loads(a)
     assert code2.columns == square_r2_m4.code.columns
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("r-zero", "needs r >= 2, got 0"),
+        ("r-one", "needs r >= 2, got 1"),
+        ("n-not-square", "r=3 needs n=16, got n=9"),
+        ("M-not-the-codes", "M=4 differs from the code's M=3"),
+        ("M-below-range", "r=2 needs M in 3..4, got M=2"),
+        ("M-above-range", "r=2 needs M in 3..4, got M=9"),
+    ],
+)
+def test_loads_rejects_square_metadata_that_does_not_fit(case, message):
+    # the CLI caps regenerating sets at the declared r+1, so r=0 on this
+    # code used to report phi [0] and rho 0 (the true rho is 1)
+    with pytest.raises(DomainError, match=f"square metadata {message}"):
+        loads(mismatched_square_files()[case])
 
 
 def test_loads_rejects_garbage():

@@ -23,6 +23,7 @@ from locrep import (
     verify_optimal_distance,
 )
 
+from locrep.linear_code import dumps, loads
 from oracles import gf2_rank, random_admissible_grid_subset
 
 
@@ -60,6 +61,20 @@ def test_build_rejects_bad_parameters():
         build_square_code(2, 5)  # above r^2
     with pytest.raises(DomainError):
         build_square_code(2, 3, field=GF2m(3))  # degree < r^2
+
+
+@pytest.mark.parametrize("M", [5, 6, 16])
+def test_build_and_serialise_fill_no_tables(monkeypatch, M):
+    # the columns are Frobenius orbits, squared without log tables
+    def refuse(field):
+        raise AssertionError(f"{field!r} filled its log tables")
+
+    monkeypatch.setattr(GF2m, "_build_tables", refuse)
+    sc = build_square_code(4, M)
+    code, metadata = loads(dumps(sc.code, metadata=sc.metadata()))
+    assert code.columns == sc.code.columns
+    assert metadata == sc.metadata()
+    assert verify_grid_relations(sc)
 
 
 def test_build_accepts_larger_field():
