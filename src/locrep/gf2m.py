@@ -221,25 +221,27 @@ class GF2m:
         """Product of two elements already known to lie in the field."""
         if a == 0 or b == 0:
             return 0
-        if self._exp is None and self._tables()[0] is None:
-            return self._polymul(a, b)
+        if self._exp is None:
+            if self.degree > _TABLE_DEGREE_MAX:
+                return self._polymul(a, b)
+            self._tables()
         return self._exp[self._log[a] + self._log[b]]
 
     def _inv(self, a: int) -> int:
         """Inverse of a nonzero element already known to lie in the field."""
-        if self._exp is None and self._tables()[0] is None:
-            return self._polypow(a, self.order - 2)
+        if self._exp is None:
+            if self.degree > _TABLE_DEGREE_MAX:
+                return self._polypow(a, self.order - 2)
+            self._tables()
         return self._exp[self.order - 1 - self._log[a]]
 
     def _square(self, a: int) -> int:
         """Square of an element already known to lie in the field.
 
         Squaring is GF(2)-linear: a's bits spread to the even powers and
-        reduced once.  It builds no tables, but uses them if they exist.
+        reduced once, so no tables are needed.
         """
-        if self._exp is None:
-            return poly_mod(_poly_square(a), self.modulus)
-        return self._exp[2 * self._log[a]] if a else 0
+        return poly_mod(_poly_square(a), self.modulus)
 
     def _polypow(self, a: int, e: int) -> int:
         r = 1
@@ -265,8 +267,10 @@ class GF2m:
         self._check(b)
         if a == 0 or b == 0:
             return 0
-        if self._exp is None and self._tables()[0] is None:
-            return self._polymul(a, b)
+        if self._exp is None:
+            if self.degree > _TABLE_DEGREE_MAX:
+                return self._polymul(a, b)
+            self._tables()
         return self._exp[self._log[a] + self._log[b]]
 
     def inv(self, a: int) -> int:

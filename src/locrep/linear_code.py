@@ -392,9 +392,7 @@ def _normalized(field: gf2m.GF2m, res: Sequence[int]) -> Optional[tuple[int, ...
         return tuple(res)
     if not lead:
         return None
-    exp, log = field._exp, field._log
-    if exp is None:
-        exp, log = field._tables()
+    exp, log = field._tables()
     if log:
         shift = field.order - 1 - log[lead]
         return tuple([exp[log[x] + shift] if x else 0 for x in res])
@@ -423,9 +421,7 @@ def _quotient(
     ``factors``, one slot per row, caches row p's logs for the next
     push against the same rows.
     """
-    exp, log = field._exp, field._log
-    if exp is None:
-        exp, log = field._tables()
+    exp, log = field._tables()
     mul = field._mul
     for p, pivot in enumerate(rows):
         if pivot[pos]:
@@ -564,7 +560,7 @@ class _FlatSearch:
         start = bisect(cols, last)
         lines: dict = {}
         if len(rows) == 2:
-            log = field._log if field._exp is not None else field._tables()[1]
+            log = field._tables()[1]
             period = field.order - 1
             for c, x, y in zip(cols[start:], rows[0][start:], rows[1][start:]):
                 # the line through the point: x/y as a log, -2 for x = 0
@@ -933,9 +929,15 @@ def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:
     return obj
 
 
-def _check_square_metadata(r: int, meta_M: int, n: int, M: int) -> None:
+def _check_square_metadata(metadata: dict, n: int, M: int) -> None:
     # the CLI caps regenerating sets at r+1 on the declared r, so a
     # declaration that does not fit the code would truncate its answers
+    for key in ("r", "M"):
+        if not _is_int(metadata.get(key)):
+            raise DomainError(
+                f"malformed code file: square metadata needs an integer {key}"
+            )
+    r, meta_M = metadata["r"], metadata["M"]
     if r < 2:
         raise DomainError(f"malformed code file: square metadata needs r >= 2, got {r}")
     if n != (r + 1) ** 2:
@@ -979,15 +981,9 @@ def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
     if metadata is not None and not isinstance(metadata, dict):
         raise DomainError("malformed code file: metadata must be an object")
     if metadata and metadata.get("family") == "square":
-        for key in ("r", "M"):
-            if not _is_int(metadata.get(key)):
-                raise DomainError(
-                    f"malformed code file: square metadata needs an integer {key}"
-                )
+        _check_square_metadata(metadata, n, M)
     if q != 2:
         raise DomainError(f"only base field GF(2) is supported, got q={q}")
-    if metadata and metadata.get("family") == "square":
-        _check_square_metadata(metadata["r"], metadata["M"], n, M)
     field = gf2m.GF2m(m, modulus)
     columns = [[_elem_from_hex(x) for x in col] for col in raw_columns]
     code = LinearCode(field, n, M, columns)
