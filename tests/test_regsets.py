@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
 import time
 from random import Random
 
@@ -827,3 +829,24 @@ def test_exact_r3_answers_within_budget():
     # for slower hosts
     assert profiles < 3.0, f"profiles took {profiles:.2f}s, budget 3s"
     assert rhos < 0.6, f"rho took {rhos:.2f}s, budget 0.6s"
+
+
+# Exact profiles of square r=4 codes with no metadata, frozen from the
+# generator side's rank hierarchy: phi, rho, and the SHA-256 of the
+# witness chains' JSON.  n = 25 needs a search cap of 25.
+_PINNED_R4_PROFILES = {
+    15: ((0, 5, 9, 13, 16, 19, 21), 5,
+         "a30e42e8433da2d03c70bb703697d4d047a7539ab5736d2d7ca5d09b8fd9b15d"),
+    16: ((0, 5, 9, 13, 16, 19, 21, 23), 6,
+         "7a3067dc394b53f9eb9a30066097da8da16cd94411a7a907fecd42fac425fb47"),
+}
+
+
+@pytest.mark.parametrize("M", sorted(_PINNED_R4_PROFILES))
+def test_square_r4_high_rate_profiles_are_pinned(M):
+    code = build_square_code(4, M).code
+    profile = phi_profile(code, search_cap=25)
+    witnesses = json.dumps(profile.to_json_dict()["witnesses"], sort_keys=True)
+    digest = hashlib.sha256(witnesses.encode()).hexdigest()
+    assert (profile.phi, profile.rho, digest) == _PINNED_R4_PROFILES[M]
+    assert rho(code, search_cap=25) == profile.rho
