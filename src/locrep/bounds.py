@@ -115,11 +115,8 @@ def s_value(M: int, r: int) -> int:
         raise DomainError(
             f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
         )
-    best = 0
-    for x in range(2 * r + 2):
-        if g_function(x, r) < M:
-            best = x
-    return best
+    # g(x) inline: x*r - floor(x^2/4) is the same value for odd and even x
+    return max(x for x in range(2 * r + 2) if x * r - x * x // 4 < M)
 
 
 def bound_square(n: int, M: int, r: int) -> int:

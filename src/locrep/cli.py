@@ -173,13 +173,13 @@ def _cmd_verify(args) -> int:
             raise LocrepError(
                 "--optimal-square needs a code file with square metadata"
             )
-        sc = square.build_square_code(
-            metadata["r"], metadata["M"], field=code.field
-        )
-        if sc.code.columns != code.columns:
+        r, M = metadata["r"], metadata["M"]
+        betas, columns = square.square_columns(r, M, code.field)
+        if columns != code.columns:
             raise LocrepError(
                 "code file does not match the square construction it declares"
             )
+        sc = square.SquareCode(r=r, M=M, field=code.field, betas=betas, code=code)
         ok = square.verify_optimal_distance(sc, search_cap=_search_cap())
         expected = sc.n - sc.M + 1 - bounds.s_value(sc.M, sc.r)
         _emit_json({"ok": ok, "expected_d": expected}, args.output)

@@ -107,9 +107,13 @@ def default_modulus(degree: int) -> int:
     modulus (e.g. z^4 + z + 1 for degree 4).
     """
     _check_degree(degree)
-    for low in range(1 << degree):
+    if degree == 1:
+        return 0b10
+    # from degree 2 up, z divides a candidate with no constant term and
+    # z + 1 one with an even number of terms, so Rabin's test is skipped
+    for low in range(1, 1 << degree, 2):
         cand = (1 << degree) | low
-        if is_irreducible(cand):
+        if cand.bit_count() & 1 and is_irreducible(cand):
             return cand
     raise InvariantError(f"no irreducible polynomial of degree {degree}")
 

@@ -11,20 +11,21 @@ size of the smallest circuit of the parity-check code.  It is searched
 on whichever side of that duality has the smaller rank: the generator
 for low-rate codes, the parity-check code when 2M >= n.
 
-Single ranks, the full-rank check and the dual's circuit search are
-taken over GF(2): a column and its multiples z^t * column (t < m) are
-packed into m integers, whose GF(2)-span equals the GF(2^m)-span of
-the column, so rank is tracked with integer XOR alone.  The scans
-that rank many columns against one span work in GF(2^m) instead: the
-circuit scan, and the search over flats for the largest flat of a given
-rank, which gives the generator side of the distance (the largest
-hyperplane) and the rank hierarchy behind exact phi.  Each keeps the
-columns' coordinates in the quotient by the current span, and every
-push is one elimination step, :func:`_quotient`, in the log domain: one
-table lookup per coordinate (a multiplication where the field has no
-log tables) where the packed images would need m XOR passes.  The
-circuit scan scales each quotient vector to a leading 1, so a rank
-query there is one tuple comparison.
+Single ranks and the full-rank check are taken over GF(2): a column
+and its multiples z^t * column (t < m) are packed into m integers,
+whose GF(2)-span equals the GF(2^m)-span of the column, so rank is
+tracked with integer XOR alone.  The scans that rank many columns
+against one span work in GF(2^m) instead: the circuit scan, and the
+search over flats for the largest flat of a given rank.  That one
+search gives both sides of the distance (the generator's largest
+hyperplane, or the parity-check code's smallest circuit) and the rank
+hierarchy behind exact phi.  Each scan keeps the columns' coordinates
+in the quotient by the current span, and every push is one elimination
+step, :func:`_quotient`, in the log domain: one table lookup per
+coordinate (a multiplication where the field has no log tables) where
+the packed images would need m XOR passes.  The circuit scan scales
+each quotient vector to a leading 1, so a rank query there is one
+tuple comparison.
 """
 
 from __future__ import annotations
@@ -115,15 +116,44 @@ class LinearCode:
         return mask
 
     def _rank(self, mask: int) -> int:
-        """GF(2^m) rank of the columns selected by a bitmask (bit i-1 = i)."""
+        """GF(2^m) rank of the columns selected by a bitmask (bit i-1 = i).
+
+        Taken over GF(2) on the packed images: a column outside the span
+        of the ones before it adds all m of its images to an echelon.
+        The last column, and every column once the rank is M, is only
+        tested.  An echelon of one scaled GF(2^m) vector per column, in
+        place of m images, does field arithmetic on every reduction: it
+        ran the full-rank check at m = 36, where the field has no log
+        tables, 2-3x slower.
+        """
         cached = self._rank_cache.get(mask)
         if cached is not None:
             return cached
-        # the top column is only tested, never added to the echelon
-        top = mask.bit_length() - 1
-        echelon = _Echelon(self)
-        echelon.sync(mask ^ (1 << top))
-        rank = self._rank_cache[mask] = echelon.rank_with(top)
+        M = self.M
+        # pivots[p]: the echelon vector whose leading bit is p, or 0
+        pivots = [0] * (M * self.field.degree)
+        rank = 0
+        rest = mask
+        while rest:
+            col = rest & -rest
+            rest ^= col
+            images = self._packed[col.bit_length() - 1]
+            v = _reduce(pivots, images[0])
+            if not v:
+                continue
+            rank += 1
+            if not rest or rank == M:
+                break
+            pivots[v.bit_length() - 1] = v
+            for u in images[1:]:
+                while u:
+                    p = u.bit_length() - 1
+                    w = pivots[p]
+                    if not w:
+                        pivots[p] = u
+                        break
+                    u ^= w
+        self._rank_cache[mask] = rank
         return rank
 
     def entropy(self, members: Iterable[int]) -> int:
@@ -154,83 +184,6 @@ class LinearCode:
         )
 
 
-class _Echelon:
-    """GF(2) echelon of some of a code's packed columns, kept as a stack.
-
-    The columns sit in increasing order, each with the rank before it
-    and the pivot positions it added: all m of its images, or none if
-    it was in the span.  The stack ends at the column that brings the
-    rank to M, whose images are not added either: every later column
-    is in the span.  ``sync`` moves the echelon to another column set
-    by popping back to the lowest column where the two sets differ, so
-    walking sets in lex order rebuilds only the tails in which they
-    differ.
-
-    It serves ``LinearCode._rank`` and :func:`_smallest_circuit`; the
-    circuit scan uses :class:`_Residues`.  An echelon of one scaled
-    GF(2^m) vector per column, in place of m images, does field
-    arithmetic on every reduction: it ran the full-rank check at m = 36,
-    where the field has no log tables, 2-3x slower.
-    """
-
-    __slots__ = ("_packed", "_M", "pivots", "rank", "mask", "_stack")
-
-    def __init__(self, code: LinearCode):
-        self._packed = code._packed
-        self._M = code.M
-        # pivots[p]: the echelon vector whose leading bit is p, or 0
-        self.pivots = [0] * (code.M * code.field.degree)
-        self.rank = 0
-        self.mask = 0
-        self._stack: list[tuple[int, int, list[int]]] = []
-
-    def sync(self, mask: int) -> None:
-        """Make the echelon that of the columns selected by ``mask``."""
-        diff = self.mask ^ mask
-        if not diff:
-            return
-        low = diff & -diff
-        pivots = self.pivots
-        stack = self._stack
-        while stack and stack[-1][0] >= low:
-            _, self.rank, added = stack.pop()
-            for p in added:
-                pivots[p] = 0
-        rest = mask & -low
-        # once the rank is M the rest of the columns are in the span
-        while rest and self.rank < self._M:
-            col = rest & -rest
-            rest ^= col
-            rank = self.rank
-            added = []
-            images = self._packed[col.bit_length() - 1]
-            v = _reduce(pivots, images[0])
-            if v:
-                self.rank += 1
-            if v and self.rank < self._M:
-                # a column outside the span adds all m of its images
-                p = v.bit_length() - 1
-                pivots[p] = v
-                added.append(p)
-                for u in images[1:]:
-                    while u:
-                        p = u.bit_length() - 1
-                        w = pivots[p]
-                        if not w:
-                            pivots[p] = u
-                            added.append(p)
-                            break
-                        u ^= w
-            stack.append((col, rank, added))
-        self.mask = mask
-
-    def rank_with(self, j: int) -> int:
-        """Rank of the echelon's columns together with column j (0-based)."""
-        if self.rank == self._M or not _reduce(self.pivots, self._packed[j][0]):
-            return self.rank
-        return self.rank + 1
-
-
 def _reduce(pivots: list[int], v: int) -> int:
     """``v`` reduced against an echelon: 0 exactly when v is in its span."""
     while v:
@@ -254,10 +207,12 @@ class _Residues:
     nonzero and differs from the top's: one tuple comparison.  The top
     column itself is never pushed.
 
-    Pushes follow the mask as a stack, as :class:`_Echelon`'s do.  A
-    push is one :func:`_quotient` of the pushed residue and those above
-    it, which drops one coordinate from each, and a residue whose
-    leading entry was eliminated is scaled to a leading 1 again.
+    Pushes follow the mask as a stack: ``sync`` pops back to the lowest
+    column where the new mask differs from the last, so walking masks in
+    lex order re-pushes only the tails in which they differ.  A push is
+    one :func:`_quotient` of the pushed residue and those above it,
+    which drops one coordinate from each, and a residue whose leading
+    entry was eliminated is scaled to a leading 1 again.
     """
 
     __slots__ = ("field", "rank", "top", "residues", "_prefix", "_pushed", "_stack")
@@ -820,34 +775,19 @@ def _dual(code: LinearCode) -> LinearCode:
 def _smallest_circuit(code: LinearCode) -> int:
     """Size of the smallest circuit of the column matroid.
 
-    Depth-first scan over independent sets in lexicographic order on
-    one :class:`_Echelon`, which follows the sets as a stack.  A column
-    in the span of the current set closes a dependent set one larger,
-    which holds a circuit no larger; every circuit is found this way,
-    as its lex-last member over the rest.  Any M+1 columns are
-    dependent, so M+1 is the starting incumbent, and a branch whose
-    next dependent set could not beat it is dropped.  Ranks are never
-    cached: the scan leaves the code untouched.
+    A circuit of k columns spans a flat of rank k-1 with at least k
+    columns, and a flat of rank t with more than t columns holds a
+    circuit, so the smallest circuit has t+1 members at the first rank
+    t whose largest flat has more than t columns.  Each rank is one
+    :func:`_largest_flat` search from the incumbent t that stops at the
+    first such flat.  Any M+1 columns are dependent.  Ranks are never
+    cached: the search leaves the code untouched.
     """
-    return _shortest_dependent(_Echelon(code), code.n, 0, code.M + 1)
-
-
-def _shortest_dependent(echelon: _Echelon, n: int, base: int, best: int) -> int:
-    """``_smallest_circuit``'s scan below the independent set ``base``.
-
-    Returns the smaller of ``best`` and the smallest dependent set that
-    extends ``base`` by columns above its highest member.
-    """
-    size = base.bit_count()
-    for j in range(base.bit_length(), n):
-        if size + 1 >= best:
-            break
-        echelon.sync(base)
-        if echelon.rank_with(j) == size:
-            return size + 1
-        if size + 2 < best:
-            best = _shortest_dependent(echelon, n, base | 1 << j, best)
-    return best
+    for t in range(code.M):
+        size, _ = _largest_flat(code.field, code.columns, t, t, limit=t + 1)
+        if size > t:
+            return t + 1
+    return code.M + 1
 
 
 def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
@@ -856,12 +796,12 @@ def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     d is n minus the largest deficient subset size (a subset is
     deficient when its joint entropy falls below M); equivalently, it
     is the smallest cocircuit of the column matroid, the smallest
-    circuit of the parity-check code's.  The primal search visits flats
-    of rank up to M-2 and the dual one independent sets of rank up to
-    n-M, so a high-rate code (2M >= n) is searched on the dual side.
-    When M = n every coordinate is a coloop and d = 1.  Both counts can grow
-    exponentially with n, so the code length is gated by ``search_cap``
-    (default :data:`DEFAULT_SEARCH_CAP`).
+    circuit of the parity-check code's.  Both sides run the flat search:
+    the primal one visits flats of rank up to M-2, the dual one flats of
+    rank below d-1 <= n-M, so a high-rate code (2M >= n) is searched on
+    the dual side.  When M = n every coordinate is a coloop and d = 1.
+    Both counts can grow exponentially with n, so the code length is
+    gated by ``search_cap`` (default :data:`DEFAULT_SEARCH_CAP`).
     """
     _check_search_cap(code, search_cap)
     n, M = code.n, code.M

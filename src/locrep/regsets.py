@@ -14,9 +14,11 @@ through bitmask ranks, ``LinearCode._rank``, the circuit scan
 
 Exact phi is Wei's generalized Hamming weight of the dual code,
 min{|U| : |U| - rank(U) >= x}, and comes from the sizes of the largest
-flats of each rank; exact rho is n - M + 1 - d.  Only a size cap that
-leaves circuits out runs the branch-and-bound over the capped circuits.
-Both kinds of profile share one witness walk.
+flats of each rank, on the side of duality with the smaller rank: the
+generator's, or the parity-check code's when 2M >= n.  Exact rho is
+n - M + 1 - d.  Only a size cap that leaves circuits out runs the
+branch-and-bound over the capped circuits.  Both kinds of profile share
+one witness walk, on the generator side.
 """
 
 from __future__ import annotations
@@ -37,8 +39,10 @@ from .linear_code import (
     _check_search_cap,
     _circuits,
     _contraction,
+    _dual,
     _iter_circuits,
     _largest_flat,
+    _smallest_circuit,
     min_distance,
 )
 
@@ -238,34 +242,62 @@ class _RankHierarchy:
     t < M split 1..n between them.  best[M-1] is n - d, and best[M] is
     n.
 
-    A witness chain is one continuation test away.  Adding circuits to
-    a union W raises its nullity by at least one each, and the
-    fundamental circuits of k elements outside a basis give back any
-    gain of k, so the smallest union k more sets can reach from W is
-    |W| + phi of the contraction by W at k: the columns outside W
-    modulo the span of W's.
+    When 2M >= n the values come from the same search on the
+    parity-check code H, whose rank n - M is the smaller one.  With
+    best*[t] the size of H's largest flat of rank t, Wei's duality gives
+    phi(x) = n - best*[n-M-x], and d is H's smallest circuit.  H is
+    built once per hierarchy and serves both.
+
+    A witness chain is one continuation test away, on the generator
+    side whichever side gave the values.  Adding circuits to a union W
+    raises its nullity by at least one each, and the fundamental
+    circuits of k elements outside a basis give back any gain of k, so
+    the smallest union k more sets can reach from W is |W| + phi of the
+    contraction by W at k: the columns outside W modulo the span of W's.
     """
 
     def __init__(self, code: LinearCode, search_cap: Optional[int]):
         self.code = code
         self._search_cap = search_cap
+        self._dual = _dual(code) if code.M < code.n <= 2 * code.M else None
         self._distance: Optional[int] = None
         self._reaches: dict[tuple[int, int, int], bool] = {}
 
     def distance(self) -> int:
         if self._distance is None:
-            self._distance = min_distance(self.code, self._search_cap)
+            if self._dual is None:
+                self._distance = min_distance(self.code, self._search_cap)
+            else:
+                self._distance = _smallest_circuit(self._dual)
         return self._distance
 
     def values(self, x_max: int) -> list[int]:
-        """phi(1), ..., phi(x_max), cut short where chains run out.
+        """phi(1), ..., phi(x_max), cut short where chains run out."""
+        n, M = self.code.n, self.code.M
+        x_max = min(x_max, n - M)
+        if self._dual is None:
+            return self._primal_values(x_max)
+        # phi rises strictly, so best*[t] < best*[t+1]; below rank d-1
+        # every flat of H is independent
+        dual = self._dual
+        out: list[int] = []
+        best = n
+        for t in range(n - M - 1, n - M - 1 - x_max, -1):
+            if self._distance is not None and t < self._distance - 1:
+                best = t
+            else:
+                best, _ = _largest_flat(dual.field, dual.columns, t, t, limit=best - 1)
+            out.append(n - best)
+        return out
+
+    def _primal_values(self, x_max: int) -> list[int]:
+        """phi(1..x_max) from the generator's flats.
 
         best[t] is searched rank by rank, from best[t-1] + 1 up and only
         until it settles phi(x_max); rank M-1 comes from the distance.
         """
         code = self.code
         n, M = code.n, code.M
-        x_max = min(x_max, n - M)
         out: list[int] = []
         best = -1
         t = 0

@@ -70,6 +70,15 @@ class SquareCode:
         return to_json_dict(self.code, metadata=self.metadata())
 
 
+def _check_shape(r: int, M: int) -> None:
+    if r < 2:
+        raise DomainError(f"square codes need r >= 2, got {r}")
+    if not r + 1 <= M <= r * r:
+        raise DomainError(
+            f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
+        )
+
+
 def build_square_code(
     r: int, M: int, field: Optional[gf2m.GF2m] = None
 ) -> SquareCode:
@@ -79,14 +88,24 @@ def build_square_code(
     r^2 independent elements exist; any field of degree >= r^2 works
     and may be passed explicitly.
     """
-    if r < 2:
-        raise DomainError(f"square codes need r >= 2, got {r}")
-    if not r + 1 <= M <= r * r:
-        raise DomainError(
-            f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
-        )
+    _check_shape(r, M)
     if field is None:
         field = gf2m.GF2m(r * r)
+    betas, columns = square_columns(r, M, field)
+    code = LinearCode(field, len(columns), M, columns)
+    return SquareCode(r=r, M=M, field=field, betas=betas, code=code)
+
+
+def square_columns(
+    r: int, M: int, field: gf2m.GF2m
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The grid's cell values and the generator columns they give.
+
+    Builds no :class:`LinearCode`, so a caller that already holds the
+    code, such as one read from a file, can compare its columns with
+    the construction's without a second full-rank check.
+    """
+    _check_shape(r, M)
     if field.degree < r * r:
         raise DomainError(
             f"field degree {field.degree} is too small; need >= {r * r} "
@@ -118,15 +137,8 @@ def build_square_code(
             col = [betas[i][j]]
             for _ in range(M - 1):
                 col.append(square(col[-1]))
-            columns.append(col)
-    code = LinearCode(field, size * size, M, columns)
-    return SquareCode(
-        r=r,
-        M=M,
-        field=field,
-        betas=tuple(tuple(row) for row in betas),
-        code=code,
-    )
+            columns.append(tuple(col))
+    return tuple(tuple(row) for row in betas), tuple(columns)
 
 
 def verify_grid_relations(sc: SquareCode) -> bool:

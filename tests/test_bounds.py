@@ -115,6 +115,13 @@ def test_s_values():
         assert s_value(r + 1, r) == 1
 
 
+def test_s_value_matches_the_g_function_scan():
+    for r in range(2, 13):
+        for M in range(r + 1, r * r + 1):
+            scan = max(x for x in range(2 * r + 2) if g_function(x, r) < M)
+            assert s_value(M, r) == scan, (r, M)
+
+
 def test_s_value_domain():
     with pytest.raises(DomainError):
         s_value(2, 2)  # below r+1

@@ -64,6 +64,14 @@ def test_default_modulus_pinned(degree, modulus):
     assert default_modulus(degree) == modulus
 
 
+def test_default_modulus_matches_a_plain_irreducibility_scan():
+    # the scan skips the candidates z or z + 1 divides; at degree 1 z
+    # itself is the answer
+    for m in range(1, 41):
+        plain = next(c for c in range(1 << m, 2 << m) if is_irreducible(c))
+        assert default_modulus(m) == plain, m
+
+
 def test_is_irreducible_agrees_with_sympy():
     rng = Random(7)
     for _ in range(300):

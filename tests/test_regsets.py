@@ -33,8 +33,14 @@ from locrep import (
     verify_locality,
 )
 from locrep import linear_code, regsets
-from locrep.linear_code import _circuits
-from locrep.regsets import _capped_values, _PhiSearch, _witness
+from locrep.linear_code import (
+    _circuits,
+    _dual,
+    _largest_flat,
+    _max_deficient,
+    _smallest_circuit,
+)
+from locrep.regsets import _capped_values, _PhiSearch, _RankHierarchy, _witness
 
 from oracles import (
     all_regenerating_sets,
@@ -722,6 +728,65 @@ def test_exact_phi_matches_the_nullity_oracle(square_r2_m3):
             except PhiUndefinedError:
                 value = None
             assert value == (nullity_phi(code, x) if x else 0), (code.columns, x)
+
+
+def test_parity_check_values_match_the_nullity_oracle(square_r2_m3):
+    # 2M >= n takes phi from the parity-check code's flats, with and
+    # without the distance known first
+    codes = [code for code in oracle_codes(square_r2_m3.code) + _random_exact_codes()
+             if code.M < code.n <= 2 * code.M]
+    assert len(codes) >= 8
+    for code in codes:
+        expected = [nullity_phi(code, x) for x in range(1, code.n - code.M + 1)]
+        for distance_first in (False, True):
+            hierarchy = _RankHierarchy(code, None)
+            assert hierarchy._dual is not None
+            if distance_first:
+                assert hierarchy.distance() == min_distance(code)
+            assert hierarchy.values(code.n) == expected, code.columns
+
+
+def _wei_test_codes():
+    """Three random codes for each n = 9..14 over GF(4) and GF(8), with
+    M drawn from 1..n-2, each with a zero column and a parallel pair."""
+    rng = Random(103)
+    codes = []
+    for degree in (2, 3):
+        field = GF2m(degree)
+        for n in [*range(9, 15)] * 3:
+            # a zero column and a parallel pair leave rank n-2 at most
+            M = rng.randrange(1, n - 1)
+            while True:
+                code = random_code(rng, field, n, M, require_repairable=False)
+                cols = [list(col) for col in code.columns]
+                zero, src, dst = rng.sample(range(n), 3)
+                cols[zero] = [0] * M
+                scale = rng.randrange(1, field.order)
+                cols[dst] = [field.mul(scale, x) for x in cols[src]]
+                if matrix_rank(field, M, cols) == M:
+                    codes.append(LinearCode(field, n, M, cols))
+                    break
+    return codes
+
+
+def test_both_sides_of_wei_duality_agree_beyond_the_oracles():
+    # n = 9..14 is past the 2^n oracles' reach: the generator side and
+    # the parity-check side check each other
+    for code in _wei_test_codes():
+        n, M = code.n, code.M
+        dual = _dual(code)
+        assert n - _max_deficient(code)[0] == _smallest_circuit(dual), code.columns
+        primal = _RankHierarchy(code, None)._primal_values(n - M)
+        from_dual = [
+            n - _largest_flat(dual.field, dual.columns, n - M - x, n - M - x)[0]
+            for x in range(1, n - M + 1)
+        ]
+        assert primal == from_dual, code.columns
+        assert _RankHierarchy(code, None).values(n) == primal, code.columns
+        # with d known, the ranks below d-1 are not searched
+        hierarchy = _RankHierarchy(code, None)
+        assert hierarchy.distance() == n - _max_deficient(code)[0]
+        assert hierarchy.values(n) == primal, code.columns
 
 
 def test_exact_phi_matches_the_unrestricted_search():
