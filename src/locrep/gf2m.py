@@ -289,14 +289,7 @@ class GF2m:
         self._check(a)
         if e < 0:
             raise DomainError("negative exponents are not supported; use inv")
-        r = 1
-        base = a
-        while e:
-            if e & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return r
+        return self._polypow(a, e)
 
     def frobenius(self, a: int, k: int) -> int:
         """a^(2^k), by squaring k times.

@@ -18,13 +18,13 @@ flats of each rank, on the side of duality with the smaller rank: the
 generator's, or the parity-check code's when 2M >= n.  Exact rho is
 n - M + 1 - d.  Only a size cap that leaves circuits out runs the
 branch-and-bound over the capped circuits.  Both kinds of profile share
-one witness walk, on the generator side.
+one witness walk, on the generator side.  Locality and repair tolerance
+are one minimum hitting set of the circuits of up to r+1 members.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -46,10 +46,13 @@ from .linear_code import (
     min_distance,
 )
 
-# verify_locality enumerates all erasure patterns of size < delta, which
-# is only practical for small tolerance and desk-scale lengths.
-_LOCALITY_DELTA_CAP = 4
+# Locality answers and repair plans scan the circuits of up to r+1
+# members, which grows exponentially with the length.
 _LOCALITY_N_CAP = 25
+# The hitting-set search branches at most n-1 ways.  A tolerance of at
+# most 2 (locality with delta <= 4) tries sizes 0, 1, 2 per coordinate:
+# at most 25 * (3 + 2*24 + 24**2) = 15,675 nodes, well inside 2^16.
+_LOCALITY_NODE_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,7 @@ class _PhiSearch:
     """
 
     def __init__(self, code: LinearCode, size_cap: int):
+        self.code = code
         self.n = code.n
         self.circuits = _circuits(code, size_cap)
         self._memo: dict[tuple[int, int], int] = {}
@@ -210,9 +214,24 @@ class _PhiSearch:
         self._memo[key] = best
         return best
 
-    def value(self, x: int) -> Optional[int]:
-        v = self.completion(0, x)
-        return None if v > self.n else v
+    def values(self, x_max: int) -> list[int]:
+        """phi(1), ..., phi(x_max), cut short where chains run out."""
+        out: list[int] = []
+        while len(out) < x_max and (v := self.completion(0, len(out) + 1)) <= self.n:
+            out.append(v)
+        return out
+
+    def rho(self) -> int:
+        """Largest x with alpha * (phi(x) - x) < M, 0 when no chain helps.
+
+        phi(x) - x never decreases, so the first x that fails settles it.
+        """
+        x = 0
+        while (v := self.completion(0, x + 1)) <= self.n and (
+            self.code.alpha * (v - x - 1) < self.code.M
+        ):
+            x += 1
+        return x
 
     def through(self, target: int, size_cap: int) -> Iterator[int]:
         """The circuits through ``target`` (0-based) up to a size, in scan order."""
@@ -270,6 +289,10 @@ class _RankHierarchy:
             else:
                 self._distance = _smallest_circuit(self._dual)
         return self._distance
+
+    def rho(self) -> int:
+        """n - M + 1 - d: a set of nullity x has rank below M iff x <= rho."""
+        return self.code.n - self.code.M + 1 - self.distance()
 
     def values(self, x_max: int) -> list[int]:
         """phi(1), ..., phi(x_max), cut short where chains run out."""
@@ -392,9 +415,15 @@ def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
     return min(size_cap, code.n)
 
 
-def _is_exact(code: LinearCode, cap: int) -> bool:
-    # no circuit has more than min(n, M+1) members, so such a cap prunes none
-    return cap >= min(code.n, code.M + 1)
+def _search(code: LinearCode, cap: int, search_cap: Optional[int]):
+    """The phi engine for a resolved size cap.
+
+    The rank hierarchy when the cap prunes no circuit (none has more
+    than min(n, M+1) members), else the branch-and-bound within it.
+    """
+    if cap >= min(code.n, code.M + 1):
+        return _RankHierarchy(code, search_cap)
+    return _PhiSearch(code, cap)
 
 
 def phi(
@@ -405,26 +434,20 @@ def phi(
 ) -> int:
     """Minimum union size of a nontrivial chain of x regenerating sets.
 
-    Without a size cap (or with one no circuit exceeds) the value comes
-    from the rank hierarchy (:class:`_RankHierarchy`); a smaller cap
-    keeps only the regenerating sets within it and runs the
-    branch-and-bound (:class:`_PhiSearch`).
+    A size cap keeps only the regenerating sets within it; :func:`_search`
+    picks the engine.
     """
     _check_int(x, 0, "chain length")
     _check_search_cap(code, search_cap)
     cap = _resolve_size_cap(code, size_cap)
     if x == 0:
         return 0
-    if _is_exact(code, cap):
-        values = _RankHierarchy(code, search_cap).values(x)
-        v = values[-1] if len(values) == x else None
-    else:
-        v = _PhiSearch(code, cap).value(x)
-    if v is None:
+    values = _search(code, cap, search_cap).values(x)
+    if len(values) < x:
         raise PhiUndefinedError(
             f"no nontrivial chain of {x} regenerating sets exists"
         )
-    return v
+    return values[-1]
 
 
 def _check_union_not_exhaustive(
@@ -453,36 +476,7 @@ def rho(
     """
     _check_search_cap(code, search_cap)
     cap = _resolve_size_cap(code, size_cap)
-    if _is_exact(code, cap):
-        return code.n - code.M + 1 - min_distance(code, search_cap)
-    return _capped_values(code, _PhiSearch(code, cap), None)[1]
-
-
-def _capped_values(
-    code: LinearCode, search: _PhiSearch, x_max: Optional[int]
-) -> tuple[list[int], int]:
-    """phi(1..) under a size cap, to x_max or just past rho, and rho.
-
-    phi(x) - x never decreases, so the first failing x settles rho; the
-    values go on past it only to fill the requested range, and past the
-    range only while x still passes.
-    """
-    values: list[int] = []
-    rho_val = 0
-    x = 0
-    while True:
-        x += 1
-        v = search.value(x)
-        if v is None:
-            break
-        passing = code.alpha * (v - x) < code.M
-        if passing:
-            rho_val = x
-        if x_max is None or x <= x_max:
-            values.append(v)
-        if not passing and (x_max is None or x >= x_max):
-            break
-    return values, rho_val
+    return _search(code, cap, search_cap).rho()
 
 
 def phi_profile(
@@ -504,27 +498,63 @@ def phi_profile(
     if x_max is not None:
         _check_int(x_max, 0, "x_max")
     cap = _resolve_size_cap(code, size_cap)
-    if _is_exact(code, cap):
-        search = _RankHierarchy(code, search_cap)
-        rho_val = code.n - code.M + 1 - search.distance()
-        values = search.values(rho_val + 1 if x_max is None else x_max)
-    else:
-        search = _PhiSearch(code, cap)
-        values, rho_val = _capped_values(code, search, x_max)
-    phis = [0]
-    witnesses: list[tuple[RegeneratingSet, ...]] = [()]
-    for x, v in enumerate(values, 1):
-        chain = _witness(search, code.n, x, v)
-        phis.append(v)
-        witnesses.append(chain)
-        if x <= rho_val:
-            _check_union_not_exhaustive(code, chain)
+    search = _search(code, cap, search_cap)
+    rho_val = search.rho()
+    values = search.values(rho_val + 1 if x_max is None else x_max)
+    witnesses = [_witness(search, code.n, x, v) for x, v in enumerate(values, 1)]
+    for chain in witnesses[:rho_val]:
+        _check_union_not_exhaustive(code, chain)
     return PhiProfile(
-        phi=tuple(phis),
+        phi=(0, *values),
         rho=rho_val,
-        witnesses=tuple(witnesses),
+        witnesses=((), *witnesses),
         size_cap=cap,
     )
+
+
+def _tolerance(code: LinearCode, r: int, limit: int) -> int:
+    """min tau_i over the coordinates i, capped at ``limit``.
+
+    i keeps locality r under erasures E containing i while a circuit
+    through i with at most r+1 members meets E only in i, so tau_i, the
+    fewest other erasures that cut i off, is a smallest hitting set of
+    F_i = {C - {i}}; a zero column, a circuit alone, is never cut off.
+    After one circuit scan, sizes 0, 1, 2, ... are tried across all
+    coordinates, each by a bounded search tree that branches on the
+    members of the smallest set not yet hit.  Past the length gate or
+    the node budget it raises :class:`SearchCapExceeded`.
+    """
+    _check_search_cap(code, _LOCALITY_N_CAP)
+    circuits = _circuits(code, r + 1)
+    families = [
+        [c ^ (1 << i) for c in circuits if c >> i & 1]
+        for i in range(code.n) if 1 << i not in circuits
+    ]
+    nodes = 0
+
+    def hits(sets: list[int], k: int) -> bool:
+        # whether k coordinates meet every set; the sets stay in size
+        # order, and one member of the first is in any answer
+        nonlocal nodes
+        nodes += 1
+        if nodes > _LOCALITY_NODE_BUDGET:
+            raise SearchCapExceeded(
+                f"locality search passed {_LOCALITY_NODE_BUDGET} nodes"
+            )
+        if not sets:
+            return True
+        members = sets[0] if k else 0
+        while members:
+            low = members & -members
+            if hits([s for s in sets if not s & low], k - 1):
+                return True
+            members ^= low
+        return False
+
+    for k in range(limit):
+        if any(hits(sets, k) for sets in families):
+            return k
+    return limit
 
 
 def verify_locality(code: LinearCode, r: int, delta: int) -> bool:
@@ -533,26 +563,9 @@ def verify_locality(code: LinearCode, r: int, delta: int) -> bool:
     For each coordinate i and each erasure pattern E containing i with
     |E| < delta, some regenerating set of size <= r+1 must meet E in
     exactly {i}.  Minimal regenerating sets suffice: shrinking a
-    qualifying set keeps both conditions.
+    qualifying set keeps both conditions.  So it holds iff every
+    tau_i >= delta - 1 (:func:`_tolerance`).
     """
     _check_int(r, 1, "locality")
     _check_int(delta, 2, "repair parameter delta")
-    if delta > _LOCALITY_DELTA_CAP or code.n > _LOCALITY_N_CAP:
-        raise SearchCapExceeded(
-            f"locality verification is exhaustive and limited to "
-            f"delta <= {_LOCALITY_DELTA_CAP} and n <= {_LOCALITY_N_CAP} "
-            f"(got delta={delta}, n={code.n})"
-        )
-    circuits = _circuits(code, r + 1)
-    bits = [1 << i for i in range(code.n)]
-    for i_bit in bits:
-        set_masks = [c for c in circuits if c & i_bit]
-        if not set_masks:
-            return False
-        others = [b for b in bits if b != i_bit]
-        for extra in range(delta - 1):
-            for blocked in combinations(others, extra):
-                e_mask = i_bit + sum(blocked)
-                if not any(sm & e_mask == i_bit for sm in set_masks):
-                    return False
-    return True
+    return _tolerance(code, r, delta - 1) == delta - 1

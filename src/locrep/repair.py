@@ -12,10 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .errors import DomainError, InvariantError, RepairError, SearchCapExceeded
+from .errors import DomainError, InvariantError, RepairError
 from .gf2m import solve_column
-from .linear_code import LinearCode, _check_int
-from .regsets import _LOCALITY_DELTA_CAP, minimal_regsets, verify_locality
+from .linear_code import LinearCode, _check_int, _check_search_cap
+# bench/tracing.py wraps verify_locality under this module's name too
+from .regsets import _LOCALITY_N_CAP, _tolerance, minimal_regsets, verify_locality
 
 
 @dataclass(frozen=True)
@@ -85,11 +86,13 @@ def plan_repair(
     regenerating set of size <= locality_cap + 1 meeting the remaining
     failures only in itself; repaired coordinates count as available
     afterwards.  Raises :class:`RepairError` naming the stuck coordinate
-    when no progress is possible.
+    when no progress is possible, and :class:`SearchCapExceeded` past
+    the locality length gate (n = 25), as its circuit scans are.
     """
     _check_int(locality_cap, 1, "locality cap")
     remaining = set(failed)
     code._coord_mask(remaining)  # validates the coordinate range
+    _check_search_cap(code, _LOCALITY_N_CAP)
     steps: list[RepairStep] = []
     candidates = {
         i: minimal_regsets(code, i, locality_cap + 1) for i in sorted(remaining)
@@ -151,21 +154,11 @@ def execute_repair(
 def repair_tolerance(code: LinearCode, locality_cap: int) -> int:
     """Largest t such that locality holds with t simultaneous erasures.
 
-    Scans t upward using the strict simultaneous-failure criterion;
-    returns 0 when even a single failure cannot be repaired locally.
-    The scan refuses rather than guess when t would exceed what the
-    exhaustive locality check can certify.
+    That is the fewest erasures besides some coordinate that leave it
+    no regenerating set of size <= locality_cap + 1 clear of them
+    (``regsets._tolerance``), so 0 when a single failure cannot be
+    repaired locally.  Past n = 25 or the search's node budget it
+    raises :class:`SearchCapExceeded`.
     """
     _check_int(locality_cap, 1, "locality cap")
-    t = 0
-    while True:
-        delta = t + 2
-        if delta > _LOCALITY_DELTA_CAP:
-            raise SearchCapExceeded(
-                f"repair tolerance reached t={t} but certifying t={t + 1} "
-                f"needs delta={delta} > {_LOCALITY_DELTA_CAP}, beyond the "
-                f"exhaustive enumeration cap"
-            )
-        if not verify_locality(code, locality_cap, delta):
-            return t
-        t += 1
+    return _tolerance(code, locality_cap, code.n)

@@ -13,9 +13,9 @@ import pytest
 
 from locrep import GF2m, cli, default_modulus, verify_grid_relations
 from locrep.cli import main
-from locrep.linear_code import loads
+from locrep.linear_code import dumps, loads
 from locrep.square import SquareCode
-from oracles import mismatched_square_files
+from oracles import mismatched_square_files, repetition_code
 
 # Frozen bytes of the CLI from before the one-verb parser, on one Python
 FROZEN = json.loads((Path(__file__).parent / "cli_bytes.json").read_text())
@@ -214,6 +214,14 @@ def test_repair_unrepairable_exit_code(capsys, code_file):
     )
     assert rc == 2
     assert "unrepairable" in err
+
+
+def test_repair_beyond_the_length_gate_exit_code(capsys, tmp_path):
+    path = tmp_path / "rep26.json"
+    path.write_text(dumps(repetition_code(26)))
+    rc, out, err = _run(capsys, "repair", str(path), "--erase", "1", "--cap", "1")
+    assert rc == 2 and out == ""
+    assert "n=26" in err
 
 
 def test_repair_bad_erase_list(capsys, code_file):

@@ -251,6 +251,20 @@ def test_inverse_of_zero_fails():
         GF16.inv(0)
 
 
+def test_pow_is_repeated_multiplication():
+    for field in (GF16, GF2m(3), GF2m(8)):
+        for a in range(field.order):
+            acc = 1
+            for e in range(20):
+                assert field.pow(a, e) == acc, (field.degree, a, e)
+                acc = field.mul(acc, a)
+            if a:
+                assert field.pow(a, field.order - 1) == 1
+    assert GF16.pow(0, 0) == 1
+    with pytest.raises(DomainError):
+        GF16.pow(3, -1)
+
+
 def test_out_of_range_elements_rejected():
     with pytest.raises(DomainError):
         GF16.add(16, 1)

@@ -40,7 +40,7 @@ from locrep.linear_code import (
     _max_deficient,
     _smallest_circuit,
 )
-from locrep.regsets import _capped_values, _PhiSearch, _RankHierarchy, _witness
+from locrep.regsets import _PhiSearch, _RankHierarchy, _witness
 
 from oracles import (
     all_regenerating_sets,
@@ -358,7 +358,26 @@ def test_verify_locality_guards():
     with pytest.raises(DomainError):
         verify_locality(code, 1, 1)
     with pytest.raises(SearchCapExceeded):
-        verify_locality(code, 1, 5)
+        verify_locality(repetition_code(26), 1, 3)
+
+
+@pytest.mark.parametrize(("r", "M"), [(2, 3), (2, 4), (3, 4), (3, 9), (4, 5), (4, 16)])
+def test_square_locality_is_two_grid_stars(r, M):
+    # the row and the column through a cell are its only circuits of at
+    # most r+1 members, and they meet only in it: two more erasures, one
+    # in each, cut it off
+    code = build_square_code(r, M).code
+    assert verify_locality(code, r, 3)
+    assert not verify_locality(code, r, 4)
+    assert repair_tolerance(code, r) == 2
+
+
+def test_locality_search_keeps_a_node_budget(monkeypatch):
+    # tolerance 11 tries sizes 0..11 on every coordinate: about 800 nodes
+    assert repair_tolerance(repetition_code(12), 1) == 11
+    monkeypatch.setattr(regsets, "_LOCALITY_NODE_BUDGET", 100)
+    with pytest.raises(SearchCapExceeded, match="passed 100 nodes"):
+        repair_tolerance(repetition_code(12), 1)
 
 
 def _size_lex(sets):
@@ -577,19 +596,16 @@ def test_exact_r3_profiles_within_budget():
 def test_locality_and_tolerance_match_the_oracle(square_r2_m3, square_r2_m4):
     for code in oracle_codes(square_r2_m3.code, square_r2_m4.code):
         for r in (1, 2, 3):
-            holds = {
-                delta: locality_holds(code, r, delta) for delta in (2, 3, 4)
-            }
-            for delta, expected in holds.items():
+            holds = [locality_holds(code, r, delta) for delta in range(2, 7)]
+            for delta, expected in enumerate(holds, 2):
                 assert verify_locality(code, r, delta) == expected, (code, r, delta)
+            # the oracle's tolerance t: locality holds up to delta = t+1
             t = 0
-            while t + 2 in holds and holds[t + 2]:
+            while t < code.n and (
+                holds[t] if t < len(holds) else locality_holds(code, r, t + 2)
+            ):
                 t += 1
-            if t + 2 in holds:
-                assert repair_tolerance(code, r) == t
-            else:
-                with pytest.raises(SearchCapExceeded):
-                    repair_tolerance(code, r)
+            assert repair_tolerance(code, r) == t, (code.columns, r)
 
 
 def _profile_dict(phi_values, rho_value, size_cap, chains):
@@ -693,7 +709,7 @@ def test_witnesses_try_no_circuit_above_the_goal_less_the_sets_left(
     cases += [(code, code.n) for code in oracle_codes(square_r2_m3.code)]
     for code, cap in cases:
         search = _PhiSearch(code, cap)
-        values, _ = _capped_values(code, search, None)
+        values = search.values(search.rho() + 1)
         for x, goal in enumerate(values, 1):
             _witness(search, code.n, x, goal)
     # the bound did cut some scans short
@@ -806,7 +822,8 @@ def test_exact_profiles_match_the_branch_and_bound(square_r2_m3, square_r2_m4):
     for code in oracle_codes(*codes) + _random_exact_codes():
         search = _PhiSearch(code, code.n)
         for x_max in (None, 0, 2, 3, code.n - code.M, code.n):
-            values, rho_value = _capped_values(code, search, x_max)
+            rho_value = search.rho()
+            values = search.values(rho_value + 1 if x_max is None else x_max)
             profile = phi_profile(code, x_max=x_max)
             assert profile.phi == (0, *values), (code.columns, x_max)
             assert profile.rho == rho_value, (code.columns, x_max)

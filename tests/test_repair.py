@@ -126,13 +126,18 @@ def test_repair_tolerance_zero_when_no_small_sets():
     assert repair_tolerance(single_parity_code(), 2) == 0
 
 
-def test_tolerance_refuses_beyond_enumeration_cap():
-    # every coordinate of a length-4 MDS-like code... use a code whose
-    # tolerance exceeds what delta <= 4 can certify: a repetition code
-    # of length 5 survives any 3 erasures locally
-    code = repetition_code(n=5)
+def test_repetition_code_tolerance_is_n_minus_1():
+    # at cap 1 the circuits are the pairs, so a coordinate keeps a
+    # helper until all n-1 others are erased
+    for n in (3, 5, 6, 12, 25):
+        assert repair_tolerance(repetition_code(n), 1) == n - 1
+
+
+def test_plan_repair_gates_the_length():
+    code = repetition_code(26)
     with pytest.raises(SearchCapExceeded):
-        repair_tolerance(code, 1)
+        plan_repair(code, [1], 1)
+    assert plan_repair(repetition_code(25), [1], 1).targets() == (1,)
 
 
 def test_patterns_within_tolerance_always_plannable(square_r2_m3):
