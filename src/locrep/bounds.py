@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
+from .gf2m import _check_int
 
 THEOREMS = ("general", "locality_r", "lrc", "rdc", "square")
 
@@ -23,8 +24,7 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _require_positive(**params: int) -> None:
     for name, value in params.items():
-        if value < 1:
-            raise DomainError(f"parameter {name} must be >= 1, got {value}")
+        _check_int(value, 1, f"parameter {name}")
 
 
 @dataclass(frozen=True)

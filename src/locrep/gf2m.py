@@ -26,10 +26,23 @@ _TABLE_DEGREE_MAX = 16
 MAX_DEGREE = 512
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_int(value, low: int, what: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer >= ``low``."""
+    if not _is_int(value):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < low:
+        raise DomainError(f"{what} must be >= {low}, got {value}")
+
+
 def _check_degree(degree: int) -> None:
-    if not 1 <= degree <= MAX_DEGREE:
+    if not _is_int(degree) or not 1 <= degree <= MAX_DEGREE:
         raise DomainError(
-            f"field degree must be in 1..{MAX_DEGREE}, got {degree}"
+            f"field degree must be an integer in 1..{MAX_DEGREE}, got {degree!r}"
         )
 
 
@@ -287,8 +300,7 @@ class GF2m:
     def pow(self, a: int, e: int) -> int:
         """a raised to a nonnegative integer power (square and multiply)."""
         self._check(a)
-        if e < 0:
-            raise DomainError("negative exponents are not supported; use inv")
+        _check_int(e, 0, "exponent")
         return self._polypow(a, e)
 
     def frobenius(self, a: int, k: int) -> int:
@@ -297,8 +309,7 @@ class GF2m:
         The map has order dividing the degree, so k is reduced mod m.
         """
         self._check(a)
-        if k < 0:
-            raise DomainError(f"frobenius power must be >= 0, got {k}")
+        _check_int(k, 0, "frobenius power")
         r = a
         for _ in range(k % self.degree):
             r = self._square(r)

@@ -36,6 +36,7 @@ from itertools import compress, islice, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf2m
+from .gf2m import _check_int, _is_int
 from .errors import DomainError, InvariantError, SearchCapExceeded
 
 #: Largest code length accepted by exhaustive subset scans by default.
@@ -70,20 +71,13 @@ class LinearCode:
     entropy queries are cached per coordinate subset.
     """
 
-    __slots__ = ("field", "n", "M", "alpha", "columns", "_packed", "_rank_cache")
+    __slots__ = ("field", "n", "M", "columns", "_packed", "_rank_cache")
 
     def __init__(
-        self,
-        field: gf2m.GF2m,
-        n: int,
-        M: int,
-        columns: Sequence[Sequence[int]],
-        alpha: int = 1,
+        self, field: gf2m.GF2m, n: int, M: int, columns: Sequence[Sequence[int]]
     ):
         if not 1 <= M <= n:
             raise DomainError(f"need 1 <= M <= n, got M={M}, n={n}")
-        if alpha != 1:
-            raise DomainError("concrete codes here are scalar (alpha = 1)")
         if len(columns) != n:
             raise DomainError(f"expected {n} columns, got {len(columns)}")
         cols = tuple(tuple(field._check(x) for x in col) for col in columns)
@@ -95,7 +89,6 @@ class LinearCode:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "M", M)
-        object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "columns", cols)
         object.__setattr__(
             self, "_packed", tuple(_pack_column(field, col) for col in cols)
@@ -110,7 +103,7 @@ class LinearCode:
     def _coord_mask(self, members: Iterable[int]) -> int:
         mask = 0
         for i in members:
-            if not isinstance(i, int) or not 1 <= i <= self.n:
+            if not _is_int(i) or not 1 <= i <= self.n:
                 raise DomainError(f"coordinate {i!r} is not in 1..{self.n}")
             mask |= 1 << (i - 1)
         return mask
@@ -283,21 +276,6 @@ def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
             f"instance too large: n={code.n} exceeds the exhaustive-search "
             f"cap of {cap} coordinates"
         )
-
-
-def _max_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
-    """Largest rank-deficient coordinate subset and its lex-first witness.
-
-    A largest deficient set is closed and of rank M-1: a hyperplane,
-    the largest flat of rank M-1 (for M = 1, the set of zero columns).
-    Any M-1 coordinates are deficient, so the search starts from the
-    first M-1 as its incumbent.  The result (and witness) match a naive
-    size-descending scan that stops at the first deficient subset of
-    each size.
-    """
-    floor = code.M - 1
-    size, best = _largest_flat(code.field, code.columns, floor, floor, (1 << floor) - 1)
-    return size, tuple(i + 1 for i in range(code.n) if (best >> i) & 1)
 
 
 def _largest_flat(
@@ -790,6 +768,28 @@ def _smallest_circuit(code: LinearCode) -> int:
     return code.M + 1
 
 
+def _parity_side(code: LinearCode) -> Optional[LinearCode]:
+    """The parity-check code when 0 < n - M <= M (the smaller rank), else None."""
+    return _dual(code) if code.M < code.n <= 2 * code.M else None
+
+
+def _distance(code: LinearCode, dual: Optional[LinearCode]) -> int:
+    """Minimum distance on the side :func:`_parity_side` chose.
+
+    That is the parity-check code's smallest circuit, or n minus the
+    size of a largest rank-deficient set: a hyperplane, the largest
+    flat of rank M-1, searched from the first M-1 columns as incumbent.
+    When M = n every coordinate is a coloop and d = 1.
+    """
+    if dual is not None:
+        return _smallest_circuit(dual)
+    n, M = code.n, code.M
+    if M == n:
+        return 1
+    size, _ = _largest_flat(code.field, code.columns, M - 1, M - 1, (1 << (M - 1)) - 1)
+    return n - size
+
+
 def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     """Exact minimum distance, searched on the cheaper side of duality.
 
@@ -798,19 +798,13 @@ def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     is the smallest cocircuit of the column matroid, the smallest
     circuit of the parity-check code's.  Both sides run the flat search:
     the primal one visits flats of rank up to M-2, the dual one flats of
-    rank below d-1 <= n-M, so a high-rate code (2M >= n) is searched on
-    the dual side.  When M = n every coordinate is a coloop and d = 1.
-    Both counts can grow exponentially with n, so the code length is
-    gated by ``search_cap`` (default :data:`DEFAULT_SEARCH_CAP`).
+    rank below d-1 <= n-M, so a high-rate code is searched on the dual
+    side (:func:`_distance`).  Both counts can grow exponentially with
+    n, so the code length is gated by ``search_cap`` (default
+    :data:`DEFAULT_SEARCH_CAP`).
     """
     _check_search_cap(code, search_cap)
-    n, M = code.n, code.M
-    if M == n:
-        return 1
-    if 2 * M >= n:
-        return _smallest_circuit(_dual(code))
-    size, _ = _max_deficient(code)
-    return n - size
+    return _distance(code, _parity_side(code))
 
 
 def erasure_decodable(code: LinearCode, failed: Iterable[int]) -> bool:
@@ -835,19 +829,6 @@ def _elem_from_hex(s: str) -> int:
     if v < 0:
         raise DomainError(f"invalid hex symbol {s!r}")
     return v
-
-
-def _is_int(value) -> bool:
-    # JSON true/false load as bool, a subclass of int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_int(value, low: int, what: str) -> None:
-    """Raise :class:`DomainError` unless ``value`` is an integer >= ``low``."""
-    if not _is_int(value):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    if value < low:
-        raise DomainError(f"{what} must be >= {low}, got {value}")
 
 
 def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:

@@ -6,7 +6,7 @@ with and without i).  Chains of regenerating sets whose targets stay
 outside the union of the earlier sets ("nontrivial unions") drive the
 distance bounds: phi(x) is the smallest union such a chain of x sets
 can have, and rho is the largest x for which phi(x) - x still falls
-short of M/alpha.  The minimal regenerating sets of i are the circuits
+short of M.  The minimal regenerating sets of i are the circuits
 through i of the column matroid.  Everything here talks to the code
 through bitmask ranks, ``LinearCode._rank``, the circuit scan
 ``linear_code._iter_circuits`` and the flat search
@@ -14,8 +14,8 @@ through bitmask ranks, ``LinearCode._rank``, the circuit scan
 
 Exact phi is Wei's generalized Hamming weight of the dual code,
 min{|U| : |U| - rank(U) >= x}, and comes from the sizes of the largest
-flats of each rank, on the side of duality with the smaller rank: the
-generator's, or the parity-check code's when 2M >= n.  Exact rho is
+flats of each rank, on the side of duality with the smaller rank
+(``linear_code._parity_side``).  Exact rho is
 n - M + 1 - d.  Only a size cap that leaves circuits out runs the
 branch-and-bound over the capped circuits.  Both kinds of profile share
 one witness walk, on the generator side.  Locality and repair tolerance
@@ -33,17 +33,16 @@ from .errors import (
     PhiUndefinedError,
     SearchCapExceeded,
 )
+from .gf2m import _check_int
 from .linear_code import (
     LinearCode,
-    _check_int,
     _check_search_cap,
     _circuits,
     _contraction,
-    _dual,
+    _distance,
     _iter_circuits,
     _largest_flat,
-    _smallest_circuit,
-    min_distance,
+    _parity_side,
 )
 
 # Locality answers and repair plans scan the circuits of up to r+1
@@ -159,7 +158,7 @@ def is_nontrivial_union(
 def check_union_entropy(
     code: LinearCode, sequence: Sequence[RegeneratingSet]
 ) -> bool:
-    """Entropy of the union is at most alpha * (union size - chain length).
+    """Entropy of the union is at most its size less the chain length.
 
     The sequence must have a nontrivial union.  The inequality is a
     theorem for such chains, so a False return signals a bug in the
@@ -168,8 +167,7 @@ def check_union_entropy(
     if not is_nontrivial_union(code, sequence):
         raise DomainError("sequence does not have a nontrivial union")
     union = code._coord_mask(i for rs in sequence for i in rs.members)
-    bound = code.alpha * (union.bit_count() - len(sequence))
-    return code._rank(union) <= bound
+    return code._rank(union) <= union.bit_count() - len(sequence)
 
 
 class _PhiSearch:
@@ -222,14 +220,12 @@ class _PhiSearch:
         return out
 
     def rho(self) -> int:
-        """Largest x with alpha * (phi(x) - x) < M, 0 when no chain helps.
+        """Largest x with phi(x) - x < M, 0 when no chain helps.
 
         phi(x) - x never decreases, so the first x that fails settles it.
         """
         x = 0
-        while (v := self.completion(0, x + 1)) <= self.n and (
-            self.code.alpha * (v - x - 1) < self.code.M
-        ):
+        while (v := self.completion(0, x + 1)) <= self.n and v - x - 1 < self.code.M:
             x += 1
         return x
 
@@ -261,8 +257,8 @@ class _RankHierarchy:
     t < M split 1..n between them.  best[M-1] is n - d, and best[M] is
     n.
 
-    When 2M >= n the values come from the same search on the
-    parity-check code H, whose rank n - M is the smaller one.  With
+    When the parity-check code H has the smaller rank, n - M, the
+    values come from the same search on it (``_parity_side``).  With
     best*[t] the size of H's largest flat of rank t, Wei's duality gives
     phi(x) = n - best*[n-M-x], and d is H's smallest circuit.  H is
     built once per hierarchy and serves both.
@@ -275,20 +271,16 @@ class _RankHierarchy:
     contraction by W at k: the columns outside W modulo the span of W's.
     """
 
-    def __init__(self, code: LinearCode, search_cap: Optional[int]):
+    def __init__(self, code: LinearCode):
         self.code = code
-        self._search_cap = search_cap
-        self._dual = _dual(code) if code.M < code.n <= 2 * code.M else None
-        self._distance: Optional[int] = None
+        self._dual = _parity_side(code)
+        self._d: Optional[int] = None
         self._reaches: dict[tuple[int, int, int], bool] = {}
 
     def distance(self) -> int:
-        if self._distance is None:
-            if self._dual is None:
-                self._distance = min_distance(self.code, self._search_cap)
-            else:
-                self._distance = _smallest_circuit(self._dual)
-        return self._distance
+        if self._d is None:
+            self._d = _distance(self.code, self._dual)
+        return self._d
 
     def rho(self) -> int:
         """n - M + 1 - d: a set of nullity x has rank below M iff x <= rho."""
@@ -306,7 +298,7 @@ class _RankHierarchy:
         out: list[int] = []
         best = n
         for t in range(n - M - 1, n - M - 1 - x_max, -1):
-            if self._distance is not None and t < self._distance - 1:
+            if self._d is not None and t < self._d - 1:
                 best = t
             else:
                 best, _ = _largest_flat(dual.field, dual.columns, t, t, limit=best - 1)
@@ -415,14 +407,14 @@ def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
     return min(size_cap, code.n)
 
 
-def _search(code: LinearCode, cap: int, search_cap: Optional[int]):
+def _search(code: LinearCode, cap: int):
     """The phi engine for a resolved size cap.
 
     The rank hierarchy when the cap prunes no circuit (none has more
     than min(n, M+1) members), else the branch-and-bound within it.
     """
     if cap >= min(code.n, code.M + 1):
-        return _RankHierarchy(code, search_cap)
+        return _RankHierarchy(code)
     return _PhiSearch(code, cap)
 
 
@@ -442,7 +434,7 @@ def phi(
     cap = _resolve_size_cap(code, size_cap)
     if x == 0:
         return 0
-    values = _search(code, cap, search_cap).values(x)
+    values = _search(code, cap).values(x)
     if len(values) < x:
         raise PhiUndefinedError(
             f"no nontrivial chain of {x} regenerating sets exists"
@@ -467,7 +459,7 @@ def rho(
     size_cap: Optional[int] = None,
     search_cap: Optional[int] = None,
 ) -> int:
-    """Largest x with phi(x) - x < M/alpha (0 when no chain helps).
+    """Largest x with phi(x) - x < M (0 when no chain helps).
 
     Exactly, phi(x) - x < M holds while a set of nullity x has rank
     below M, so rho = max{nullity(U) : rank(U) < M} = n - M + 1 - d:
@@ -476,7 +468,7 @@ def rho(
     """
     _check_search_cap(code, search_cap)
     cap = _resolve_size_cap(code, size_cap)
-    return _search(code, cap, search_cap).rho()
+    return _search(code, cap).rho()
 
 
 def phi_profile(
@@ -498,7 +490,7 @@ def phi_profile(
     if x_max is not None:
         _check_int(x_max, 0, "x_max")
     cap = _resolve_size_cap(code, size_cap)
-    search = _search(code, cap, search_cap)
+    search = _search(code, cap)
     rho_val = search.rho()
     values = search.values(rho_val + 1 if x_max is None else x_max)
     witnesses = [_witness(search, code.n, x, v) for x, v in enumerate(values, 1)]
@@ -510,6 +502,16 @@ def phi_profile(
         witnesses=((), *witnesses),
         size_cap=cap,
     )
+
+
+def _local_circuits(code: LinearCode, r: int) -> list[int]:
+    """The local repair groups under locality r: circuits of up to r+1 members.
+
+    Listed by size then lex, after the length gate; the locality answers
+    and repair plans all read this one list.
+    """
+    _check_search_cap(code, _LOCALITY_N_CAP)
+    return _circuits(code, r + 1)
 
 
 def _tolerance(code: LinearCode, r: int, limit: int) -> int:
@@ -524,8 +526,7 @@ def _tolerance(code: LinearCode, r: int, limit: int) -> int:
     members of the smallest set not yet hit.  Past the length gate or
     the node budget it raises :class:`SearchCapExceeded`.
     """
-    _check_search_cap(code, _LOCALITY_N_CAP)
-    circuits = _circuits(code, r + 1)
+    circuits = _local_circuits(code, r)
     families = [
         [c ^ (1 << i) for c in circuits if c >> i & 1]
         for i in range(code.n) if 1 << i not in circuits

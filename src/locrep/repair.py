@@ -13,10 +13,12 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvariantError, RepairError
-from .gf2m import solve_column
-from .linear_code import LinearCode, _check_int, _check_search_cap
-# bench/tracing.py wraps verify_locality under this module's name too
-from .regsets import _LOCALITY_N_CAP, _tolerance, minimal_regsets, verify_locality
+from .gf2m import _check_int, solve_column
+from .linear_code import LinearCode
+# bench/tracing.py wraps minimal_regsets and verify_locality under this
+# module's name too
+from .regsets import _coords, _local_circuits, _tolerance
+from .regsets import minimal_regsets, verify_locality
 
 
 @dataclass(frozen=True)
@@ -84,36 +86,28 @@ def plan_repair(
 
     Repeatedly picks the lowest-index failed coordinate that has a
     regenerating set of size <= locality_cap + 1 meeting the remaining
-    failures only in itself; repaired coordinates count as available
-    afterwards.  Raises :class:`RepairError` naming the stuck coordinate
-    when no progress is possible, and :class:`SearchCapExceeded` past
-    the locality length gate (n = 25), as its circuit scans are.
+    failures only in itself: the first such circuit in the (size, lex)
+    list of circuits of up to locality_cap + 1 members.  Repaired
+    coordinates count as available afterwards.  Raises
+    :class:`RepairError` naming the stuck coordinate when no progress is
+    possible, and :class:`SearchCapExceeded` past the locality length
+    gate (n = 25), as the circuit scan does.
     """
     _check_int(locality_cap, 1, "locality cap")
-    remaining = set(failed)
-    code._coord_mask(remaining)  # validates the coordinate range
-    _check_search_cap(code, _LOCALITY_N_CAP)
+    remaining = code._coord_mask(failed)
+    circuits = _local_circuits(code, locality_cap)
     steps: list[RepairStep] = []
-    candidates = {
-        i: minimal_regsets(code, i, locality_cap + 1) for i in sorted(remaining)
-    }
     while remaining:
-        chosen = None
-        for target in sorted(remaining):
-            others = remaining - {target}
-            for rs in candidates[target]:
-                if rs.members & others:
-                    continue
-                chosen = (target, rs.members)
-                break
-            if chosen:
-                break
-        if chosen is None:
-            stuck = min(remaining)
-            raise RepairError(stuck, frozenset(remaining))
-        target, members = chosen
-        steps.append(_solve_step(code, target, members))
-        remaining.discard(target)
+        # a circuit meeting the failures in one coordinate can rebuild it;
+        # min keeps the first circuit listed for the lowest such target
+        lone = [c for c in circuits if (c & remaining).bit_count() == 1]
+        if not lone:
+            stuck = _coords(remaining)
+            raise RepairError(min(stuck), stuck)
+        circuit = min(lone, key=lambda c: c & remaining)
+        target = circuit & remaining
+        steps.append(_solve_step(code, target.bit_length(), _coords(circuit)))
+        remaining ^= target
     return RepairPlan(code=code, steps=tuple(steps))
 
 

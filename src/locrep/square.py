@@ -23,6 +23,7 @@ from typing import Iterable, Optional
 from . import gf2m, regsets
 from .bounds import s_value
 from .errors import DomainError, InvariantError
+from .gf2m import _check_int, _is_int
 from .linear_code import LinearCode, min_distance, to_json_dict
 from .regsets import RegeneratingSet
 
@@ -71,11 +72,11 @@ class SquareCode:
 
 
 def _check_shape(r: int, M: int) -> None:
-    if r < 2:
-        raise DomainError(f"square codes need r >= 2, got {r}")
-    if not r + 1 <= M <= r * r:
+    _check_int(r, 2, "square-code locality r")
+    if not _is_int(M) or not r + 1 <= M <= r * r:
         raise DomainError(
-            f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
+            f"square-code dimension must be an integer in {r + 1}..{r * r}, "
+            f"got {M!r}"
         )
 
 

@@ -348,3 +348,53 @@ def random_admissible_grid_subset(rng: Random, r: int, M: int) -> set[int]:
                 chosen.add((i - 1) * size + j)
         if len(chosen) >= M:
             return chosen
+
+
+def square_rank(r: int, M: int, mask: int) -> int:
+    """Rank of a square code's columns, from its grid graph alone.
+
+    Cell (i, j), bit (i-1)(r+1) + j-1 of ``mask``, is the edge between
+    row vertex i and column vertex j of K_{r+1,r+1}.  The cell values
+    are r^2 free ones plus zero row and column sums, so over GF(2) they
+    form the bond (cographic) matroid of that graph: a set S of edges
+    has rank |S| + 1 - c(E - S), with c counting the components on all
+    2r+2 vertices, here by union-find.  The columns are Moore rows of
+    the cell values, and with M <= m a Moore matrix truncates that
+    rank at M (Lidl & Niederreiter, "Finite Fields", Lemma 3.51).
+    """
+    size = r + 1
+    parent = list(range(2 * size))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    components = 2 * size
+    for cell in range(size * size):
+        if mask >> cell & 1:
+            continue
+        a, b = find(cell // size), find(size + cell % size)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    return min(M, mask.bit_count() + 1 - components)
+
+
+def square_distance(r: int, M: int) -> int:
+    """Minimum distance of the square code, from its grid graph alone.
+
+    d is the fewest erased cells T whose complement has rank below M.
+    By :func:`square_rank` that asks for a cycle rank |T| - (2r+2) +
+    c(T) of at least rho = r^2 + 1 - M.  A smallest such T is connected,
+    on a row and b column vertices, with rho + a + b - 1 <= ab edges:
+    (a-1)(b-1) >= rho.
+    """
+    rho = r * r + 1 - M
+    return min(
+        rho + a + b - 1
+        for a in range(1, r + 2)
+        for b in range(1, r + 2)
+        if (a - 1) * (b - 1) >= rho
+    )

@@ -229,6 +229,24 @@ def test_field_degree_is_bounded():
             default_modulus(degree)
 
 
+@pytest.mark.parametrize("degree", [4.0, True])
+def test_field_degree_must_be_an_integer(degree):
+    # a float degree used to fail later with TypeError, and True built
+    # GF(2^True)
+    with pytest.raises(DomainError, match="field degree must be an integer"):
+        GF2m(degree)
+
+
+def test_pow_exponent_must_be_an_integer():
+    with pytest.raises(DomainError, match="exponent must be an integer"):
+        GF16.pow(3, 2.5)
+
+
+def test_frobenius_power_must_be_an_integer():
+    with pytest.raises(DomainError, match="frobenius power must be an integer"):
+        GF16.frobenius(3, 1.5)
+
+
 def test_mul_z3_by_z_wraps_to_z_plus_1():
     # z^4 = z + 1 modulo z^4 + z + 1 (polynomial long division)
     assert GF16.mul(8, Z) == 0b0011

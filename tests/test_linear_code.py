@@ -26,10 +26,10 @@ from locrep import linear_code
 from locrep.linear_code import (
     _circuits,
     _contraction,
+    _distance,
     _dual,
     _iter_circuits,
     _largest_flat,
-    _max_deficient,
     _smallest_circuit,
     dumps,
     loads,
@@ -133,6 +133,17 @@ def test_min_distance_square_codes(square_r2_m3, square_r2_m4):
     assert min_distance(square_r2_m4.code) == 4
 
 
+def _largest_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
+    """Size and lex-first witness of a largest rank-deficient set.
+
+    The generator side of the distance: a largest flat of rank M-1,
+    from the first M-1 columns as incumbent.
+    """
+    floor = code.M - 1
+    size, mask = _largest_flat(code.field, code.columns, floor, floor, (1 << floor) - 1)
+    return size, tuple(i + 1 for i in range(code.n) if mask >> i & 1)
+
+
 def test_min_distance_agrees_with_naive_scan():
     rng = Random(43)
     field = GF2m(3)
@@ -141,7 +152,7 @@ def test_min_distance_agrees_with_naive_scan():
         M = rng.randrange(1, min(n, 5))
         code = random_code(rng, field, n, M, require_repairable=False)
         d_naive, witness_naive = naive_min_distance(code)
-        size, witness = _max_deficient(code)
+        size, witness = _largest_deficient(code)
         assert code.n - size == d_naive
         assert witness == witness_naive
 
@@ -181,7 +192,7 @@ def test_max_deficient_agrees_with_the_naive_scan(degree):
         for M in sorted({1, 2, n - 1, rng.randrange(1, n)}):
             code = _cornered_code(rng, field, n, M)
             d, witness = naive_min_distance(code)
-            assert _max_deficient(code) == (n - d, witness), code.columns
+            assert _largest_deficient(code) == (n - d, witness), code.columns
     # every column but the first is deficient, since the first alone
     # reaches the last message symbol: the bound at the root is tight
     for n, M in ((4, 3), (6, 3), (7, 5)):
@@ -192,7 +203,7 @@ def test_max_deficient_agrees_with_the_naive_scan(degree):
         code = LinearCode(field, n, M, cols)
         d, witness = naive_min_distance(code)
         assert d == 1
-        assert _max_deficient(code) == (n - 1, witness), code.columns
+        assert _largest_deficient(code) == (n - 1, witness), code.columns
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 17])
@@ -387,7 +398,7 @@ def test_min_distance_with_M_equal_n_minus_1():
 def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes):
     codes = _dual_test_codes(square_r2_m3, square_r2_m4) + square_r3_codes
     for code in codes:
-        primal = code.n - _max_deficient(code)[0]
+        primal = _distance(code, None)
         assert primal == _smallest_circuit(_dual(code)) == min_distance(code), code
 
 
@@ -410,7 +421,7 @@ def test_max_deficient_pinned_on_square_codes(square_r3_codes):
     codes = {(3, code.M): code for code in square_r3_codes}
     for M in (5, 6):
         codes[4, M] = build_square_code(4, M, field=field).code
-    assert {key: _max_deficient(code) for key, code in codes.items()} == (
+    assert {key: _largest_deficient(code) for key, code in codes.items()} == (
         PINNED_MAX_DEFICIENT
     )
 

@@ -35,9 +35,9 @@ from locrep import (
 from locrep import linear_code, regsets
 from locrep.linear_code import (
     _circuits,
+    _distance,
     _dual,
     _largest_flat,
-    _max_deficient,
     _smallest_circuit,
 )
 from locrep.regsets import _PhiSearch, _RankHierarchy, _witness
@@ -109,6 +109,11 @@ def test_minimal_regsets_single_parity_empty_below_full_support():
 def test_minimal_regsets_rejects_a_size_cap_below_one(square_r2_m3, cap):
     with pytest.raises(DomainError, match="size cap must be >= 1"):
         minimal_regsets(square_r2_m3.code, 1, cap)
+
+
+def test_minimal_regsets_rejects_a_bool_target(square_r2_m3):
+    with pytest.raises(DomainError, match="coordinate True"):
+        minimal_regsets(square_r2_m3.code, True, 3)
 
 
 def test_minimal_regsets_are_inclusion_minimal(square_r2_m3):
@@ -755,7 +760,7 @@ def test_parity_check_values_match_the_nullity_oracle(square_r2_m3):
     for code in codes:
         expected = [nullity_phi(code, x) for x in range(1, code.n - code.M + 1)]
         for distance_first in (False, True):
-            hierarchy = _RankHierarchy(code, None)
+            hierarchy = _RankHierarchy(code)
             assert hierarchy._dual is not None
             if distance_first:
                 assert hierarchy.distance() == min_distance(code)
@@ -791,17 +796,17 @@ def test_both_sides_of_wei_duality_agree_beyond_the_oracles():
     for code in _wei_test_codes():
         n, M = code.n, code.M
         dual = _dual(code)
-        assert n - _max_deficient(code)[0] == _smallest_circuit(dual), code.columns
-        primal = _RankHierarchy(code, None)._primal_values(n - M)
+        assert _distance(code, None) == _smallest_circuit(dual), code.columns
+        primal = _RankHierarchy(code)._primal_values(n - M)
         from_dual = [
             n - _largest_flat(dual.field, dual.columns, n - M - x, n - M - x)[0]
             for x in range(1, n - M + 1)
         ]
         assert primal == from_dual, code.columns
-        assert _RankHierarchy(code, None).values(n) == primal, code.columns
+        assert _RankHierarchy(code).values(n) == primal, code.columns
         # with d known, the ranks below d-1 are not searched
-        hierarchy = _RankHierarchy(code, None)
-        assert hierarchy.distance() == n - _max_deficient(code)[0]
+        hierarchy = _RankHierarchy(code)
+        assert hierarchy.distance() == _distance(code, None)
         assert hierarchy.values(n) == primal, code.columns
 
 

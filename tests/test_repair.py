@@ -6,16 +6,21 @@ from random import Random
 
 import pytest
 
+from itertools import combinations
+
 from locrep import (
     DomainError,
+    GF2m,
     RepairError,
     SearchCapExceeded,
+    build_square_code,
     execute_repair,
+    minimal_regsets,
     plan_repair,
     repair_tolerance,
 )
 
-from oracles import repetition_code, single_parity_code
+from oracles import random_code, repetition_code, single_parity_code
 
 
 def test_empty_pattern_gives_empty_plan(square_r2_m3):
@@ -109,6 +114,12 @@ def test_locality_cap_must_be_an_integer(square_r2_m3):
         plan_repair(code, [1], 0)
 
 
+def test_plan_repair_rejects_a_bool_coordinate(square_r2_m3):
+    # True is an int, but not coordinate 1
+    with pytest.raises(DomainError, match="coordinate True"):
+        plan_repair(square_r2_m3.code, [True], 2)
+
+
 def test_repair_tolerance_square(square_r2_m3, square_r2_m4):
     assert repair_tolerance(square_r2_m3.code, 2) == 2
     assert repair_tolerance(square_r2_m4.code, 2) == 2
@@ -150,3 +161,66 @@ def test_patterns_within_tolerance_always_plannable(square_r2_m3):
             failed = {a, b}
             plan = plan_repair(code, failed, 2)
             assert set(plan.targets()) == failed
+
+
+def _greedy_over_regsets(code, failed, cap):
+    """The plan, as steps (target, members), or the stuck (coordinate, residual).
+
+    Picks like :func:`plan_repair`, but over each target's own
+    ``minimal_regsets`` list rather than one shared circuit list.
+    """
+    remaining = set(failed)
+    candidates = {i: minimal_regsets(code, i, cap + 1) for i in remaining}
+    steps = []
+    while remaining:
+        step = next(
+            (
+                (target, rs.sorted_members())
+                for target in sorted(remaining)
+                for rs in candidates[target]
+                if not rs.members & (remaining - {target})
+            ),
+            None,
+        )
+        if step is None:
+            return min(remaining), frozenset(remaining)
+        steps.append(step)
+        remaining.discard(step[0])
+    return steps
+
+
+def _plan_or_stuck(code, failed, cap):
+    try:
+        plan = plan_repair(code, failed, cap)
+    except RepairError as err:
+        return err.stuck, err.residual
+    return [(step.target, step.members) for step in plan.steps]
+
+
+def test_plan_matches_the_greedy_over_per_target_regsets():
+    # square r = 2, 3 codes and random small codes with zero and
+    # parallel columns, at caps 1-3 with 1-3 erasures, stuck ones too
+    rng = Random(131)
+    codes = [build_square_code(2, M).code for M in (3, 4)]
+    codes += [build_square_code(3, M, field=GF2m(9)).code for M in (4, 6, 9)]
+    for degree in (1, 2, 3):
+        field = GF2m(degree)
+        for _ in range(5):
+            n = rng.randrange(4, 9)
+            code = random_code(rng, field, n, rng.randrange(1, n), require_repairable=False)
+            codes.append(code)
+    stuck = 0
+    for code in codes:
+        patterns = [
+            failed
+            for size in (1, 2, 3)
+            for failed in combinations(range(1, code.n + 1), size)
+        ]
+        for failed in rng.sample(patterns, min(len(patterns), 60)):
+            for cap in (1, 2, 3):
+                expected = _greedy_over_regsets(code, failed, cap)
+                stuck += isinstance(expected, tuple)
+                assert _plan_or_stuck(code, failed, cap) == expected, (
+                    code.columns, failed, cap
+                )
+    assert stuck >= 100

@@ -24,7 +24,12 @@ from locrep import (
 )
 
 from locrep.linear_code import dumps, loads
-from oracles import gf2_rank, random_admissible_grid_subset
+from oracles import (
+    gf2_rank,
+    random_admissible_grid_subset,
+    square_distance,
+    square_rank,
+)
 
 
 def test_grid_coordinate_bijection():
@@ -61,6 +66,11 @@ def test_build_rejects_bad_parameters():
         build_square_code(2, 5)  # above r^2
     with pytest.raises(DomainError):
         build_square_code(2, 3, field=GF2m(3))  # degree < r^2
+
+
+def test_build_rejects_a_float_locality():
+    with pytest.raises(DomainError, match="locality r must be an integer"):
+        build_square_code(2.0, 3)
 
 
 @pytest.mark.parametrize("M", [5, 6, 16])
@@ -182,3 +192,38 @@ def test_built_codes_are_repairable(square_r2_m3, square_r3_m9):
 def test_locality_of_built_codes(square_r2_m3, square_r2_m4):
     for sc in (square_r2_m3, square_r2_m4):
         assert verify_locality(sc.code, sc.r, 3)
+
+
+def test_closed_form_distance_meets_the_square_bound():
+    # the paper's optimality claim, d = n - M + 1 - s, at every M for
+    # r = 2..12, against the grid graph's distance
+    for r in range(2, 13):
+        n = (r + 1) ** 2
+        for M in range(r + 1, r * r + 1):
+            assert square_distance(r, M) == n - M + 1 - s_value(M, r), (r, M)
+
+
+@pytest.mark.parametrize(
+    "r, M", [(4, 5), (4, 9), (4, 12), (4, 15), (4, 16),
+             (5, 6), (5, 12), (5, 20), (5, 25)]
+)
+def test_rank_matches_the_bond_matroid_oracle(r, M):
+    # n = 25 and 36 are past the 2^n oracles; subsets of M-3..M+2r+4
+    # cells straddle rank M, so about a fifth are deficient
+    sc = build_square_code(r, M)
+    field, code = sc.field, sc.code
+    # the oracle's hypotheses: M <= m, and every column is the Frobenius
+    # orbit of its cell
+    assert M <= field.degree
+    for k, col in enumerate(code.columns):
+        assert col[0] == sc.betas[k // (r + 1)][k % (r + 1)]
+        assert all(b == field.frobenius(a, 1) for a, b in zip(col, col[1:]))
+    rng = Random(137 + 10 * r + M)
+    deficient = 0
+    for _ in range(100):
+        size = rng.randrange(M - 3, min(code.n, M + 2 * r + 4) + 1)
+        mask = sum(1 << i for i in rng.sample(range(code.n), size))
+        expected = square_rank(r, M, mask)
+        assert code._rank(mask) == expected, (r, M, mask)
+        deficient += expected < M
+    assert deficient >= 8
