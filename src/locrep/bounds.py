@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
-from .gf2m import _check_int
+from .gf2m import _check_int, _is_int
 
 THEOREMS = ("general", "locality_r", "lrc", "rdc", "square")
 
@@ -25,6 +25,13 @@ def _ceil_div(a: int, b: int) -> int:
 def _require_positive(**params: int) -> None:
     for name, value in params.items():
         _check_int(value, 1, f"parameter {name}")
+
+
+def _require_int(**params: int) -> None:
+    # for parameters whose range check has its own message
+    for name, value in params.items():
+        if not _is_int(value):
+            raise DomainError(f"parameter {name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -46,8 +53,7 @@ class BoundReport:
 def bound_general(n: int, M: int, alpha: int, rho: int) -> int:
     """d <= n - ceil(M/alpha) + 1 - rho, for any code with that rho."""
     _require_positive(n=n, M=M, alpha=alpha)
-    if rho < 0:
-        raise DomainError(f"parameter rho must be >= 0, got {rho}")
+    _check_int(rho, 0, "parameter rho")
     return n - _ceil_div(M, alpha) + 1 - rho
 
 
@@ -72,21 +78,24 @@ def bound_locality_r(n: int, M: int, alpha: int, r: int) -> int:
 def bound_lrc(n: int, M: int, alpha: int, r: int, delta: int) -> int:
     """d <= n - ceil(M/alpha) + 1 - (ceil(M/(r*alpha)) - 1)(delta - 1)."""
     _require_positive(n=n, M=M, alpha=alpha, r=r)
-    if delta < 2:
-        raise DomainError(f"parameter delta must be >= 2, got {delta}")
+    _check_int(delta, 2, "parameter delta")
     return bound_general(n, M, alpha, _rho_floor(M, alpha, r, delta))
 
 
 def rdc_mu(M: int, r: int, delta: int) -> int:
     """mu = ceil(((M-1)(delta-1)+1) / ((r-1)(delta-1)+1)) - 1."""
     _require_positive(M=M)
+    _require_int(r=r)
     if r < 2:
         raise DomainError(
             f"disjoint-repair-set bound needs r >= 2 (denominator "
             f"(r-1)(delta-1)+1 degenerates at r={r})"
         )
-    if delta < 2:
-        raise DomainError(f"parameter delta must be >= 2, got {delta}")
+    _check_int(delta, 2, "parameter delta")
+    return _mu(M, r, delta)
+
+
+def _mu(M: int, r: int, delta: int) -> int:
     num = (M - 1) * (delta - 1) + 1
     den = (r - 1) * (delta - 1) + 1
     return _ceil_div(num, den) - 1
@@ -101,6 +110,7 @@ def bound_rdc(n: int, M: int, r: int, delta: int) -> int:
 def g_function(x: int, r: int) -> int:
     """x*r - x^2/4 for even x, x*r - (x^2-1)/4 for odd x; defined on [0, 2r+1]."""
     _require_positive(r=r)
+    _require_int(x=x)
     if not 0 <= x <= 2 * r + 1:
         raise DomainError(f"g is defined on 0..{2 * r + 1}, got x={x}")
     if x % 2 == 0:
@@ -122,6 +132,7 @@ def s_value(M: int, r: int) -> int:
 def bound_square(n: int, M: int, r: int) -> int:
     """d <= n - M + 1 - s for square codes (n must be (r+1)^2)."""
     _require_positive(r=r)
+    _require_int(n=n)
     if n != (r + 1) ** 2:
         raise DomainError(
             f"square codes have length (r+1)^2 = {(r + 1) ** 2}, got n={n}"
@@ -135,11 +146,13 @@ def compare_table(r: int) -> list[tuple[int, int, int]]:
     Covers the whole square-code dimension range M = r+1 .. r^2, so the
     table has r^2 - r rows.
     """
+    _require_int(r=r)
     if r < 2:
         raise DomainError(f"comparison table needs r >= 2, got {r}")
     n = (r + 1) ** 2
+    # every row's n, M, r and delta are valid integers for :func:`bound_rdc`
     return [
-        (M, bound_square(n, M, r), bound_rdc(n, M, r, 3))
+        (M, bound_square(n, M, r), n - M + 1 - _mu(M, r, 3))
         for M in range(r + 1, r * r + 1)
     ]
 

@@ -20,19 +20,22 @@ search over flats for the largest flat of a given rank.  That one
 search gives both sides of the distance (the generator's largest
 hyperplane, or the parity-check code's smallest circuit) and the rank
 hierarchy behind exact phi.  Each scan keeps the columns' coordinates
-in the quotient by the current span, and every push is one elimination
-step, :func:`_quotient`, in the log domain: one table lookup per
-coordinate (a multiplication where the field has no log tables) where
-the packed images would need m XOR passes.  The circuit scan scales
-each quotient vector to a leading 1, so a rank query there is one
-tuple comparison.
+in the quotient by the current span, and pushing a column is one
+elimination step in the log domain: one table lookup per coordinate (a
+multiplication where the field has no log tables) where the packed
+images would need m XOR passes.  The flat search keeps the coordinates
+coordinate-major and pushes with :func:`_quotient`.  The circuit scan
+keeps one vector per column, scaled to a leading 1, so a rank query
+there is one tuple comparison, and a push updates each vector in place
+(:meth:`_Residues._push`).
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect
-from itertools import compress, islice, repeat
+from itertools import compress, islice
+from operator import xor
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import gf2m
@@ -202,10 +205,15 @@ class _Residues:
 
     Pushes follow the mask as a stack: ``sync`` pops back to the lowest
     column where the new mask differs from the last, so walking masks in
-    lex order re-pushes only the tails in which they differ.  A push is
-    one :func:`_quotient` of the pushed residue and those above it,
-    which drops one coordinate from each, and a residue whose leading
-    entry was eliminated is scaled to a leading 1 again.
+    lex order re-pushes only the tails in which they differ.  A push
+    drops the pushed residue's leading coordinate p from each residue
+    above it, column by column, with no transposition.  A residue that
+    is 0 at p only loses that coordinate.  One that leads at p has a 1
+    there, as the pushed one does, so the pushed one is XORed in and
+    the result scaled to a leading 1 again.  One that leads before p
+    keeps its leading 1 and adds c times the pushed one, c its entry at
+    p, through the log tables.  The residues are those :func:`_quotient`
+    gives coordinate-major, normalized.
     """
 
     __slots__ = ("field", "rank", "top", "residues", "_prefix", "_pushed", "_stack")
@@ -247,19 +255,46 @@ class _Residues:
         pivot = residues[j]
         if pivot is None:
             return False
+        # p is the pivot's leading coordinate, and its entry there is 1
         p = pivot.index(1)
+        tail = pivot[p + 1:]
         field = self.field
-        olds = residues[j + 1:]
-        zero = (0,) * len(pivot)
-        # j's own residue is column 0; a one-coordinate quotient leaves no
-        # rows, and every residue is zero
-        rows = _quotient(field, list(zip(pivot, *[old or zero for old in olds])), 0)
-        news = islice(zip(*rows), 1, None) if rows else repeat(())
-        # only a residue that led at p lost its leading 1
-        self.residues = [None] * (j + 1) + [
-            None if old is None else _normalized(field, new) if old[p] else new
-            for old, new in zip(olds, news)
-        ]
+        exp, log = field._tables()
+        period = field.order - 1
+        tail_logs = None
+        news: list = [None] * (j + 1)
+        for old in islice(residues, j + 1, None):
+            c = old[p] if old is not None else 0
+            if not c:
+                news.append(old and old[:p] + old[p + 1:])
+            elif c == 1:
+                # old - pivot: a residue that led at p lost its leading 1
+                new = old[:p] + tuple(map(xor, old[p + 1:], tail))
+                lead = next(filter(None, new), 0)
+                if lead == 1:
+                    news.append(new)
+                elif lead and log:
+                    # _normalized, with the tables bound once per push
+                    shift = period - log[lead]
+                    news.append(tuple([exp[log[x] + shift] if x else 0 for x in new]))
+                else:
+                    news.append(_normalized(field, new))
+            else:
+                # old leads before p, as every leading entry is 1, and
+                # keeps its lead: old - c * pivot
+                if log:
+                    if tail_logs is None:
+                        tail_logs = [log[a] if a else None for a in tail]
+                    lc = log[c]
+                    new = [
+                        u if la is None else u ^ exp[la + lc]
+                        for u, la in zip(old[p + 1:], tail_logs)
+                    ]
+                else:
+                    mul = field._mul
+                    new = [u ^ mul(a, c) if a else u for u, a in zip(old[p + 1:], tail)]
+                news.append(old[:p] + tuple(new))
+        self.residues = news
         return True
 
     def rank_with(self, j: int) -> int:
@@ -345,12 +380,13 @@ def _quotient(
     k of column c, and column ``pos`` is nonzero.  With p its leading
     coordinate, each column v becomes v - (v[p] / v_pos[p]) * v_pos,
     and row p is dropped, so every column, the one at ``pos`` included,
-    comes back with one coordinate fewer.  This is the one elimination
-    step of the GF(2^m) searches.  It runs in the log domain: row p is
-    turned into discrete logs once, so each entry update is one table
-    lookup, u ^ exp[log a + log x], and no method call, and a row whose
-    entry at ``pos`` is zero is kept as it is.  Fields without log
-    tables keep elements where the logs would be and multiply instead.
+    comes back with one coordinate fewer.  This is the elimination step
+    of the flat search and of :func:`_contraction`.  It runs in the log
+    domain: row p is turned into discrete logs once, so each entry
+    update is one table lookup, u ^ exp[log a + log x], and no method
+    call, and a row whose entry at ``pos`` is zero is kept as it is.
+    Fields without log tables keep elements where the logs would be and
+    multiply instead.
     ``factors``, one slot per row, caches row p's logs for the next
     push against the same rows.
     """

@@ -150,8 +150,11 @@ def test_compare_table_shape_and_row():
 
 def test_square_bound_never_looser_than_rdc():
     for r in range(2, 9):
+        n = (r + 1) ** 2
         for M, b_sq, b_rdc in compare_table(r):
             assert b_sq <= b_rdc, (r, M)
+            # each row is the two public bounds, delta = 3 for rdc
+            assert (b_sq, b_rdc) == (bound_square(n, M, r), bound_rdc(n, M, r, 3))
 
 
 def test_compare_table_csv_format():
@@ -197,3 +200,42 @@ def test_bound_square_rejects_vector_codes():
     # the square bound, like rdc, is stated for scalar codes only
     with pytest.raises(DomainError, match="alpha"):
         bound_report("square", n=16, M=6, alpha=2, r=3)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: bound_general(16, 6, 1, 2.5), "rho"),
+        (lambda: bound_report("general", n=16, M=6, rho=2.5), "rho"),
+        (lambda: bound_general(16, 6, 1, True), "rho"),
+        (lambda: bound_lrc(16, 6, 1, 3, 2.5), "delta"),
+        (lambda: bound_lrc(16, 6, 1, 3, True), "delta"),
+        (lambda: rdc_mu(6, 3, 2.5), "delta"),
+        (lambda: g_function(1.5, 3), "x"),
+        (lambda: g_function(True, 3), "x"),
+        (lambda: rdc_mu(6, 2.5, 3), "r"),
+        (lambda: bound_rdc(16, 6, 2.5, 3), "r"),
+        (lambda: bound_rdc(16.0, 6, 3, 3), "n"),
+        (lambda: bound_square(16.0, 6, 3), "n"),
+        (lambda: compare_table(3.0), "r"),
+    ],
+)
+def test_bounds_reject_non_integer_parameters(call, name):
+    # a float or a bool is not rounded or read as 0/1: no bound comes back
+    with pytest.raises(DomainError, match=f"parameter {name} must be an integer"):
+        call()
+
+
+def test_out_of_range_integers_keep_their_messages():
+    with pytest.raises(DomainError, match=r"rho must be >= 0, got -1"):
+        bound_general(16, 6, 1, -1)
+    with pytest.raises(DomainError, match=r"delta must be >= 2, got 1"):
+        bound_lrc(16, 6, 1, 3, 1)
+    with pytest.raises(DomainError, match=r"needs r >= 2 .* at r=1\)"):
+        rdc_mu(6, 1, 3)
+    with pytest.raises(DomainError, match=r"g is defined on 0\.\.7, got x=8"):
+        g_function(8, 3)
+    with pytest.raises(DomainError, match=r"length \(r\+1\)\^2 = 16, got n=15"):
+        bound_square(15, 6, 3)
+    with pytest.raises(DomainError, match=r"comparison table needs r >= 2, got 1"):
+        compare_table(1)

@@ -35,9 +35,12 @@ from locrep import (
 from locrep import linear_code, regsets
 from locrep.linear_code import (
     _circuits,
+    _contraction,
     _distance,
     _dual,
     _largest_flat,
+    _normalized,
+    _Residues,
     _smallest_circuit,
 )
 from locrep.regsets import _PhiSearch, _RankHierarchy, _witness
@@ -497,6 +500,77 @@ def test_circuit_scan_on_a_warm_rank_cache_builds_no_residues(monkeypatch):
     # a cold cache still needs them
     with pytest.raises(AssertionError, match="warm rank cache"):
         _circuits(build_square_code(3, 5).code, 4)
+
+
+def _check_synced_residues(code, masks, expected) -> None:
+    """Sync one residue stack to each mask in turn and check what it holds.
+
+    Every residue above the pushed columns is the column's normalized
+    image in the contraction by them (``_quotient``'s row-major
+    elimination), and ``rank_with`` is the rank of the mask plus that
+    column.  ``expected`` caches the contractions, keyed by prefix.
+    """
+    field, n = code.field, code.n
+    ranks = LinearCode(field, n, code.M, code.columns)
+    residues = _Residues(code)
+    for mask in masks:
+        residues.sync(mask)
+        top = mask.bit_length() - 1
+        prefix = mask ^ (1 << top) if mask else 0
+        low = prefix.bit_length()
+        if prefix not in expected:
+            contracted = _contraction(field, code.columns, prefix)
+            skipped = prefix.bit_count()
+            expected[prefix] = [
+                _normalized(field, contracted[j - skipped]) for j in range(low, n)
+            ]
+        assert residues.residues[low:] == expected[prefix], (code, mask)
+        assert residues.rank == ranks._rank(mask), (code, mask)
+        for j in range(low, n):
+            assert residues.rank_with(j) == ranks._rank(mask | 1 << j), (code, mask, j)
+
+
+def _sparse_codes(rng: Random) -> list[LinearCode]:
+    """n = 7, M = 4 codes with half their entries 0, over GF(2^8), 2^16, 2^17.
+
+    A pivot that leads after coordinate 0 meets residues that lead
+    before it with an entry other than 1 there, which random dense
+    columns almost never give.
+    """
+    codes = []
+    for field in (GF2m(8, 0x11b), GF2m(16), GF2m(17)):
+        for _ in range(2):
+            while True:
+                cols = [
+                    [rng.randrange(1, field.order) if rng.random() < 0.5 else 0
+                     for _ in range(4)]
+                    for _ in range(7)
+                ]
+                if matrix_rank(field, 4, cols) == 4:
+                    codes.append(LinearCode(field, 7, 4, cols))
+                    break
+    return codes
+
+
+def test_residue_pushes_match_the_row_major_quotient():
+    # lex order pushes tails; a shuffled order pops back and re-pushes
+    rng = Random(97)
+    codes = [
+        (code, range(1 << code.n))
+        for code in [*_scan_test_codes(), *_sparse_codes(rng)]
+    ]
+    for M in range(4, 10):
+        code = build_square_code(3, M).code
+        # every base of a cap-4 scan, and some deeper stacks
+        small = [mask for mask in range(1 << code.n) if mask.bit_count() <= 3]
+        deep = [rng.getrandbits(code.n) for _ in range(60)]
+        codes.append((code, sorted({*small, *deep})))
+    for code, masks in codes:
+        expected: dict = {}
+        shuffled = list(masks)
+        rng.shuffle(shuffled)
+        _check_synced_residues(code, masks, expected)
+        _check_synced_residues(code, shuffled, expected)
 
 
 def test_a_cold_scan_without_a_target_builds_one_residue_stack(monkeypatch):
