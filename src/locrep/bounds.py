@@ -34,6 +34,13 @@ def _require_int(**params: int) -> None:
             raise DomainError(f"parameter {name} must be an integer, got {value!r}")
 
 
+def _require_scalar(theorem: str, alpha: int) -> None:
+    # the integer 1: alpha=1.0 or True is a usage error, not a scalar code
+    _require_int(alpha=alpha)
+    if alpha != 1:
+        raise DomainError(f"the {theorem} bound applies to scalar codes (alpha=1)")
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """An evaluated bound with the inputs and intermediates that produced it."""
@@ -121,6 +128,7 @@ def g_function(x: int, r: int) -> int:
 def s_value(M: int, r: int) -> int:
     """Largest x in [0, 2r+1] with g(x) < M, for r+1 <= M <= r^2."""
     _require_positive(r=r)
+    _require_int(M=M)
     if not r + 1 <= M <= r * r:
         raise DomainError(
             f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
@@ -216,8 +224,7 @@ def bound_report(
     if theorem == "rdc":
         if r is None or delta is None:
             raise DomainError("the rdc bound requires r and delta")
-        if alpha != 1:
-            raise DomainError("the rdc bound applies to scalar codes (alpha=1)")
+        _require_scalar(theorem, alpha)
         value = bound_rdc(n, M, r, delta)
         return BoundReport(
             theorem,
@@ -228,8 +235,7 @@ def bound_report(
     # square
     if r is None:
         raise DomainError("the square bound requires r")
-    if alpha != 1:
-        raise DomainError("the square bound applies to scalar codes (alpha=1)")
+    _require_scalar(theorem, alpha)
     value = bound_square(n, M, r)
     return BoundReport(
         theorem, {"n": n, "M": M, "r": r}, value, {"s": s_value(M, r)}

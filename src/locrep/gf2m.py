@@ -270,7 +270,9 @@ class GF2m:
         return r
 
     def _check(self, a: int) -> int:
-        if not isinstance(a, int) or a < 0 or a >= self.order:
+        # one type test, not _is_int's two: mul checks both operands on
+        # every repair step; JSON true/false, a bool, is not an element
+        if type(a) is not int or a < 0 or a >= self.order:
             raise DomainError(f"{a!r} is not an element of GF(2^{self.degree})")
         return a
 

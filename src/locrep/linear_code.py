@@ -24,8 +24,9 @@ in the quotient by the current span, and pushing a column is one
 elimination step in the log domain: one table lookup per coordinate (a
 multiplication where the field has no log tables) where the packed
 images would need m XOR passes.  The flat search keeps the coordinates
-coordinate-major and pushes with :func:`_quotient`.  The circuit scan
-keeps one vector per column, scaled to a leading 1, so a rank query
+coordinate-major and pushes with :func:`_quotient`.  The circuit scan,
+the one enumeration of circuits and so of minimal regenerating sets,
+keeps one vector per column, scaled to a leading 1, so a span test
 there is one tuple comparison, and a push updates each vector in place
 (:meth:`_Residues._push`).
 """
@@ -191,17 +192,16 @@ def _reduce(pivots: list[int], v: int) -> int:
 
 
 class _Residues:
-    """Ranks of a column set plus one higher column, from normalized residues.
+    """The span test of the circuit scan, from normalized residues.
 
     ``sync(mask)`` pushes every member of the mask but the highest, its
     top column, and keeps, for each column above the last one pushed,
     its GF(2^m) coordinates in the quotient by the pushed columns'
     span, scaled to a leading 1 (None for the zero residue).  Two
-    nonzero residues are dependent exactly when they are equal, so for
-    a column j above every pushed one, rank(mask + j) is the pushed
-    rank, plus one if the top's residue is nonzero, plus one if j's is
-    nonzero and differs from the top's: one tuple comparison.  The top
-    column itself is never pushed.
+    nonzero residues are dependent exactly when they are equal, so a
+    column j above every pushed one lies outside the span of the mask
+    exactly when j's residue is nonzero and differs from the top's: one
+    tuple comparison.  The top column itself is never pushed.
 
     Pushes follow the mask as a stack: ``sync`` pops back to the lowest
     column where the new mask differs from the last, so walking masks in
@@ -216,18 +216,17 @@ class _Residues:
     gives coordinate-major, normalized.
     """
 
-    __slots__ = ("field", "rank", "top", "residues", "_prefix", "_pushed", "_stack")
+    __slots__ = ("field", "top", "residues", "_prefix", "_stack")
 
     def __init__(self, code: LinearCode):
         self.field = code.field
-        # rank of the synced mask, and its top column's residue
-        self.rank = 0
+        # the synced mask's top column's residue
         self.top: Optional[tuple[int, ...]] = None
         self.residues = [_normalized(self.field, col) for col in code.columns]
-        # the pushed columns and their rank
-        self._prefix = self._pushed = 0
-        # (column bit, rank before it, residues before it), per push
-        self._stack: list[tuple[int, int, list]] = []
+        # the pushed columns
+        self._prefix = 0
+        # (column bit, residues before it), per push
+        self._stack: list[tuple[int, list]] = []
 
     def sync(self, mask: int) -> None:
         """Push every column of ``mask`` but its top one, and read the top."""
@@ -238,23 +237,22 @@ class _Residues:
             low = diff & -diff
             stack = self._stack
             while stack and stack[-1][0] >= low:
-                _, self._pushed, self.residues = stack.pop()
+                _, self.residues = stack.pop()
             rest = prefix & -low
             while rest:
                 col = rest & -rest
                 rest ^= col
-                stack.append((col, self._pushed, self.residues))
-                self._pushed += self._push(col.bit_length() - 1)
+                stack.append((col, self.residues))
+                self._push(col.bit_length() - 1)
             self._prefix = prefix
         self.top = self.residues[top] if mask else None
-        self.rank = self._pushed + (self.top is not None)
 
-    def _push(self, j: int) -> bool:
-        """Quotient the residues above column j by j's; False if j's is zero."""
+    def _push(self, j: int) -> None:
+        """Quotient the residues above column j by j's; none if j's is zero."""
         residues = self.residues
         pivot = residues[j]
         if pivot is None:
-            return False
+            return
         # p is the pivot's leading coordinate, and its entry there is 1
         p = pivot.index(1)
         tail = pivot[p + 1:]
@@ -295,12 +293,6 @@ class _Residues:
                     new = [u ^ mul(a, c) if a else u for u, a in zip(old[p + 1:], tail)]
                 news.append(old[:p] + tuple(new))
         self.residues = news
-        return True
-
-    def rank_with(self, j: int) -> int:
-        """Rank of the synced mask with column j, above every pushed column."""
-        res = self.residues[j]
-        return self.rank + (res is not None and res != self.top)
 
 
 def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
@@ -554,45 +546,9 @@ class _FlatSearch:
                 self.size, self.mask = total, flat | line
 
 
-def _circuits(
-    code: LinearCode, size_cap: int, target: Optional[int] = None
-) -> list[int]:
+def _circuits(code: LinearCode, size_cap: int) -> list[int]:
     """Every circuit mask :func:`_iter_circuits` yields, as a list."""
-    return list(_iter_circuits(code, size_cap, target))
-
-
-def _iter_circuits(
-    code: LinearCode, size_cap: int, target: Optional[int] = None
-) -> Iterator[int]:
-    """Circuit bitmasks (through ``target``, if given), by size then lex.
-
-    The circuits through i are its minimal regenerating sets; none has
-    more than M+1 members.  The scan is level-wise.  A level holds the
-    circuit-free sets of one size: the independent sets, or with a
-    target, the sets holding it whose other members do not span it.  A
-    candidate of the next size extends a level set, its base, by one
-    column j above the base's members other than the target.
-
-    Without a target, base + j is independent exactly when j lies
-    outside the span of the base, and then every facet of base + j is
-    independent too, as a subset of an independent set: it joins the
-    next level with no facet test.  Only a dependent candidate runs the
-    facet test, and it is a circuit iff every facet is in the level
-    (:func:`_free_circuits`).  With a target, a candidate needs each
-    facet that keeps the target in the level first, and is a circuit
-    iff dropping the target keeps its rank (:func:`_circuits_through`).
-    Either way the candidates whose ranks are cached are those of a scan
-    over all subsets by size, then lex, that skips supersets of the
-    circuits found.  Circuits are yielded as they are found, so a
-    caller that stops early ranks no more subsets.
-    """
-    size_cap = min(size_cap, code.n, code.M + 1)
-    if size_cap < 1:
-        return
-    if target is None:
-        yield from _free_circuits(code, size_cap)
-    else:
-        yield from _circuits_through(code, size_cap, 1 << (target - 1))
+    return list(_iter_circuits(code, size_cap))
 
 
 def _facets_in(level: set, mask: int, members: int) -> bool:
@@ -605,8 +561,22 @@ def _facets_in(level: set, mask: int, members: int) -> bool:
     return True
 
 
-def _free_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
+def _iter_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
     """Every circuit of at most ``size_cap`` members, by size then lex.
+
+    The circuits through i are its minimal regenerating sets; none has
+    more than M+1 members.  The scan is level-wise.  A level holds the
+    independent sets of one size, and a candidate of the next size
+    extends a level set, its base, by one column j above the base's
+    members.  base + j is independent exactly when j lies outside the
+    span of the base, and then every facet of base + j is independent
+    too, as a subset of an independent set: it joins the next level
+    with no facet test.  Only a dependent candidate runs the facet
+    test, and it is a circuit iff every facet is in the level.  The
+    candidates whose ranks are cached are those of a scan over all
+    subsets by size, then lex, that skips supersets of the circuits
+    found.  Circuits are yielded as they are found, so a caller that
+    stops early ranks no more subsets.
 
     The span test is one :class:`_Residues` stack, synced once per base:
     j lies outside the base's span when j's residue is nonzero and
@@ -624,7 +594,7 @@ def _free_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
     cache = code._rank_cache
     residues: Optional[_Residues] = None
     level = [0]
-    for size in range(size_cap):
+    for size in range(min(size_cap, n, code.M + 1)):
         in_level = set(level)
         if size == code.M:
             # a basis spans every column: each candidate is dependent
@@ -664,63 +634,6 @@ def _free_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
                 elif _facets_in(in_level, mask, base):
                     cache[mask] = size
                     yield mask
-        level = grown
-
-
-def _circuits_through(code: LinearCode, size_cap: int, fixed: int) -> Iterator[int]:
-    """The circuits through the column ``fixed`` (a bit), by size then lex.
-
-    A rank missing from the cache is read off a :class:`_Residues` stack
-    synced to the base, or to the base less ``fixed``: the new column
-    lies above every member of either but the top one.  The two stacks
-    follow the bases in lex order, and each is built on its first miss,
-    so a scan on a warm cache builds neither.
-    """
-    n = code.n
-    cache = code._rank_cache
-    if code._rank(fixed) == 0:
-        # a zero column is a circuit by itself, inside every candidate
-        yield fixed
-        return
-    level = [fixed]
-    # residues of the current base and of the base less the target, built
-    # on their first rank-cache miss
-    with_pivot = without_pivot = None
-    for _ in range(size_cap - 1):
-        in_level = set(level)
-        grown: list[int] = []
-        for base in level:
-            others = base ^ fixed
-            for j in range(others.bit_length(), n):
-                col = 1 << j
-                if col == fixed:
-                    continue
-                mask = base | col
-                rest = others
-                while rest:
-                    low = rest & -rest
-                    if mask ^ low not in in_level:
-                        break
-                    rest ^= low
-                if rest:
-                    continue
-                rank = cache.get(mask)
-                if rank is None:
-                    if with_pivot is None:
-                        with_pivot = _Residues(code)
-                    with_pivot.sync(base)
-                    rank = cache[mask] = with_pivot.rank_with(j)
-                dropped = mask ^ fixed
-                less = cache.get(dropped)
-                if less is None:
-                    if without_pivot is None:
-                        without_pivot = _Residues(code)
-                    without_pivot.sync(others)
-                    less = cache[dropped] = without_pivot.rank_with(j)
-                if rank == less:
-                    yield mask
-                else:
-                    grown.append(mask)
         level = grown
 
 

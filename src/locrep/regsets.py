@@ -11,6 +11,9 @@ through i of the column matroid.  Everything here talks to the code
 through bitmask ranks, ``LinearCode._rank``, the circuit scan
 ``linear_code._iter_circuits`` and the flat search
 ``linear_code._largest_flat``; the searches keep sets as bitmasks.
+The circuit scan is the one enumeration of regenerating sets: a
+target's minimal regenerating sets are the circuits it lists that hold
+the target.
 
 Exact phi is Wei's generalized Hamming weight of the dual code,
 min{|U| : |U| - rank(U) >= x}, and comes from the sizes of the largest
@@ -25,7 +28,8 @@ are one minimum hitting set of the circuits of up to r+1 members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from itertools import takewhile
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DomainError,
@@ -121,15 +125,17 @@ def minimal_regsets(
     """All inclusion-minimal regenerating sets of ``target`` up to a size cap.
 
     These are the circuits through ``target``, listed by size, then
-    lexicographically.  Supersets of regenerating sets regenerate too,
-    so the minimal ones form the floor of the whole collection.  A size
-    cap that is not an integer >= 1 is a :class:`DomainError`.
+    lexicographically: the circuit scan, filtered by the target.
+    Supersets of regenerating sets regenerate too, so the minimal ones
+    form the floor of the whole collection.  A size cap that is not an
+    integer >= 1 is a :class:`DomainError`.
     """
-    code._coord_mask([target])  # validates the target
+    bit = code._coord_mask([target])  # validates the target
     cap = _resolve_size_cap(code, size_cap)
     return [
         RegeneratingSet(target, _coords(mask))
-        for mask in _circuits(code, cap, target)
+        for mask in _circuits(code, cap)
+        if mask & bit
     ]
 
 
@@ -229,14 +235,9 @@ class _PhiSearch:
             x += 1
         return x
 
-    def through(self, target: int, size_cap: int) -> Iterator[int]:
-        """The circuits through ``target`` (0-based) up to a size, in scan order."""
-        for circuit in self.circuits:
-            # the list is size-ordered, so every later circuit is too large
-            if circuit.bit_count() > size_cap:
-                return
-            if (circuit >> target) & 1:
-                yield circuit
+    def scan(self, size_cap: int) -> list[int]:
+        """The circuits by size then lex, the witness walk's to cut at ``size_cap``."""
+        return self.circuits
 
     def reaches(self, grown: int, k: int, goal: int) -> bool:
         """Whether k more sets can end on a union of at most ``goal``."""
@@ -330,9 +331,9 @@ class _RankHierarchy:
             t += 1
         return out
 
-    def through(self, target: int, size_cap: int) -> Iterator[int]:
-        """The circuits through ``target`` (0-based) up to a size, in scan order."""
-        return _iter_circuits(self.code, size_cap, target + 1)
+    def scan(self, size_cap: int) -> Iterable[int]:
+        """The circuits of up to ``size_cap`` members by size then lex, lazily."""
+        return _iter_circuits(self.code, size_cap)
 
     def reaches(self, grown: int, k: int, goal: int) -> bool:
         """Whether k more sets can end on a union of at most ``goal``.
@@ -375,20 +376,25 @@ def _witness(
     members.  That order decides which minimising chain comes back.  A
     set that leaves k more to place grows the union by at least k more
     members, so circuits above ``goal`` minus k members are never
-    tried.  ``search`` supplies the circuits through a target and the
-    continuation test: the branch-and-bound's memo under a size cap,
-    the rank hierarchy without one.
+    tried.  ``search`` supplies the continuation test and its circuit
+    scan in (size, lex) order, which this walk filters by the target
+    and cuts at that size: the branch-and-bound's capped list and memo
+    under a size cap, the lazy scan and the rank hierarchy without one.
     """
     chain: list[RegeneratingSet] = []
     union_mask = 0
     for remaining in range(x - 1, -1, -1):
+        size = goal - remaining
         step = next(
             (
                 (target, circuit)
                 for target in range(n)
                 if not (union_mask >> target) & 1
-                for circuit in search.through(target, goal - remaining)
-                if search.reaches(union_mask | circuit, remaining, goal)
+                for circuit in takewhile(
+                    lambda c: c.bit_count() <= size, search.scan(size)
+                )
+                if (circuit >> target) & 1
+                and search.reaches(union_mask | circuit, remaining, goal)
             ),
             None,
         )
@@ -482,9 +488,9 @@ def phi_profile(
     With ``x_max=None`` the profile extends just past the rho
     threshold.  If chains run out before the threshold, the profile
     simply ends at the last feasible x.  Exact profiles take their
-    values and rho from the rank hierarchy and the distance, and never
-    list every circuit: each witness step scans only the circuits
-    through one target at a time.
+    values and rho from the rank hierarchy and the distance, and list
+    no circuit for them: only the witness steps scan circuits, each
+    lazily and only up to the largest size the step can take.
     """
     _check_search_cap(code, search_cap)
     if x_max is not None:

@@ -398,3 +398,53 @@ def square_distance(r: int, M: int) -> int:
         for b in range(1, r + 2)
         if (a - 1) * (b - 1) >= rho
     )
+
+
+def square_phi(r: int, M: int, x: int) -> int | None:
+    """phi(x) of the square code, from its grid graph alone.
+
+    phi(x) is the smallest set U of nullity |U| - rank(U) >= x.  By
+    :func:`square_rank`, a U of rank M has nullity |U| - M, and any
+    other U has nullity c(E - U) - 1.  So phi(x) = min(M + x, n - e(x+1))
+    with e(k) the most edges of a spanning subgraph of K_{r+1,r+1} with
+    k components; None past n - M, where no chain of x sets exists.
+    e(k) splits the r+1 row and r+1 column vertices into k parts, each
+    a lone vertex or a complete bipartite graph on a >= 1 row and
+    b >= 1 column vertices, and takes the largest sum of a*b.
+    """
+    size = r + 1
+    n = size * size
+    if x > n - M:
+        return None
+
+    @lru_cache(maxsize=None)
+    def edges(k: int, rows: int, cols: int) -> int | None:
+        # the most edges on rows + cols vertices in exactly k components
+        if k == 0:
+            return 0 if rows == cols == 0 else None
+        best = None
+        parts = [(1, 0), (0, 1)]
+        parts += [(a, b) for a in range(1, rows + 1) for b in range(1, cols + 1)]
+        for a, b in parts:
+            if a <= rows and b <= cols:
+                rest = edges(k - 1, rows - a, cols - b)
+                if rest is not None and (best is None or a * b + rest > best):
+                    best = a * b + rest
+        return best
+
+    most = edges(x + 1, size, size)
+    return M + x if most is None else min(M + x, n - most)
+
+
+def square_oracle_applies(sc) -> bool:
+    """The hypotheses of the graph oracles for a built square code.
+
+    M <= m, and every column is the Frobenius orbit of its cell value:
+    then the columns are Moore rows and :func:`square_rank` holds.
+    """
+    r, field, code = sc.r, sc.field, sc.code
+    return sc.M <= field.degree and all(
+        col[0] == sc.betas[k // (r + 1)][k % (r + 1)]
+        and all(b == field.frobenius(a, 1) for a, b in zip(col, col[1:]))
+        for k, col in enumerate(code.columns)
+    )

@@ -218,6 +218,13 @@ def test_bound_square_rejects_vector_codes():
         (lambda: bound_rdc(16.0, 6, 3, 3), "n"),
         (lambda: bound_square(16.0, 6, 3), "n"),
         (lambda: compare_table(3.0), "r"),
+        (lambda: s_value(6.5, 3), "M"),
+        (lambda: bound_square(16, 6.5, 3), "M"),
+        (lambda: bound_report("square", n=16, M=6.5, r=3), "M"),
+        (lambda: bound_report("square", n=16, M=6, r=3, alpha=1.0), "alpha"),
+        (lambda: bound_report("square", n=16, M=6, r=3, alpha=True), "alpha"),
+        (lambda: bound_report("rdc", n=16, M=6, r=3, delta=3, alpha=1.0), "alpha"),
+        (lambda: bound_report("rdc", n=16, M=6, r=3, delta=3, alpha=True), "alpha"),
     ],
 )
 def test_bounds_reject_non_integer_parameters(call, name):

@@ -290,6 +290,19 @@ def test_out_of_range_elements_rejected():
         GF16.mul(3, -1)
 
 
+def test_bools_are_not_field_elements():
+    # JSON true/false load as bool, a subclass of int
+    for call in (
+        lambda: GF16.add(True, False),
+        lambda: GF16.mul(3, True),
+        lambda: GF16.mul(False, 3),
+        lambda: GF16.inv(True),
+        lambda: GF16.pow(True, 2),
+    ):
+        with pytest.raises(DomainError, match="is not an element of GF"):
+            call()
+
+
 def test_field_axioms_randomized():
     rng = Random(11)
     for field in (GF16, GF2m(5), GF2m(9)):

@@ -251,9 +251,9 @@ def test_contraction_ranks_are_ranks_over_the_contracted_set():
 
 def test_circuit_generator_stops_ranking_when_the_caller_stops():
     code = build_square_code(3, 6).code
-    first = next(_iter_circuits(code, code.n, 5))
+    first = next(_iter_circuits(code, code.n))
     partial = len(code._rank_cache)
-    full = _circuits(code, code.n, 5)
+    full = _circuits(code, code.n)
     assert full[0] == first
     assert partial < len(code._rank_cache)
 

@@ -56,6 +56,8 @@ from oracles import (
     reference_circuits,
     repetition_code,
     single_parity_code,
+    square_oracle_applies,
+    square_phi,
     subset_rank,
 )
 
@@ -418,19 +420,31 @@ def test_circuit_scan_matches_the_regenerating_set_oracle(
             assert circuits == _size_lex(expected), (code, cap)
 
 
+def _check_against_the_superset_test_scan(code: LinearCode, caps) -> None:
+    """The scan and each target's minimal regenerating sets, by the reference.
+
+    Same circuits, and the same subsets ranked: the rank caches agree.
+    A target's sets are the reference's scan through it, and filtering
+    the all-circuit scan ranks nothing the scan did not.
+    """
+    ours, reference, through = (
+        LinearCode(code.field, code.n, code.M, code.columns) for _ in range(3)
+    )
+    for cap in caps:
+        assert _circuits(ours, cap) == reference_circuits(reference, cap), (code, cap)
+        assert ours._rank_cache == reference._rank_cache, (code, cap)
+        for target in range(1, code.n + 1):
+            expected = reference_circuits(through, cap, target)
+            got = [ours._coord_mask(rs.members) for rs in minimal_regsets(ours, target, cap)]
+            assert got == expected, (code, cap, target)
+            assert ours._rank_cache == reference._rank_cache, (code, cap, target)
+
+
 def test_circuit_scan_matches_the_superset_test_scan(square_r2_m3, square_r2_m4):
-    # same circuits, and the same subsets ranked: the rank caches agree
     codes = oracle_codes(square_r2_m3.code, square_r2_m4.code)
     codes.append(build_square_code(3, 4).code)
     for code in codes:
-        ours, reference = (
-            LinearCode(code.field, code.n, code.M, code.columns) for _ in range(2)
-        )
-        for cap in sorted({1, 2, 3, 4, code.n}):
-            for target in (None, *range(1, code.n + 1)):
-                expected = reference_circuits(reference, cap, target)
-                assert _circuits(ours, cap, target) == expected, (code, cap, target)
-                assert ours._rank_cache == reference._rank_cache, (code, cap, target)
+        _check_against_the_superset_test_scan(code, sorted({1, 2, 3, 4, code.n}))
 
 
 def _scan_test_codes() -> list[LinearCode]:
@@ -477,26 +491,25 @@ def test_circuit_scan_matches_the_superset_test_scan_on_odd_codes():
     # parallel and zero columns, M = 1, 2, n-1 and n, and fields with
     # and without log tables: same circuits, same rank caches
     for code in _scan_test_codes():
-        ours, reference = (
-            LinearCode(code.field, code.n, code.M, code.columns) for _ in range(2)
+        _check_against_the_superset_test_scan(
+            code, sorted({1, 2, 3, 4, code.M + 1, code.n})
         )
-        for cap in sorted({1, 2, 3, 4, code.M + 1, code.n}):
-            for target in (None, *range(1, code.n + 1)):
-                expected = reference_circuits(reference, cap, target)
-                assert _circuits(ours, cap, target) == expected, (code, cap, target)
-                assert ours._rank_cache == reference._rank_cache, (code, cap, target)
 
 
 def test_circuit_scan_on_a_warm_rank_cache_builds_no_residues(monkeypatch):
     code = build_square_code(3, 5).code
-    scans = [(4, None), (code.n, None), (4, 1), (code.n, 9)]
-    first = [_circuits(code, cap, target) for cap, target in scans]
+
+    def scans():
+        return [_circuits(code, 4), _circuits(code, code.n),
+                minimal_regsets(code, 1, 4), minimal_regsets(code, 9, code.n)]
+
+    first = scans()
 
     def refuse(code):
         raise AssertionError("residues built on a warm rank cache")
 
     monkeypatch.setattr(linear_code, "_Residues", refuse)
-    assert [_circuits(code, cap, target) for cap, target in scans] == first
+    assert scans() == first
     # a cold cache still needs them
     with pytest.raises(AssertionError, match="warm rank cache"):
         _circuits(build_square_code(3, 5).code, 4)
@@ -507,8 +520,9 @@ def _check_synced_residues(code, masks, expected) -> None:
 
     Every residue above the pushed columns is the column's normalized
     image in the contraction by them (``_quotient``'s row-major
-    elimination), and ``rank_with`` is the rank of the mask plus that
-    column.  ``expected`` caches the contractions, keyed by prefix.
+    elimination), and the span test, a nonzero residue other than the
+    top's, holds exactly when the column raises the rank of the mask.
+    ``expected`` caches the contractions, keyed by prefix.
     """
     field, n = code.field, code.n
     ranks = LinearCode(field, n, code.M, code.columns)
@@ -525,9 +539,11 @@ def _check_synced_residues(code, masks, expected) -> None:
                 _normalized(field, contracted[j - skipped]) for j in range(low, n)
             ]
         assert residues.residues[low:] == expected[prefix], (code, mask)
-        assert residues.rank == ranks._rank(mask), (code, mask)
+        rank = ranks._rank(mask)
         for j in range(low, n):
-            assert residues.rank_with(j) == ranks._rank(mask | 1 << j), (code, mask, j)
+            res = residues.residues[j]
+            outside = res is not None and res != residues.top
+            assert outside == (ranks._rank(mask | 1 << j) > rank), (code, mask, j)
 
 
 def _sparse_codes(rng: Random) -> list[LinearCode]:
@@ -772,27 +788,40 @@ def test_witnesses_try_no_circuit_above_the_goal_less_the_sets_left(
     monkeypatch, square_r2_m3
 ):
     # a set that leaves k more to place grows the union by at least k
-    # more members, so a circuit above goal - k members cannot be taken
-    scans = []
-    through = _PhiSearch.through
+    # more members, so a circuit above goal - k members cannot be taken,
+    # by either engine
+    cuts = []
+    pulled = []
+    for engine in (_PhiSearch, _RankHierarchy):
+        scan, reaches = engine.scan, engine.reaches
 
-    def recording(self, target, size_cap):
-        largest = max(circuit.bit_count() for circuit in self.circuits)
-        scans.append((size_cap, largest))
-        for circuit in through(self, target, size_cap):
-            assert circuit.bit_count() <= size_cap, (circuit, size_cap)
-            yield circuit
+        def recording(self, size_cap, scan=scan):
+            for circuit in scan(self, size_cap):
+                pulled[:] = [circuit]
+                yield circuit
 
-    monkeypatch.setattr(_PhiSearch, "through", recording)
+        def checked(self, grown, k, goal, reaches=reaches):
+            # the last circuit pulled from the scan is the one tried
+            assert pulled[0].bit_count() <= goal - k, (pulled[0], goal, k)
+            cuts.append((type(self), goal - k))
+            return reaches(self, grown, k, goal)
+
+        monkeypatch.setattr(engine, "scan", recording)
+        monkeypatch.setattr(engine, "reaches", checked)
     cases = [(square_r2_m3.code, 3), (build_square_code(3, 6).code, 6)]
     cases += [(code, code.n) for code in oracle_codes(square_r2_m3.code)]
+    cut_short = set()
     for code, cap in cases:
-        search = _PhiSearch(code, cap)
-        values = search.values(search.rho() + 1)
-        for x, goal in enumerate(values, 1):
-            _witness(search, code.n, x, goal)
-    # the bound did cut some scans short
-    assert any(size_cap < largest for size_cap, largest in scans)
+        for search, scan_cap in ((_PhiSearch(code, cap), cap),
+                                 (_RankHierarchy(code), code.n)):
+            largest = max(c.bit_count() for c in _circuits(code, scan_cap))
+            cuts.clear()
+            values = search.values(search.rho() + 1)
+            for x, goal in enumerate(values, 1):
+                _witness(search, code.n, x, goal)
+            cut_short.update(engine for engine, size in cuts if size < largest)
+    # the bound did cut some scans short, on both engines
+    assert cut_short == {_PhiSearch, _RankHierarchy}
 
 
 def _random_exact_codes():
@@ -934,26 +963,51 @@ def test_a_cap_no_circuit_exceeds_is_exact(square_r2_m3):
         assert phi(code, 3, size_cap=cap) == phi(code, 3)
 
 
-def test_exact_answers_never_list_every_circuit(monkeypatch):
-    calls = []
-
-    def wrap(scan):
-        def checked(code, size_cap, target=None):
-            calls.append(target)
-            assert target is not None, "exact answer listed every circuit"
-            return scan(code, size_cap, target)
-        return checked
+def test_exact_values_run_no_circuit_scan(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an exact value scanned circuits")
 
     for module in (linear_code, regsets):
         for name in ("_circuits", "_iter_circuits"):
-            monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+            monkeypatch.setattr(module, name, refuse)
+    for M in (4, 6, 9):
+        code = build_square_code(3, M).code
+        for x in range(1, 4):
+            phi(code, x)
+        rho(code)
+        regsets._RankHierarchy(code).values(code.n)
+
+
+def test_exact_witness_scans_stop_at_the_goal_less_the_sets_left(monkeypatch):
+    # each step of an exact witness walk scans the circuits lazily, up
+    # to the largest size the step can take
+    scans = []
+    iter_circuits = regsets._iter_circuits
+
+    def recording(code, size_cap):
+        scans.append(size_cap)
+        return iter_circuits(code, size_cap)
+
+    witness = regsets._witness
+    walks = []
+
+    def walking(search, n, x, goal):
+        scans.clear()
+        chain = witness(search, n, x, goal)
+        # targets are tried in increasing order, each with one scan
+        caps = [goal - remaining for remaining in range(x - 1, -1, -1)]
+        assert scans and sorted(scans) == scans, (x, goal, scans)
+        assert set(scans) == set(caps), (x, goal, scans)
+        walks.append(x)
+        return chain
+
+    monkeypatch.setattr(regsets, "_iter_circuits", recording)
+    monkeypatch.setattr(regsets, "_witness", walking)
     for M in (4, 6):
         code = build_square_code(3, M).code
         phi_profile(code)
         phi_profile(code, x_max=code.n - code.M)
-        phi(code, 3)
-        rho(code)
-    assert calls  # the witnesses scan the circuits through one target
+    assert walks
 
 
 @pytest.mark.parametrize(
@@ -1011,3 +1065,19 @@ def test_square_r4_high_rate_profiles_are_pinned(M):
     digest = hashlib.sha256(witnesses.encode()).hexdigest()
     assert (profile.phi, profile.rho, digest) == _PINNED_R4_PROFILES[M]
     assert rho(code, search_cap=25) == profile.rho
+
+
+def test_exact_profiles_match_the_grid_graph_phi():
+    # the bond-matroid phi of oracles.square_phi, from the grid graph
+    # alone: every r=3 code over the full range, and the pinned r=4
+    # profiles
+    for M in range(4, 10):
+        sc = build_square_code(3, M)
+        assert square_oracle_applies(sc)
+        profile = phi_profile(sc.code, x_max=sc.code.n - M)
+        expected = [square_phi(3, M, x) for x in range(sc.code.n - M + 1)]
+        assert list(profile.phi) == [0, *expected[1:]], M
+        assert profile.rho == max(x for x, v in enumerate(expected) if v - x < M)
+    for M, (values, _, _) in _PINNED_R4_PROFILES.items():
+        assert square_oracle_applies(build_square_code(4, M))
+        assert list(values) == [0, *(square_phi(4, M, x) for x in range(1, len(values)))]

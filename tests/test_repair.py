@@ -11,6 +11,7 @@ from itertools import combinations
 from locrep import (
     DomainError,
     GF2m,
+    LinearCode,
     RepairError,
     SearchCapExceeded,
     build_square_code,
@@ -96,6 +97,22 @@ def test_execute_rejects_mismatched_erasures(square_r2_m3):
     word[4] = None
     with pytest.raises(DomainError):
         execute_repair(word, plan)  # extra erasure not in the plan
+
+
+def test_bool_symbols_and_columns_are_rejected(square_r2_m3):
+    # True once came back as a repaired word's symbol, and as a column entry
+    code = square_r2_m3.code
+    plan = plan_repair(code, [1], 2)
+    word = list(code.encode((1, 2, 3)))
+    word[0] = None
+    helper = plan.steps[0].helpers[0]
+    word[helper - 1] = True
+    with pytest.raises(DomainError, match="True is not an element"):
+        execute_repair(word, plan)
+    columns = [list(col) for col in code.columns]
+    columns[0][0] = True
+    with pytest.raises(DomainError, match="True is not an element"):
+        LinearCode(code.field, code.n, code.M, columns)
 
 
 def test_execute_rejects_wrong_length(square_r2_m3):

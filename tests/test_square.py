@@ -28,6 +28,7 @@ from oracles import (
     gf2_rank,
     random_admissible_grid_subset,
     square_distance,
+    square_oracle_applies,
     square_rank,
 )
 
@@ -212,12 +213,7 @@ def test_rank_matches_the_bond_matroid_oracle(r, M):
     # cells straddle rank M, so about a fifth are deficient
     sc = build_square_code(r, M)
     field, code = sc.field, sc.code
-    # the oracle's hypotheses: M <= m, and every column is the Frobenius
-    # orbit of its cell
-    assert M <= field.degree
-    for k, col in enumerate(code.columns):
-        assert col[0] == sc.betas[k // (r + 1)][k % (r + 1)]
-        assert all(b == field.frobenius(a, 1) for a, b in zip(col, col[1:]))
+    assert square_oracle_applies(sc)
     rng = Random(137 + 10 * r + M)
     deficient = 0
     for _ in range(100):
