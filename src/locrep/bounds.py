@@ -1,21 +1,24 @@
 """Closed-form upper bounds on minimum distance for locality families.
 
-All evaluators are pure integer functions of the code parameters; none
-of them inspects a concrete code.  Ceilings are computed exactly as
-(a + b - 1) // b, never through floats.
+Every bound has one form, d <= n - ceil(M/alpha) + 1 - rho, written
+once in :func:`bound_general`; each locality concept only supplies a
+floor on rho: (ceil(M/(r*alpha)) - 1)(delta - 1) for locality r with
+delta - 1 repair sets, mu for disjoint repair sets and s for square
+codes.  All evaluators are pure integer functions of the code
+parameters; none of them inspects a concrete code.  Ceilings are
+computed exactly as (a + b - 1) // b, never through floats.
 """
 
 from __future__ import annotations
 
 import io
 import csv
+from bisect import bisect
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DomainError
 from .gf2m import _check_int, _is_int
-
-THEOREMS = ("general", "locality_r", "lrc", "rdc", "square")
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -24,7 +27,8 @@ def _ceil_div(a: int, b: int) -> int:
 
 def _require_positive(**params: int) -> None:
     for name, value in params.items():
-        _check_int(value, 1, f"parameter {name}")
+        if not _is_int(value) or value < 1:  # build the message only on failure
+            _check_int(value, 1, f"parameter {name}")
 
 
 def _require_int(**params: int) -> None:
@@ -75,11 +79,11 @@ def _rho_floor(M: int, alpha: int, r: int, delta: int = 2) -> int:
 def bound_locality_r(n: int, M: int, alpha: int, r: int) -> int:
     """d <= n - ceil(M/alpha) - ceil(M/(r*alpha)) + 2 for all-symbol locality r.
 
-    Uses rho >= ceil(M/(r*alpha)) - 1, the guaranteed floor when every
-    coordinate has a regenerating set of size at most r+1.
+    The lrc bound at delta = 2: rho >= ceil(M/(r*alpha)) - 1, the
+    guaranteed floor when every coordinate has a regenerating set of
+    size at most r+1.
     """
-    _require_positive(n=n, M=M, alpha=alpha, r=r)
-    return bound_general(n, M, alpha, _rho_floor(M, alpha, r))
+    return bound_lrc(n, M, alpha, r, 2)
 
 
 def bound_lrc(n: int, M: int, alpha: int, r: int, delta: int) -> int:
@@ -111,7 +115,7 @@ def _mu(M: int, r: int, delta: int) -> int:
 def bound_rdc(n: int, M: int, r: int, delta: int) -> int:
     """d <= n - M + 1 - mu for scalar codes with disjoint repair sets."""
     _require_positive(n=n)
-    return n - M + 1 - rdc_mu(M, r, delta)
+    return bound_general(n, M, 1, rdc_mu(M, r, delta))
 
 
 def g_function(x: int, r: int) -> int:
@@ -133,8 +137,13 @@ def s_value(M: int, r: int) -> int:
         raise DomainError(
             f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
         )
-    # g(x) inline: x*r - floor(x^2/4) is the same value for odd and even x
-    return max(x for x in range(2 * r + 2) if x * r - x * x // 4 < M)
+    return _s(M, r)
+
+
+def _s(M: int, r: int) -> int:
+    # g(x) inline: x*r - floor(x^2/4) is the same value for odd and even
+    # x; g never falls on [0, 2r+1], so s is found by bisection
+    return bisect(range(2 * r + 2), M - 1, key=lambda x: x * r - x * x // 4) - 1
 
 
 def bound_square(n: int, M: int, r: int) -> int:
@@ -145,7 +154,7 @@ def bound_square(n: int, M: int, r: int) -> int:
         raise DomainError(
             f"square codes have length (r+1)^2 = {(r + 1) ** 2}, got n={n}"
         )
-    return n - M + 1 - s_value(M, r)
+    return bound_general(n, M, 1, s_value(M, r))
 
 
 def compare_table(r: int) -> list[tuple[int, int, int]]:
@@ -158,9 +167,10 @@ def compare_table(r: int) -> list[tuple[int, int, int]]:
     if r < 2:
         raise DomainError(f"comparison table needs r >= 2, got {r}")
     n = (r + 1) ** 2
-    # every row's n, M, r and delta are valid integers for :func:`bound_rdc`
+    # every row's n, M, r and delta are valid: the two bounds are the
+    # general bound at their floors, which need no checks
     return [
-        (M, bound_square(n, M, r), n - M + 1 - _mu(M, r, 3))
+        (M, bound_general(n, M, 1, _s(M, r)), bound_general(n, M, 1, _mu(M, r, 3)))
         for M in range(r + 1, r * r + 1)
     ]
 
@@ -174,6 +184,20 @@ def compare_table_csv(r: int) -> str:
     return buf.getvalue()
 
 
+# theorem -> (its bound, the parameters it takes besides n, M and
+# alpha, whether it holds only for scalar codes, the name of its rho
+# floor, and that floor from (M, alpha, *parameters)).  The general
+# bound's floor is its parameter rho, reported as the floor only.
+_THEOREMS = {
+    "general": (bound_general, ("rho",), False, "rho", lambda M, alpha, rho: rho),
+    "locality_r": (bound_locality_r, ("r",), False, "rho_lower", _rho_floor),
+    "lrc": (bound_lrc, ("r", "delta"), False, "rho_lower", _rho_floor),
+    "rdc": (bound_rdc, ("r", "delta"), True, "mu", lambda M, alpha, r, d: _mu(M, r, d)),
+    "square": (bound_square, ("r",), True, "s", lambda M, alpha, r: _s(M, r)),
+}
+THEOREMS = tuple(_THEOREMS)
+
+
 def bound_report(
     theorem: str,
     n: Optional[int] = None,
@@ -183,60 +207,30 @@ def bound_report(
     delta: Optional[int] = None,
     rho: Optional[int] = None,
 ) -> BoundReport:
-    """Evaluate one named bound, collecting parameters and intermediates."""
+    """Evaluate one named bound, collecting parameters and intermediates.
+
+    Any of r, delta and rho that the theorem does not take is a
+    :class:`DomainError`, not silently dropped.
+    """
     if theorem not in THEOREMS:
         raise DomainError(f"unknown bound {theorem!r}; expected one of {THEOREMS}")
-    missing = [
-        name
-        for name, value in (("n", n), ("M", M))
-        if value is None
-    ]
+    missing = [name for name, value in (("n", n), ("M", M)) if value is None]
     if missing:
         raise DomainError(f"bound {theorem!r} requires parameters {missing}")
-
-    if theorem == "general":
-        if rho is None:
-            raise DomainError("the general bound requires rho")
-        value = bound_general(n, M, alpha, rho)
-        return BoundReport(
-            theorem, {"n": n, "M": M, "alpha": alpha}, value, {"rho": rho}
-        )
-    if theorem == "locality_r":
-        if r is None:
-            raise DomainError("the locality_r bound requires r")
-        value = bound_locality_r(n, M, alpha, r)
-        return BoundReport(
-            theorem,
-            {"n": n, "M": M, "alpha": alpha, "r": r},
-            value,
-            {"rho_lower": _rho_floor(M, alpha, r)},
-        )
-    if theorem == "lrc":
-        if r is None or delta is None:
-            raise DomainError("the lrc bound requires r and delta")
-        value = bound_lrc(n, M, alpha, r, delta)
-        return BoundReport(
-            theorem,
-            {"n": n, "M": M, "alpha": alpha, "r": r, "delta": delta},
-            value,
-            {"rho_lower": _rho_floor(M, alpha, r, delta)},
-        )
-    if theorem == "rdc":
-        if r is None or delta is None:
-            raise DomainError("the rdc bound requires r and delta")
+    bound, names, scalar, floor_name, floor = _THEOREMS[theorem]
+    given = {"r": r, "delta": delta, "rho": rho}
+    values = [given.pop(name) for name in names]
+    if None in values:
+        raise DomainError(f"the {theorem} bound requires {' and '.join(names)}")
+    extra = [name for name, value in given.items() if value is not None]
+    if extra:
+        raise DomainError(f"the {theorem} bound does not take {' or '.join(extra)}")
+    params = {"n": n, "M": M}
+    if scalar:
         _require_scalar(theorem, alpha)
-        value = bound_rdc(n, M, r, delta)
-        return BoundReport(
-            theorem,
-            {"n": n, "M": M, "r": r, "delta": delta},
-            value,
-            {"mu": rdc_mu(M, r, delta)},
-        )
-    # square
-    if r is None:
-        raise DomainError("the square bound requires r")
-    _require_scalar(theorem, alpha)
-    value = bound_square(n, M, r)
-    return BoundReport(
-        theorem, {"n": n, "M": M, "r": r}, value, {"s": s_value(M, r)}
-    )
+        value = bound(n, M, *values)
+    else:
+        params["alpha"] = alpha
+        value = bound(n, M, alpha, *values)
+    params.update((name, v) for name, v in zip(names, values) if name != floor_name)
+    return BoundReport(theorem, params, value, {floor_name: floor(M, alpha, *values)})

@@ -181,7 +181,7 @@ def _cmd_verify(args) -> int:
             )
         sc = square.SquareCode(r=r, M=M, field=code.field, betas=betas, code=code)
         ok = square.verify_optimal_distance(sc, search_cap=_search_cap())
-        expected = sc.n - sc.M + 1 - bounds.s_value(sc.M, sc.r)
+        expected = bounds.bound_square(sc.n, sc.M, sc.r)
         _emit_json({"ok": ok, "expected_d": expected}, args.output)
         return 0 if ok else 1
     if args.locality is None or args.delta is None:

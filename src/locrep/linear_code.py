@@ -17,9 +17,10 @@ whose GF(2)-span equals the GF(2^m)-span of the column, so rank is
 tracked with integer XOR alone.  The scans that rank many columns
 against one span work in GF(2^m) instead: the circuit scan, and the
 search over flats for the largest flat of a given rank.  That one
-search gives both sides of the distance (the generator's largest
-hyperplane, or the parity-check code's smallest circuit) and the rank
-hierarchy behind exact phi.  Each scan keeps the columns' coordinates
+search gives the generator's largest hyperplane, and one ascending
+walk of it over the ranks (:func:`_phi_walk`) gives both the
+parity-check code's smallest circuit, its phi(1), and the generator's
+exact phi.  Each scan keeps the columns' coordinates
 in the quotient by the current span, and pushing a column is one
 elimination step in the log domain: one table lookup per coordinate (a
 multiplication where the field has no log tables) where the packed
@@ -37,7 +38,7 @@ import json
 from bisect import bisect
 from itertools import compress, islice
 from operator import xor
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf2m
 from .gf2m import _check_int, _is_int
@@ -699,22 +700,35 @@ def _dual(code: LinearCode) -> LinearCode:
     return LinearCode(code.field, n, n - code.M, columns)
 
 
-def _smallest_circuit(code: LinearCode) -> int:
-    """Size of the smallest circuit of the column matroid.
+def _phi_walk(
+    code: LinearCode, x_max: int, hyperplane: Optional[Callable[[], int]] = None
+) -> list[int]:
+    """phi(1..x_max) from the largest flat of each rank, rank by rank upwards.
 
-    A circuit of k columns spans a flat of rank k-1 with at least k
-    columns, and a flat of rank t with more than t columns holds a
-    circuit, so the smallest circuit has t+1 members at the first rank
-    t whose largest flat has more than t columns.  Each rank is one
-    :func:`_largest_flat` search from the incumbent t that stops at the
-    first such flat.  Any M+1 columns are dependent.  Ranks are never
-    cached: the search leaves the code untouched.
+    With best[t] the size of a largest flat of rank t, best[t] - t never
+    falls and phi(x) = x + min{t : best[t] - t >= x}, so phi(1) is the
+    smallest circuit.  Each rank is one :func:`_largest_flat` search
+    from the incumbent best[t-1] + 1, stopped once it settles phi(x_max).
+    best[M] is n; ``hyperplane``, if given, supplies best[M-1] = n - d,
+    and only when the walk gets that far.  No rank is cached.
     """
-    for t in range(code.M):
-        size, _ = _largest_flat(code.field, code.columns, t, t, limit=t + 1)
-        if size > t:
-            return t + 1
-    return code.M + 1
+    n, M = code.n, code.M
+    out: list[int] = []
+    best = -1
+    t = 0
+    while len(out) < x_max:
+        if t == M:
+            best = n
+        elif t == M - 1 and hyperplane is not None:
+            best = hyperplane()
+        else:
+            best, _ = _largest_flat(
+                code.field, code.columns, t, best + 1, limit=x_max + t
+            )
+        while len(out) < x_max and best - t > len(out):
+            out.append(len(out) + 1 + t)
+        t += 1
+    return out
 
 
 def _parity_side(code: LinearCode) -> Optional[LinearCode]:
@@ -725,13 +739,15 @@ def _parity_side(code: LinearCode) -> Optional[LinearCode]:
 def _distance(code: LinearCode, dual: Optional[LinearCode]) -> int:
     """Minimum distance on the side :func:`_parity_side` chose.
 
-    That is the parity-check code's smallest circuit, or n minus the
-    size of a largest rank-deficient set: a hyperplane, the largest
-    flat of rank M-1, searched from the first M-1 columns as incumbent.
-    When M = n every coordinate is a coloop and d = 1.
+    That is phi(1) of the parity-check code (Wei's duality: d is the
+    size of its smallest circuit), the ascending walk of
+    :func:`_phi_walk` stopped at its first value; or n minus the size
+    of a largest rank-deficient set: a hyperplane, the largest flat of
+    rank M-1, searched from the first M-1 columns as incumbent.  When
+    M = n every coordinate is a coloop and d = 1.
     """
     if dual is not None:
-        return _smallest_circuit(dual)
+        return _phi_walk(dual, 1)[0]
     n, M = code.n, code.M
     if M == n:
         return 1

@@ -47,6 +47,7 @@ from .linear_code import (
     _iter_circuits,
     _largest_flat,
     _parity_side,
+    _phi_walk,
 )
 
 # Locality answers and repair plans scan the circuits of up to r+1
@@ -251,18 +252,19 @@ class _RankHierarchy:
     union U of nullity |U| - rank(U) >= x, and every such U holds one:
     the fundamental circuits of x elements of U outside a basis of U.
     So phi(x) = min{|U| : nullity(U) >= x}, Wei's x-th generalized
-    Hamming weight of the dual code.  With best[t] the size of a
-    largest flat of rank t, the nullity best[t] - t never falls as t
-    grows, and phi(x) = x + min{t : best[t] - t >= x}; by Wei's
-    duality theorem the phi values and the numbers best[t] + 1 for
-    t < M split 1..n between them.  best[M-1] is n - d, and best[M] is
-    n.
+    Hamming weight of the dual code.  On the generator side the values
+    come from the one ascending walk over the largest flat of each rank,
+    best[t] (``linear_code._phi_walk``); best[M-1] is n - d, taken from
+    the distance only if the walk gets that far.  By Wei's duality
+    theorem the phi values and the numbers best[t] + 1 for t < M split
+    1..n between them.
 
     When the parity-check code H has the smaller rank, n - M, the
-    values come from the same search on it (``_parity_side``).  With
-    best*[t] the size of H's largest flat of rank t, Wei's duality gives
-    phi(x) = n - best*[n-M-x], and d is H's smallest circuit.  H is
-    built once per hierarchy and serves both.
+    values come from the same flat search on it (``_parity_side``),
+    rank by rank downwards.  With best*[t] the size of H's largest flat
+    of rank t, Wei's duality gives phi(x) = n - best*[n-M-x], and d is
+    phi(1) of H: the ascending walk on H, stopped at its first value.
+    H is built once per hierarchy and serves both.
 
     A witness chain is one continuation test away, on the generator
     side whichever side gave the values.  Adding circuits to a union W
@@ -292,7 +294,7 @@ class _RankHierarchy:
         n, M = self.code.n, self.code.M
         x_max = min(x_max, n - M)
         if self._dual is None:
-            return self._primal_values(x_max)
+            return _phi_walk(self.code, x_max, lambda: n - self.distance())
         # phi rises strictly, so best*[t] < best*[t+1]; below rank d-1
         # every flat of H is independent
         dual = self._dual
@@ -304,31 +306,6 @@ class _RankHierarchy:
             else:
                 best, _ = _largest_flat(dual.field, dual.columns, t, t, limit=best - 1)
             out.append(n - best)
-        return out
-
-    def _primal_values(self, x_max: int) -> list[int]:
-        """phi(1..x_max) from the generator's flats.
-
-        best[t] is searched rank by rank, from best[t-1] + 1 up and only
-        until it settles phi(x_max); rank M-1 comes from the distance.
-        """
-        code = self.code
-        n, M = code.n, code.M
-        out: list[int] = []
-        best = -1
-        t = 0
-        while len(out) < x_max:
-            if t == M:
-                best = n
-            elif t == M - 1:
-                best = n - self.distance()
-            else:
-                best, _ = _largest_flat(
-                    code.field, code.columns, t, best + 1, limit=x_max + t
-                )
-            while len(out) < x_max and best - t > len(out):
-                out.append(len(out) + 1 + t)
-            t += 1
         return out
 
     def scan(self, size_cap: int) -> Iterable[int]:

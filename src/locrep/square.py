@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import gf2m, regsets
-from .bounds import s_value
+from .bounds import bound_general, s_value
 from .errors import DomainError, InvariantError
 from .gf2m import _check_int, _is_int
 from .linear_code import LinearCode, min_distance, to_json_dict
@@ -222,5 +222,5 @@ def check_rank_lemma(sc: SquareCode, members: Iterable[int]) -> LemmaCheck:
 
 def verify_optimal_distance(sc: SquareCode, search_cap: Optional[int] = None) -> bool:
     """Whether brute-force distance equals n - M + 1 - s exactly."""
-    expected = sc.n - sc.M + 1 - s_value(sc.M, sc.r)
+    expected = bound_general(sc.n, sc.M, 1, s_value(sc.M, sc.r))
     return min_distance(sc.code, search_cap=search_cap) == expected

@@ -269,6 +269,14 @@ def nullity_phi(code: LinearCode, x: int) -> int | None:
     return None
 
 
+def rho_from_phi(phi, M: int) -> int:
+    """The largest x with phi(x) - x < M, or 0; phi(x) is None past the last chain."""
+    x = 0
+    while (v := phi(x + 1)) is not None and v - x - 1 < M:
+        x += 1
+    return x
+
+
 def largest_flat(code: LinearCode, rank: int) -> tuple[int, tuple[int, ...]]:
     """Size and lex-first witness of a largest subset of rank <= ``rank``.
 

@@ -23,7 +23,13 @@ from locrep import (
     s_value,
 )
 
-from oracles import fraction_ceil
+from oracles import (
+    codeword_min_weight,
+    exhaustive_phi,
+    fraction_ceil,
+    oracle_codes,
+    rho_from_phi,
+)
 
 
 def test_bound_general_values():
@@ -246,3 +252,79 @@ def test_out_of_range_integers_keep_their_messages():
         bound_square(15, 6, 3)
     with pytest.raises(DomainError, match=r"comparison table needs r >= 2, got 1"):
         compare_table(1)
+
+
+# the benchmark's bounds requests at n=16, M=6, with the value and floor
+# each prints
+BENCH_BOUNDS = {
+    "general": (dict(rho=2), 9, {"rho": 2}),
+    "locality_r": (dict(r=3), 10, {"rho_lower": 1}),
+    "lrc": (dict(r=3, delta=3), 9, {"rho_lower": 2}),
+    "rdc": (dict(r=3, delta=3), 9, {"mu": 2}),
+    "square": (dict(r=3), 9, {"s": 2}),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(BENCH_BOUNDS))
+def test_bound_report_values_and_floors(theorem):
+    kwargs, value, floor = BENCH_BOUNDS[theorem]
+    rep = bound_report(theorem, n=16, M=6, **kwargs)
+    assert (rep.value, rep.intermediate) == (value, floor)
+
+
+@pytest.mark.parametrize(
+    "theorem, extra",
+    [
+        (theorem, extra)
+        for theorem, (kwargs, _, _) in sorted(BENCH_BOUNDS.items())
+        for extra in ("r", "delta", "rho")
+        if extra not in kwargs
+    ],
+)
+def test_bound_report_rejects_parameters_the_theorem_does_not_take(theorem, extra):
+    kwargs = {**BENCH_BOUNDS[theorem][0], extra: 3}
+    with pytest.raises(DomainError, match=f"the {theorem} bound does not take {extra}"):
+        bound_report(theorem, n=16, M=6, **kwargs)
+
+
+def _random_report(rng: Random, theorem: str):
+    if theorem in ("rdc", "square"):
+        r = rng.randrange(2, 9)
+        if theorem == "square":
+            n = (r + 1) ** 2
+            return bound_report(theorem, n=n, M=rng.randrange(r + 1, r * r + 1), r=r)
+        n = rng.randrange(1, 60)
+        M = rng.randrange(1, n + 1)
+        return bound_report(theorem, n=n, M=M, r=r, delta=rng.randrange(2, 7))
+    n = rng.randrange(1, 60)
+    M = rng.randrange(1, n + 1)
+    alpha = rng.randrange(1, 4)
+    if theorem == "general":
+        return bound_report(theorem, n=n, M=M, alpha=alpha, rho=rng.randrange(0, n))
+    kwargs = dict(r=rng.randrange(1, 12))
+    if theorem == "lrc":
+        kwargs["delta"] = rng.randrange(2, 7)
+    return bound_report(theorem, n=n, M=M, alpha=alpha, **kwargs)
+
+
+@pytest.mark.parametrize("theorem", sorted(BENCH_BOUNDS))
+def test_every_bound_is_the_general_bound_at_its_floor(theorem):
+    # the uniform form: each theorem only supplies a floor on rho
+    rng = Random(83)
+    for _ in range(2000):
+        rep = _random_report(rng, theorem)
+        (floor,) = rep.intermediate.values()
+        n, M, alpha = rep.params["n"], rep.params["M"], rep.params.get("alpha", 1)
+        assert rep.value == bound_general(n, M, alpha, floor), rep
+
+
+def test_general_bound_at_exact_rho_is_the_distance():
+    # exact rho = n - M + 1 - d, from two brute-force oracles and no
+    # engine: rho from the chains over all regenerating sets, d from
+    # the lightest nonzero codeword
+    for code in oracle_codes():
+        n, M = code.n, code.M
+        exact_rho = rho_from_phi(lambda x: exhaustive_phi(code, x), M)
+        assert bound_general(n, M, 1, exact_rho) == codeword_min_weight(code), (
+            code.columns
+        )

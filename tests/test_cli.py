@@ -160,6 +160,16 @@ def test_bounds_square_rejects_alpha(capsys):
     assert "alpha" in err
 
 
+def test_bounds_rejects_a_parameter_the_theorem_does_not_take(capsys):
+    # --rho belongs to the general theorem only; it is not dropped
+    rc, out, err = _run(
+        capsys, "bounds", "--theorem", "square", "--n", "16", "--M", "6",
+        "--r", "3", "--rho", "2",
+    )
+    assert rc == 2 and out == ""
+    assert "does not take rho" in err
+
+
 def test_verify_locality_pass_and_fail(capsys, code_file):
     rc, out, _ = _run(
         capsys, "verify", code_file, "--locality", "2", "--delta", "3"

@@ -30,7 +30,7 @@ from locrep.linear_code import (
     _dual,
     _iter_circuits,
     _largest_flat,
-    _smallest_circuit,
+    _phi_walk,
     dumps,
     loads,
 )
@@ -391,7 +391,7 @@ def test_min_distance_with_M_equal_n_minus_1():
             code = random_code(rng, field, n, n - 1, require_repairable=False)
             d = min_distance(code)
             assert d == naive_min_distance(code)[0]
-            assert d == _smallest_circuit(_dual(code))
+            assert d == _phi_walk(_dual(code), 1)[0]
     assert min_distance(single_parity_code()) == 2
 
 
@@ -399,7 +399,7 @@ def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes
     codes = _dual_test_codes(square_r2_m3, square_r2_m4) + square_r3_codes
     for code in codes:
         primal = _distance(code, None)
-        assert primal == _smallest_circuit(_dual(code)) == min_distance(code), code
+        assert primal == _phi_walk(_dual(code), 1)[0] == min_distance(code), code
 
 
 # (size, lex-first witness) of square r=3 M=4..9 over GF(2^9) and
@@ -442,7 +442,7 @@ def test_distance_searches_leave_no_reference_cycles(square_r3_codes):
 def test_smallest_circuit_leaves_the_rank_cache_alone(square_r3_m9):
     dual = _dual(square_r3_m9.code)
     before = dict(dual._rank_cache)
-    assert _smallest_circuit(dual) == 4
+    assert _phi_walk(dual, 1)[0] == 4
     assert dual._rank_cache == before
 
 
@@ -456,7 +456,7 @@ def test_smallest_circuit_agrees_with_the_reference_circuits(
         for side in (code, _dual(code)):
             fresh = LinearCode(side.field, side.n, side.M, side.columns)
             smallest = reference_circuits(fresh, side.n)[0].bit_count()
-            assert _smallest_circuit(side) == smallest, side.columns
+            assert _phi_walk(side, 1)[0] == smallest, side.columns
 
 
 def test_high_rate_min_distance_agrees_with_the_oracles():

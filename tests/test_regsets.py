@@ -40,8 +40,8 @@ from locrep.linear_code import (
     _dual,
     _largest_flat,
     _normalized,
+    _phi_walk,
     _Residues,
-    _smallest_circuit,
 )
 from locrep.regsets import _PhiSearch, _RankHierarchy, _witness
 
@@ -55,7 +55,9 @@ from oracles import (
     random_nontrivial_chain,
     reference_circuits,
     repetition_code,
+    rho_from_phi,
     single_parity_code,
+    square_distance,
     square_oracle_applies,
     square_phi,
     subset_rank,
@@ -899,8 +901,10 @@ def test_both_sides_of_wei_duality_agree_beyond_the_oracles():
     for code in _wei_test_codes():
         n, M = code.n, code.M
         dual = _dual(code)
-        assert _distance(code, None) == _smallest_circuit(dual), code.columns
-        primal = _RankHierarchy(code)._primal_values(n - M)
+        assert _distance(code, None) == _phi_walk(dual, 1)[0], code.columns
+        # the walk searches rank M-1 itself unless the hyperplane is supplied
+        primal = _phi_walk(code, n - M)
+        assert _phi_walk(code, n - M, lambda: n - _distance(code, None)) == primal
         from_dual = [
             n - _largest_flat(dual.field, dual.columns, n - M - x, n - M - x)[0]
             for x in range(1, n - M + 1)
@@ -1081,3 +1085,27 @@ def test_exact_profiles_match_the_grid_graph_phi():
     for M, (values, _, _) in _PINNED_R4_PROFILES.items():
         assert square_oracle_applies(build_square_code(4, M))
         assert list(values) == [0, *(square_phi(4, M, x) for x in range(1, len(values)))]
+
+
+@pytest.mark.parametrize("M", [5, 6])
+def test_r4_generator_side_matches_the_grid_graph(M):
+    # 2M < n: the exact values are the ascending walk over the
+    # generator's largest flats, at the default x_max = rho + 1
+    sc = build_square_code(4, M)
+    assert square_oracle_applies(sc)
+    profile = phi_profile(sc.code, search_cap=25)
+    assert profile.rho == rho_from_phi(lambda x: square_phi(4, M, x), M)
+    assert len(profile.phi) == profile.rho + 2
+    expected = [square_phi(4, M, x) for x in range(1, len(profile.phi))]
+    assert list(profile.phi) == [0, *expected]
+
+
+def test_r4_parity_side_matches_the_grid_graph():
+    # 2M >= n: d is phi(1) of the parity-check code, the same ascending
+    # walk over its largest flats, stopped at its first value
+    sc = build_square_code(4, 14)
+    assert square_oracle_applies(sc)
+    d = square_distance(4, 14)
+    assert min_distance(sc.code, search_cap=25) == d
+    grid_rho = rho_from_phi(lambda x: square_phi(4, 14, x), 14)
+    assert rho(sc.code, search_cap=25) == 25 - 14 + 1 - d == grid_rho
