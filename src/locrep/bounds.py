@@ -129,14 +129,31 @@ def g_function(x: int, r: int) -> int:
     return x * r - (x * x - 1) // 4
 
 
+def _check_square_shape(
+    r: int, M: Optional[int] = None, n: Optional[int] = None, what: str = "square code"
+) -> None:
+    """The square-code shape, the domain of :func:`bound_square`.
+
+    r an integer >= 2 and, where given, n = (r+1)^2 and M an integer in
+    r+1..r^2.  ``what`` starts every message.
+    """
+    for name, value in (("r", r), ("n", n), ("M", M)):
+        # n and M are optional, r is not
+        if not _is_int(value) and (name == "r" or value is not None):
+            raise DomainError(
+                f"{what} parameter {name} must be an integer, got {value!r}"
+            )
+    if r < 2:
+        raise DomainError(f"{what} needs r >= 2, got {r}")
+    if n is not None and n != (r + 1) ** 2:
+        raise DomainError(f"{what} r={r} needs n={(r + 1) ** 2}, got n={n}")
+    if M is not None and not r + 1 <= M <= r * r:
+        raise DomainError(f"{what} r={r} needs M in {r + 1}..{r * r}, got M={M}")
+
+
 def s_value(M: int, r: int) -> int:
     """Largest x in [0, 2r+1] with g(x) < M, for r+1 <= M <= r^2."""
-    _require_positive(r=r)
-    _require_int(M=M)
-    if not r + 1 <= M <= r * r:
-        raise DomainError(
-            f"square-code dimension must lie in {r + 1}..{r * r}, got {M}"
-        )
+    _check_square_shape(r, M)
     return _s(M, r)
 
 
@@ -148,13 +165,8 @@ def _s(M: int, r: int) -> int:
 
 def bound_square(n: int, M: int, r: int) -> int:
     """d <= n - M + 1 - s for square codes (n must be (r+1)^2)."""
-    _require_positive(r=r)
-    _require_int(n=n)
-    if n != (r + 1) ** 2:
-        raise DomainError(
-            f"square codes have length (r+1)^2 = {(r + 1) ** 2}, got n={n}"
-        )
-    return bound_general(n, M, 1, s_value(M, r))
+    _check_square_shape(r, M, n)
+    return bound_general(n, M, 1, _s(M, r))
 
 
 def compare_table(r: int) -> list[tuple[int, int, int]]:
@@ -163,9 +175,7 @@ def compare_table(r: int) -> list[tuple[int, int, int]]:
     Covers the whole square-code dimension range M = r+1 .. r^2, so the
     table has r^2 - r rows.
     """
-    _require_int(r=r)
-    if r < 2:
-        raise DomainError(f"comparison table needs r >= 2, got {r}")
+    _check_square_shape(r)
     n = (r + 1) ** 2
     # every row's n, M, r and delta are valid: the two bounds are the
     # general bound at their floors, which need no checks

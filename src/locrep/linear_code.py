@@ -41,6 +41,7 @@ from operator import xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf2m
+from .bounds import _check_square_shape
 from .gf2m import _check_int, _is_int
 from .errors import DomainError, InvariantError, SearchCapExceeded
 
@@ -818,29 +819,11 @@ def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:
 def _check_square_metadata(metadata: dict, n: int, M: int) -> None:
     # the CLI caps regenerating sets at r+1 on the declared r, so a
     # declaration that does not fit the code would truncate its answers
-    for key in ("r", "M"):
-        if not _is_int(metadata.get(key)):
-            raise DomainError(
-                f"malformed code file: square metadata needs an integer {key}"
-            )
-    r, meta_M = metadata["r"], metadata["M"]
-    if r < 2:
-        raise DomainError(f"malformed code file: square metadata needs r >= 2, got {r}")
-    if n != (r + 1) ** 2:
-        raise DomainError(
-            f"malformed code file: square metadata r={r} needs n={(r + 1) ** 2}, "
-            f"got n={n}"
-        )
-    if meta_M != M:
-        raise DomainError(
-            f"malformed code file: square metadata M={meta_M} differs from "
-            f"the code's M={M}"
-        )
-    if not r + 1 <= M <= r * r:
-        raise DomainError(
-            f"malformed code file: square metadata r={r} needs M in "
-            f"{r + 1}..{r * r}, got M={M}"
-        )
+    what = "malformed code file: square metadata"
+    meta_M = metadata.get("M")
+    if not _is_int(meta_M) or meta_M != M:
+        raise DomainError(f"{what} M={meta_M!r} differs from the code's M={M}")
+    _check_square_shape(metadata.get("r"), M, n, what)
 
 
 def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:

@@ -126,16 +126,17 @@ def minimal_regsets(
     """All inclusion-minimal regenerating sets of ``target`` up to a size cap.
 
     These are the circuits through ``target``, listed by size, then
-    lexicographically: the circuit scan, filtered by the target.
-    Supersets of regenerating sets regenerate too, so the minimal ones
-    form the floor of the whole collection.  A size cap that is not an
-    integer >= 1 is a :class:`DomainError`.
+    lexicographically: the gated circuit scan :func:`_local_circuits`,
+    filtered by the target.  Supersets of regenerating sets regenerate
+    too, so the minimal ones form the floor of the whole collection.  A
+    size cap that is not an integer >= 1 is a :class:`DomainError`, and
+    a code longer than n = 25 raises :class:`SearchCapExceeded`.
     """
     bit = code._coord_mask([target])  # validates the target
     cap = _resolve_size_cap(code, size_cap)
     return [
         RegeneratingSet(target, _coords(mask))
-        for mask in _circuits(code, cap)
+        for mask in _local_circuits(code, cap)
         if mask & bit
     ]
 
@@ -390,13 +391,18 @@ def _resolve_size_cap(code: LinearCode, size_cap: Optional[int]) -> int:
     return min(size_cap, code.n)
 
 
+def _prunes_no_circuit(code: LinearCode, cap: int) -> bool:
+    """Whether a size cap keeps every circuit (none has over min(n, M+1) members)."""
+    return cap >= min(code.n, code.M + 1)
+
+
 def _search(code: LinearCode, cap: int):
     """The phi engine for a resolved size cap.
 
-    The rank hierarchy when the cap prunes no circuit (none has more
-    than min(n, M+1) members), else the branch-and-bound within it.
+    The rank hierarchy when the cap prunes no circuit, else the
+    branch-and-bound within it.
     """
-    if cap >= min(code.n, code.M + 1):
+    if _prunes_no_circuit(code, cap):
         return _RankHierarchy(code)
     return _PhiSearch(code, cap)
 
@@ -487,14 +493,15 @@ def phi_profile(
     )
 
 
-def _local_circuits(code: LinearCode, r: int) -> list[int]:
-    """The local repair groups under locality r: circuits of up to r+1 members.
+def _local_circuits(code: LinearCode, size_cap: int) -> list[int]:
+    """The circuits of up to ``size_cap`` members, behind the n <= 25 gate.
 
-    Listed by size then lex, after the length gate; the locality answers
-    and repair plans all read this one list.
+    Listed by size then lex.  Under locality r the cap is r+1 and these
+    are the local repair groups; the locality answers, repair plans and
+    :func:`minimal_regsets` all read this one gated scan.
     """
     _check_search_cap(code, _LOCALITY_N_CAP)
-    return _circuits(code, r + 1)
+    return _circuits(code, size_cap)
 
 
 def _tolerance(code: LinearCode, r: int, limit: int) -> int:
@@ -504,12 +511,18 @@ def _tolerance(code: LinearCode, r: int, limit: int) -> int:
     through i with at most r+1 members meets E only in i, so tau_i, the
     fewest other erasures that cut i off, is a smallest hitting set of
     F_i = {C - {i}}; a zero column, a circuit alone, is never cut off.
-    After one circuit scan, sizes 0, 1, 2, ... are tried across all
-    coordinates, each by a bounded search tree that branches on the
-    members of the smallest set not yet hit.  Past the length gate or
-    the node budget it raises :class:`SearchCapExceeded`.
+    When r+1 prunes no circuit, a set hits every circuit through i
+    exactly when it holds a cocircuit through i, less i, so the answer
+    is d - 1.  Otherwise, after one circuit scan, sizes 0, 1, 2, ... are
+    tried across all coordinates, each by a bounded search tree that
+    branches on the members of the smallest set not yet hit.  Past the
+    length gate (checked first on both paths) or the node budget it
+    raises :class:`SearchCapExceeded`.
     """
-    circuits = _local_circuits(code, r)
+    if _prunes_no_circuit(code, r + 1):
+        _check_search_cap(code, _LOCALITY_N_CAP)
+        return min(_distance(code, _parity_side(code)) - 1, limit)
+    circuits = _local_circuits(code, r + 1)
     families = [
         [c ^ (1 << i) for c in circuits if c >> i & 1]
         for i in range(code.n) if 1 << i not in circuits

@@ -95,7 +95,7 @@ def plan_repair(
     """
     _check_int(locality_cap, 1, "locality cap")
     remaining = code._coord_mask(failed)
-    circuits = _local_circuits(code, locality_cap)
+    circuits = _local_circuits(code, locality_cap + 1)
     steps: list[RepairStep] = []
     while remaining:
         # a circuit meeting the failures in one coordinate can rebuild it;

@@ -21,24 +21,26 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import gf2m, regsets
-from .bounds import bound_general, s_value
+from .bounds import _check_square_shape, bound_general, s_value
 from .errors import DomainError, InvariantError
-from .gf2m import _check_int, _is_int
+from .gf2m import _is_int
 from .linear_code import LinearCode, min_distance, to_json_dict
 from .regsets import RegeneratingSet
 
 
 def coordinate_of(r: int, i: int, j: int) -> int:
     """Coordinate in 1..(r+1)^2 of grid cell (i, j), both 1-based."""
-    if not (1 <= i <= r + 1 and 1 <= j <= r + 1):
-        raise DomainError(f"grid cell ({i}, {j}) is outside 1..{r + 1}")
+    _check_square_shape(r)
+    if not (_is_int(i) and _is_int(j) and 1 <= i <= r + 1 and 1 <= j <= r + 1):
+        raise DomainError(f"grid cell ({i!r}, {j!r}) is not in 1..{r + 1}")
     return (i - 1) * (r + 1) + j
 
 
 def grid_of(r: int, coord: int) -> tuple[int, int]:
     """Grid cell (i, j) of a coordinate; inverse of :func:`coordinate_of`."""
-    if not 1 <= coord <= (r + 1) ** 2:
-        raise DomainError(f"coordinate {coord} is outside 1..{(r + 1) ** 2}")
+    _check_square_shape(r)
+    if not _is_int(coord) or not 1 <= coord <= (r + 1) ** 2:
+        raise DomainError(f"coordinate {coord!r} is not in 1..{(r + 1) ** 2}")
     return (coord - 1) // (r + 1) + 1, (coord - 1) % (r + 1) + 1
 
 
@@ -71,15 +73,6 @@ class SquareCode:
         return to_json_dict(self.code, metadata=self.metadata())
 
 
-def _check_shape(r: int, M: int) -> None:
-    _check_int(r, 2, "square-code locality r")
-    if not _is_int(M) or not r + 1 <= M <= r * r:
-        raise DomainError(
-            f"square-code dimension must be an integer in {r + 1}..{r * r}, "
-            f"got {M!r}"
-        )
-
-
 def build_square_code(
     r: int, M: int, field: Optional[gf2m.GF2m] = None
 ) -> SquareCode:
@@ -89,7 +82,7 @@ def build_square_code(
     r^2 independent elements exist; any field of degree >= r^2 works
     and may be passed explicitly.
     """
-    _check_shape(r, M)
+    _check_square_shape(r, M)
     if field is None:
         field = gf2m.GF2m(r * r)
     betas, columns = square_columns(r, M, field)
@@ -106,7 +99,7 @@ def square_columns(
     code, such as one read from a file, can compare its columns with
     the construction's without a second full-rank check.
     """
-    _check_shape(r, M)
+    _check_square_shape(r, M)
     if field.degree < r * r:
         raise DomainError(
             f"field degree {field.degree} is too small; need >= {r * r} "
@@ -201,21 +194,15 @@ def check_rank_lemma(sc: SquareCode, members: Iterable[int]) -> LemmaCheck:
     columns must span everything; a VIOLATED return would mean the
     construction itself is broken.
     """
-    mset = frozenset(members)
-    for c in mset:
-        if not 1 <= c <= sc.n:
-            raise DomainError(f"coordinate {c} is outside 1..{sc.n}")
-    if len(mset) < sc.M:
+    mask = sc.code._coord_mask(members)
+    if mask.bit_count() < sc.M:
         return LemmaCheck.HYPOTHESES_UNMET
-    per_row = [0] * (sc.r + 1)
-    for c in mset:
-        i, _ = grid_of(sc.r, c)
-        per_row[i - 1] += 1
-    if max(per_row) > sc.r:
+    size = sc.r + 1
+    row = (1 << size) - 1
+    per_row = [(mask >> (i * size) & row).bit_count() for i in range(size)]
+    if max(per_row) > sc.r or min(per_row) > 0:
         return LemmaCheck.HYPOTHESES_UNMET
-    if min(per_row) > 0:
-        return LemmaCheck.HYPOTHESES_UNMET
-    if sc.code.entropy(mset) == sc.M:
+    if sc.code._rank(mask) == sc.M:
         return LemmaCheck.HOLDS
     return LemmaCheck.VIOLATED
 

@@ -456,3 +456,102 @@ def square_oracle_applies(sc) -> bool:
         and all(b == field.frobenius(a, 1) for a, b in zip(col, col[1:]))
         for k, col in enumerate(code.columns)
     )
+
+
+def tamo_barg_code(r: int, delta: int, k: int, groups: int | None = None) -> LinearCode:
+    """A Tamo-Barg code over GF(16): locality (r, delta), dimension k.
+
+    Tamo and Barg, "A family of optimal locally recoverable codes" (IEEE
+    Trans. IT 60(8), 2014).  With g = r + delta - 1 dividing 15 and r
+    dividing k, the local groups are the cosets of the subgroup of order
+    g of GF(16)*, on which x^g is constant, and a message is
+    f = sum a_ij x^i (x^g)^j for i < r, j < k/r: the column at x holds
+    those monomials.  On a coset f is a polynomial of degree below r, a
+    [g, r, delta] Reed-Solomon code, and f has degree at most
+    (r-1) + g(k/r - 1), so d = n - k + 1 - (k/r - 1)(delta - 1), which
+    is ``bound_lrc``.  The points are all of GF(16)* (n = 15), coset by
+    coset, or the first ``groups`` cosets only.  (4, 2, 4) is the
+    Reed-Solomon [15, 4] code.
+    """
+    field = GF2m(4)
+    g = r + delta - 1
+    if 15 % g or k % r:
+        raise ValueError(f"needs g = r + delta - 1 dividing 15 and r dividing k")
+    cosets: dict[int, list[int]] = {}
+    for x in range(1, 16):
+        cosets.setdefault(field.pow(x, g), []).append(x)
+    points = [x for coset in list(cosets.values())[:groups] for x in coset]
+    columns = [
+        [field.pow(x, i + g * j) for j in range(k // r) for i in range(r)]
+        for x in points
+    ]
+    return LinearCode(field, len(points), k, columns)
+
+
+def _masked_rank(code: LinearCode):
+    """subset_rank on bitmasks (bit i-1 = coordinate i), memoised."""
+
+    @lru_cache(maxsize=None)
+    def rank(mask: int) -> int:
+        return subset_rank(code, [i + 1 for i in range(code.n) if mask >> i & 1])
+
+    return rank
+
+
+def rdelta_locality_holds(code: LinearCode, r: int, delta: int) -> bool:
+    """(r, delta) locality, straight from the definition.
+
+    Prakash, Kamath, Lalitha and Kumar (ISIT 2012): every coordinate
+    lies in a set S of at most r + delta - 1 coordinates with rank(S) <=
+    r whose punctured code C|S has distance >= delta, that is, erasing
+    any delta - 1 members of S leaves its rank (the zero code of a set
+    of zero columns counts).  Scans every S up to that size.
+    """
+    rank = _masked_rank(code)
+    uncovered = (1 << code.n) - 1
+    for size in range(1, r + delta):
+        for S in combinations([1 << i for i in range(code.n)], size):
+            mask = sum(S)
+            if not mask & uncovered or rank(mask) > r:
+                continue
+            erasures = combinations(S, min(delta - 1, size))
+            if all(rank(mask - sum(E)) == rank(mask) for E in erasures):
+                uncovered &= ~mask
+                if not uncovered:
+                    return True
+    return False
+
+
+def disjoint_repair_sets_hold(code: LinearCode, r: int, delta: int) -> bool:
+    """delta - 1 repair sets per coordinate, disjoint apart from it.
+
+    Coordinate i needs delta - 1 regenerating sets of at most r + 1
+    members that meet pairwise only in i: a packing of the circuits
+    through i, less i (shrinking a set to a circuit keeps it disjoint
+    from the others).  A zero column regenerates from the empty set,
+    which packs with itself.  Lists every regenerating set up to that
+    size, then searches the packings.
+    """
+    rank = _masked_rank(code)
+    for i in range(code.n):
+        bit = 1 << i
+        others = [1 << j for j in range(code.n) if j != i]
+        helpers = [
+            mask
+            for size in range(r + 1)
+            for R in combinations(others, size)
+            if rank((mask := sum(R)) | bit) == rank(mask)
+        ]
+        if 0 in helpers:
+            continue
+
+        def packs(start: int, used: int, k: int) -> bool:
+            return k == 0 or any(
+                packs(s + 1, used | helpers[s], k - 1)
+                for s in range(start, len(helpers))
+                if not helpers[s] & used
+            )
+
+        if not packs(0, 0, delta - 1):
+            return False
+    return True

@@ -248,10 +248,14 @@ def test_out_of_range_integers_keep_their_messages():
         rdc_mu(6, 1, 3)
     with pytest.raises(DomainError, match=r"g is defined on 0\.\.7, got x=8"):
         g_function(8, 3)
-    with pytest.raises(DomainError, match=r"length \(r\+1\)\^2 = 16, got n=15"):
+    # the square-code shape has one check, shared with build_square_code
+    # and the code-file reader
+    with pytest.raises(DomainError, match=r"square code r=3 needs n=16, got n=15"):
         bound_square(15, 6, 3)
-    with pytest.raises(DomainError, match=r"comparison table needs r >= 2, got 1"):
+    with pytest.raises(DomainError, match=r"square code needs r >= 2, got 1"):
         compare_table(1)
+    with pytest.raises(DomainError, match=r"square code r=3 needs M in 4\.\.9, got M=10"):
+        s_value(10, 3)
 
 
 # the benchmark's bounds requests at n=16, M=6, with the value and floor

@@ -148,7 +148,7 @@ def test_bounds_domain_error_exit_code(capsys):
         "--r", "2",
     )
     assert rc == 2
-    assert "(r+1)^2" in err
+    assert "square code r=2 needs n=9, got n=10" in err
 
 
 def test_bounds_square_rejects_alpha(capsys):

@@ -47,6 +47,7 @@ from locrep.regsets import _PhiSearch, _RankHierarchy, _witness
 
 from oracles import (
     all_regenerating_sets,
+    codeword_min_weight,
     exhaustive_phi,
     locality_holds,
     nullity_phi,
@@ -61,6 +62,7 @@ from oracles import (
     square_oracle_applies,
     square_phi,
     subset_rank,
+    tamo_barg_code,
 )
 
 
@@ -121,6 +123,19 @@ def test_minimal_regsets_rejects_a_size_cap_below_one(square_r2_m3, cap):
 def test_minimal_regsets_rejects_a_bool_target(square_r2_m3):
     with pytest.raises(DomainError, match="coordinate True"):
         minimal_regsets(square_r2_m3.code, True, 3)
+
+
+def test_minimal_regsets_has_the_locality_length_gate():
+    # a random binary n=40 code once ran its circuit scan for minutes,
+    # while phi_profile refused it at once
+    code = random_code(Random(7), GF2m(1), 40, 20, require_repairable=False)
+    start = time.perf_counter()
+    with pytest.raises(SearchCapExceeded, match="n=40"):
+        minimal_regsets(code, 1, 40)
+    assert time.perf_counter() - start < 0.5
+    with pytest.raises(SearchCapExceeded, match="n=26"):
+        minimal_regsets(repetition_code(26), 1, 2)
+    assert len(minimal_regsets(repetition_code(25), 1, 2)) == 24
 
 
 def test_minimal_regsets_are_inclusion_minimal(square_r2_m3):
@@ -384,12 +399,41 @@ def test_square_locality_is_two_grid_stars(r, M):
     assert repair_tolerance(code, r) == 2
 
 
+def test_tolerance_is_d_minus_1_when_the_cap_prunes_no_circuit(monkeypatch):
+    # every 5-set of the Reed-Solomon [15, 4] code is a circuit, so
+    # hitting every circuit through i means holding a cocircuit; the
+    # hitting set once passed its node budget here
+    code = tamo_barg_code(4, 2, 4)
+    monkeypatch.setattr(regsets, "_LOCALITY_NODE_BUDGET", 0)
+    assert min_distance(code) == 12
+    assert repair_tolerance(code, 4) == 11
+    assert verify_locality(code, 4, 12)
+    assert not verify_locality(code, 4, 13)
+
+
+def test_tolerance_without_pruning_matches_the_minimum_weight():
+    # r + 1 >= min(n, M + 1): the cap keeps every circuit
+    rng = Random(107)
+    for field in (GF2m(2), GF2m(3)):
+        for _ in range(12):
+            n = rng.randrange(2, 8)
+            M = rng.randrange(1, min(n, 4) + 1)
+            code = random_code(rng, field, n, M, require_repairable=False)
+            expected = codeword_min_weight(code) - 1
+            for r in range(min(n, M + 1) - 1, n):
+                assert repair_tolerance(code, r) == expected, (code.columns, r)
+
+
 def test_locality_search_keeps_a_node_budget(monkeypatch):
-    # tolerance 11 tries sizes 0..11 on every coordinate: about 800 nodes
-    assert repair_tolerance(repetition_code(12), 1) == 11
+    # two blocks of six parallel columns: cap 2 is below M+1 = 3, so the
+    # hitting set runs (under a cap that prunes no circuit, as on a
+    # repetition code, the answer is d - 1 without a search); tolerance
+    # 5 tries sizes 0..5 on every coordinate, about 170 nodes
+    code = LinearCode(GF2m(4), 12, 2, [[1, 0]] * 6 + [[0, 1]] * 6)
+    assert repair_tolerance(code, 1) == 5
     monkeypatch.setattr(regsets, "_LOCALITY_NODE_BUDGET", 100)
     with pytest.raises(SearchCapExceeded, match="passed 100 nodes"):
-        repair_tolerance(repetition_code(12), 1)
+        repair_tolerance(code, 1)
 
 
 def _size_lex(sets):

@@ -48,6 +48,32 @@ def test_grid_coordinate_bijection():
         grid_of(2, 10)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: coordinate_of(2, 2.0, 1),
+        lambda: coordinate_of(2, True, 1.0),
+        lambda: coordinate_of(2, 1, "1"),
+        lambda: grid_of(2, 2.0),
+        lambda: grid_of(2, True),
+        lambda: grid_of(2, 0),
+    ],
+)
+def test_grid_helpers_take_only_integer_coordinates(call):
+    # the rule LinearCode._coord_mask applies: an integer in range; a
+    # float or a bool is not read as the integer it equals
+    with pytest.raises(DomainError, match=r"is not in 1\.\."):
+        call()
+
+
+@pytest.mark.parametrize("r", [1, 0, 2.0, True, None])
+def test_grid_helpers_check_the_square_shape(r):
+    with pytest.raises(DomainError, match="square code"):
+        coordinate_of(r, 1, 1)
+    with pytest.raises(DomainError, match="square code"):
+        grid_of(r, 1)
+
+
 def test_build_square_r2_m3_betas(square_r2_m3):
     sc = square_r2_m3
     # first basis monomials inside, zero-sum boundary outside
@@ -70,7 +96,7 @@ def test_build_rejects_bad_parameters():
 
 
 def test_build_rejects_a_float_locality():
-    with pytest.raises(DomainError, match="locality r must be an integer"):
+    with pytest.raises(DomainError, match="square code parameter r must be an integer"):
         build_square_code(2.0, 3)
 
 
@@ -150,6 +176,30 @@ def test_rank_lemma_hypotheses_unmet(square_r2_m3):
     assert (
         check_rank_lemma(square_r2_m3, full_row) is LemmaCheck.HYPOTHESES_UNMET
     )
+
+
+@pytest.mark.parametrize("members", [[2.0, 3.0, 4.0], [1, 2, True], [1, 10]])
+def test_rank_lemma_takes_only_coordinates_of_the_code(square_r2_m3, members):
+    # [2.0, 3.0, 4.0] once raised TypeError from the grid-row count
+    with pytest.raises(DomainError, match=r"is not in 1\.\.9"):
+        check_rank_lemma(square_r2_m3, members)
+
+
+def test_rank_lemma_counts_grid_rows_like_grid_of(square_r2_m4, square_r3_m9):
+    # the per-row counts come from the coordinate mask; check the
+    # outcome against counts made cell by cell with grid_of
+    rng = Random(89)
+    for sc in (square_r2_m4, square_r3_m9):
+        for _ in range(300):
+            X = set(rng.sample(range(1, sc.n + 1), rng.randrange(0, sc.n + 1)))
+            per_row = [0] * (sc.r + 1)
+            for c in X:
+                per_row[grid_of(sc.r, c)[0] - 1] += 1
+            admissible = len(X) >= sc.M and max(per_row) <= sc.r and min(per_row) == 0
+            expected = (
+                LemmaCheck.HOLDS if admissible else LemmaCheck.HYPOTHESES_UNMET
+            )
+            assert check_rank_lemma(sc, X) is expected, (sc.r, sc.M, sorted(X))
 
 
 def test_rank_lemma_random_admissible_subsets(square_r2_m4, square_r3_m9):
