@@ -25,7 +25,9 @@ in the quotient by the current span, and pushing a column is one
 elimination step in the log domain: one table lookup per coordinate (a
 multiplication where the field has no log tables) where the packed
 images would need m XOR passes.  The flat search keeps the coordinates
-coordinate-major and pushes with :func:`_quotient`.  The circuit scan,
+coordinate-major and pushes with :func:`_quotient`; the push that
+reaches the rank below the target writes only the columns above the
+pushed one, the ones it then groups by direction.  The circuit scan,
 the one enumeration of circuits and so of minimal regenerating sets,
 keeps one vector per column, scaled to a leading 1, so a span test
 there is one tuple comparison, and a push updates each vector in place
@@ -35,7 +37,6 @@ there is one tuple comparison, and a push updates each vector in place
 from __future__ import annotations
 
 import json
-from bisect import bisect
 from itertools import compress, islice
 from operator import xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -322,7 +323,11 @@ def _largest_flat(
     contraction's residues both qualify.  ``size`` and ``mask`` are the
     incumbent: a flat replaces it only when strictly larger, and the
     incumbent comes back unchanged when none is.  With ``limit`` the
-    search stops at the first flat of at least that many columns.
+    search stops at the first set of at least that many columns that it
+    counts.  That set may lie strictly inside a flat (see
+    :class:`_FlatSearch`), so the size that comes back reaches
+    ``limit`` exactly when some flat does, but it is then only a lower
+    bound on the largest; a size below ``limit`` is exact.
 
     Rank 0 is the set of zero columns.  Otherwise every flat of rank t
     is a flat of rank t-1 plus the columns whose residues over it are
@@ -341,7 +346,7 @@ def _largest_flat(
         return (loops.bit_count(), loops) if loops.bit_count() > size else (size, mask)
     search = _FlatSearch(field, size, mask, len(columns) + 1 if limit is None else limit)
     if rank == 1:
-        search.group(loops, -1, cols, rows)
+        search.group(loops, cols, rows)
     else:
         search.visit(loops, -1, cols, rows, rank - 1)
     return search.size, search.mask
@@ -367,20 +372,22 @@ def _quotient(
     rows: Sequence[Sequence[int]],
     pos: int,
     factors: Optional[list] = None,
+    first: int = 0,
 ) -> list[Sequence[int]]:
-    """Columns in the quotient by the span of the one at ``pos``.
+    """Columns from ``first`` on in the quotient by the span of the one at ``pos``.
 
     The columns are given coordinate-major: ``rows[k][c]`` is coordinate
     k of column c, and column ``pos`` is nonzero.  With p its leading
     coordinate, each column v becomes v - (v[p] / v_pos[p]) * v_pos,
-    and row p is dropped, so every column, the one at ``pos`` included,
-    comes back with one coordinate fewer.  This is the elimination step
-    of the flat search and of :func:`_contraction`.  It runs in the log
-    domain: row p is turned into discrete logs once, so each entry
-    update is one table lookup, u ^ exp[log a + log x], and no method
-    call, and a row whose entry at ``pos`` is zero is kept as it is.
-    Fields without log tables keep elements where the logs would be and
-    multiply instead.
+    and row p is dropped, so every column comes back with one
+    coordinate fewer; the columns before ``first`` are left out, so
+    with ``first`` above ``pos`` the push writes only the columns above
+    its pivot.  This is the elimination step of the flat search and of
+    :func:`_contraction`.  It runs in the log domain: row p is turned
+    into discrete logs once, so each entry update is one table lookup,
+    u ^ exp[log a + log x], and no method call, and a row whose entry
+    at ``pos`` is zero is kept as it is.  Fields without log tables
+    keep elements where the logs would be and multiply instead.
     ``factors``, one slot per row, caches row p's logs for the next
     push against the same rows.
     """
@@ -402,11 +409,15 @@ def _quotient(
         lead = row_logs[pos]
     else:
         scale = field._inv(pivot[pos])
+    if first:
+        row_logs = row_logs[first:]
     out = []
     for k, row in enumerate(rows):
         x = row[pos]
         if k == p:
             continue
+        if first:
+            row = row[first:]
         if not x:
             out.append(row)
         elif log:
@@ -433,20 +444,24 @@ class _FlatSearch:
     Pushing a basis column is one :func:`_quotient`; a residue that
     becomes zero joins the closure, and one below the pushed column
     means the basis is not greedy, so that flat is reached elsewhere.
+    A column that an earlier push at the same flat closed over spans
+    that push's flat again, so it is not pushed.
 
-    At a flat of rank t-1, :meth:`group` files the columns outside it
-    by direction: each direction is the flat of rank t that the column
-    adds.  In the plane over a flat of rank M-2 a direction is a line,
-    keyed by log x - log y (or x = 0, or y = 0); in more dimensions it
-    is the residue scaled to a leading 1.  Only the columns above the
-    last basis column are filed.  A flat of rank t is counted in full at
-    the flat spanned by the first t-1 columns of its own greedy basis,
-    where its columns outside that flat all lie above the last basis
-    column.  A direction with a column below it is counted without that
-    column, a set strictly inside a flat counted elsewhere, so it never
-    ties the best.  Every set counted below a flat lies within the flat
-    and the columns above its last basis column, which bounds the
-    branch.
+    The last push, to a flat of rank t-1, writes only the columns above
+    its pivot, and :meth:`group` files them by direction: each
+    direction is the flat of rank t that the column adds.  The ones the
+    push zeroed join the flat.  In the plane over a flat of rank M-2 a
+    direction is a line, keyed by log x - log y (or x = 0, or y = 0);
+    in more dimensions it is the residue scaled to a leading 1.  A flat
+    of rank t is counted in full at the flat spanned by the first t-1
+    columns of its own greedy basis, where its columns outside that flat
+    all lie above the last basis column.  So the last push runs no
+    greedy test: a set it counts with a column of its flat or direction
+    below the pivot left out lies strictly inside a flat counted in full
+    elsewhere, so it never ties the best, and with ``limit`` it reaches
+    the limit only when that flat does.  Every set counted below a flat
+    lies within the flat and the columns above its last basis column,
+    which bounds the branch.
 
     Of two flats of one rank and size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
@@ -478,58 +493,61 @@ class _FlatSearch:
 
         ``last`` is the flat's last basis column (-1 for none), ``cols``
         lists the columns outside it in order, and ``rows`` their
-        residues, coordinate-major.  ``depth`` is at least 1; after the
-        last push the columns are grouped.
+        residues, coordinate-major.  ``depth`` is at least 1; the last
+        push hands the columns above its pivot to :meth:`group`.
         """
         size = flat.bit_count()
         count = len(cols)
         factors = [None] * len(rows)
+        # the columns an earlier push at this flat closed over: pushing
+        # one spans the same flat again
+        zeroed = 0
         for pos, j in enumerate(cols):
-            if j < last:
+            if j < last or zeroed >> j & 1:
                 continue
             # the flat plus every outside column from j up, at most
             if size + count - pos <= self.size or self.size >= self.limit:
                 break
+            grown = flat | 1 << j
+            if depth == 1:
+                reduced = _quotient(self.field, rows, pos, factors, pos + 1)
+                zeroed |= self.group(grown, cols[pos + 1:], reduced)
+                continue
             reduced = _quotient(self.field, rows, pos, factors)
             nonzero = list(map(any, zip(*reduced)))
             # j's own residue is now zero; one below it means the basis
             # is not greedy, one above it joins the flat
             if nonzero.index(False) < pos:
                 continue
-            grown = flat | 1 << j
             if nonzero.count(False) == 1:
-                if depth == 1:
-                    # grouping starts above j, so j's zero residue can stay
-                    self.group(grown, j, cols, reduced)
-                    continue
                 child_cols = cols[:pos] + cols[pos + 1:]
                 child_rows = [row[:pos] + row[pos + 1:] for row in reduced]
             else:
                 for c, kept in zip(cols[pos + 1:], nonzero[pos + 1:]):
                     if not kept:
                         grown |= 1 << c
+                zeroed |= grown
                 child_cols = list(compress(cols, nonzero))
                 child_rows = [list(compress(row, nonzero)) for row in reduced]
-            if depth == 1:
-                self.group(grown, j, child_cols, child_rows)
-            else:
-                self.visit(grown, j, child_cols, child_rows, depth - 1)
+            self.visit(grown, j, child_cols, child_rows, depth - 1)
 
-    def group(
-        self, flat: int, last: int, cols: list[int], rows: list[Sequence[int]]
-    ) -> None:
-        """File the columns above ``last`` by direction over ``flat``."""
+    def group(self, flat: int, cols: list[int], rows: list[Sequence[int]]) -> int:
+        """File ``cols`` by direction over ``flat``; return the zero ones.
+
+        ``rows`` are the columns' residues over the flat, coordinate-
+        major.  A zero residue is in the flat's closure, so it joins the
+        flat and every direction.
+        """
         field = self.field
-        start = bisect(cols, last)
         lines: dict = {}
         if len(rows) == 2:
             log = field._tables()[1]
             period = field.order - 1
-            for c, x, y in zip(cols[start:], rows[0][start:], rows[1][start:]):
+            for c, x, y in zip(cols, *rows):
                 # the line through the point: x/y as a log, -2 for x = 0
                 # and -1 for y = 0
                 if not y:
-                    key = -1
+                    key = -1 if x else None
                 elif not x:
                     key = -2
                 elif log:
@@ -538,14 +556,17 @@ class _FlatSearch:
                     key = field._mul(x, field._inv(y))
                 lines[key] = lines.get(key, 0) | 1 << c
         else:
-            for c, res in zip(cols[start:], list(zip(*rows))[start:]):
+            for c, res in zip(cols, zip(*rows)):
                 key = _normalized(field, res)
                 lines[key] = lines.get(key, 0) | 1 << c
+        closure = lines.pop(None, 0)
+        flat |= closure
         size = flat.bit_count()
         for line in lines.values():
             total = size + line.bit_count()
             if total > self.size:
                 self.size, self.mask = total, flat | line
+        return closure
 
 
 def _circuits(code: LinearCode, size_cap: int) -> list[int]:

@@ -15,6 +15,7 @@ from locrep import (
     InvariantError,
     LinearCode,
     SearchCapExceeded,
+    bound_square,
     build_square_code,
     erasure_decodable,
     from_json_dict,
@@ -206,10 +207,11 @@ def test_max_deficient_agrees_with_the_naive_scan(degree):
         assert _largest_deficient(code) == (n - 1, witness), code.columns
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 17])
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 16, 17])
 def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
     # size and lex-first witness on bare columns, zero and scaled ones
-    # included; degree 17 has no log tables
+    # included; below rank M-1 the last push groups in the log domain,
+    # to base 3 at degree 8, and degree 17 has no log tables
     field = GF2m(degree)
     rng = Random(83 + degree)
     for _ in range(10):
@@ -222,9 +224,38 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
                 code.columns, rank)
             # an incumbent at least as large comes back unchanged
             assert _largest_flat(field, code.columns, rank, size, 5) == (size, 5)
-            # with a limit the search stops at the first flat that reaches it
+            # with a limit the search may stop on a set inside a flat, but
+            # it reaches the limit exactly when a flat does, and a limit
+            # it never reaches leaves the answer exact
+            for limit in range(1, n + 2):
+                found = _largest_flat(field, code.columns, rank, 0, limit=limit)
+                assert (found[0] >= limit) == (size >= limit), (
+                    code.columns, rank, limit)
+                if limit > size:
+                    assert found == (size, mask)
             found, _ = _largest_flat(field, code.columns, rank, 0, limit=size)
             assert found == size
+
+
+@pytest.mark.parametrize("r, M, calls, cells", [
+    (3, 7, 1064, 27491), (3, 8, 577, 22938), (4, 5, 1770, 40990),
+])
+def test_flat_search_work_is_pinned(monkeypatch, r, M, calls, cells):
+    # the pushes and the cells in the rows they return are deterministic;
+    # a last push that writes the columns below its pivot too, or a push
+    # of a column an earlier push at the same flat zeroed, reads more
+    quotient = linear_code._quotient
+    seen = []
+
+    def counting(*args):
+        out = quotient(*args)
+        seen.append(sum(map(len, out)))
+        return out
+
+    monkeypatch.setattr(linear_code, "_quotient", counting)
+    code = build_square_code(r, M).code
+    assert min_distance(code, 25) == bound_square(code.n, M, r)
+    assert (len(seen), sum(seen)) == (calls, cells)
 
 
 def test_contraction_ranks_are_ranks_over_the_contracted_set():
