@@ -54,12 +54,6 @@ class BoundReport:
     value: int
     intermediate: dict
 
-    def to_json_dict(self) -> dict:
-        out = {"theorem": self.theorem, "value": self.value}
-        out.update(self.params)
-        out.update(self.intermediate)
-        return out
-
 
 def bound_general(n: int, M: int, alpha: int, rho: int) -> int:
     """d <= n - ceil(M/alpha) + 1 - rho, for any code with that rho."""

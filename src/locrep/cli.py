@@ -54,7 +54,7 @@ def _load_code(path: str):
         return linear_code.loads(fh.read())
 
 
-def _default_size_cap(code, metadata) -> Optional[int]:
+def _default_size_cap(metadata) -> Optional[int]:
     # declared locality bounds the useful regenerating-set size
     if metadata and metadata.get("family") == "square":
         return metadata["r"] + 1
@@ -114,7 +114,7 @@ def _cmd_phi(args) -> int:
     profile = regsets.phi_profile(
         code,
         x_max=args.x_max,
-        size_cap=_default_size_cap(code, metadata),
+        size_cap=_default_size_cap(metadata),
         search_cap=_search_cap(),
     )
     _emit_json(profile.to_json_dict(), args.output)
@@ -126,7 +126,7 @@ def _cmd_rho(args) -> int:
     code, metadata = _load_code(args.code)
     value = regsets.rho(
         code,
-        size_cap=_default_size_cap(code, metadata),
+        size_cap=_default_size_cap(metadata),
         search_cap=_search_cap(),
     )
     _emit_json({"rho": value}, args.output)

@@ -282,15 +282,7 @@ class GF2m:
 
     def mul(self, a: int, b: int) -> int:
         """Multiply two elements, reducing modulo the field modulus."""
-        self._check(a)
-        self._check(b)
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is None:
-            if self.degree > _TABLE_DEGREE_MAX:
-                return self._polymul(a, b)
-            self._tables()
-        return self._exp[self._log[a] + self._log[b]]
+        return self._mul(self._check(a), self._check(b))
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; zero has none."""
@@ -331,6 +323,19 @@ class GF2m:
         return f"GF2m(degree={self.degree}, modulus={self.modulus:#x})"
 
 
+def _reduce(pivots: list[int], v: int) -> int:
+    """``v`` reduced against an echelon: 0 exactly when v is in its span.
+
+    ``pivots[p]`` is the echelon vector whose leading bit is p, or 0.
+    """
+    while v:
+        w = pivots[v.bit_length() - 1]
+        if not w:
+            return v
+        v ^= w
+    return 0
+
+
 def linearly_independent(field: GF2m, elems: Iterable[int]) -> bool:
     """Whether field elements are linearly independent over GF(2).
 
@@ -341,19 +346,12 @@ def linearly_independent(field: GF2m, elems: Iterable[int]) -> bool:
     vecs = [field._check(a) for a in elems]
     if len(vecs) > field.degree:
         return False
-    pivots: dict[int, int] = {}  # leading bit -> reduced vector
+    pivots = [0] * field.degree
     for v in vecs:
-        inserted = False
-        while v:
-            lead = v.bit_length() - 1
-            w = pivots.get(lead)
-            if w is None:
-                pivots[lead] = v
-                inserted = True
-                break
-            v ^= w
-        if not inserted:
+        v = _reduce(pivots, v)
+        if not v:
             return False
+        pivots[v.bit_length() - 1] = v
     return True
 
 

@@ -10,6 +10,8 @@ subset-rank quantity n - max{|E| : rank(E) < M}, which is also the
 size of the smallest circuit of the parity-check code.  It is searched
 on whichever side of that duality has the smaller rank: the generator
 for low-rate codes, the parity-check code when 2M >= n.
+:class:`_RankHierarchy` makes that choice once per code, and is the one
+source of d, exact rho and exact phi.
 
 Single ranks and the full-rank check are taken over GF(2): a column
 and its multiples z^t * column (t < m) are packed into m integers,
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import gf2m
 from .bounds import _check_square_shape
-from .gf2m import _check_int, _is_int
+from .gf2m import _check_int, _is_int, _reduce
 from .errors import DomainError, InvariantError, SearchCapExceeded
 
 #: Largest code length accepted by exhaustive subset scans by default.
@@ -146,13 +148,8 @@ class LinearCode:
                 break
             pivots[v.bit_length() - 1] = v
             for u in images[1:]:
-                while u:
-                    p = u.bit_length() - 1
-                    w = pivots[p]
-                    if not w:
-                        pivots[p] = u
-                        break
-                    u ^= w
+                u = _reduce(pivots, u)
+                pivots[u.bit_length() - 1] = u
         self._rank_cache[mask] = rank
         return rank
 
@@ -182,16 +179,6 @@ class LinearCode:
             f"LinearCode(n={self.n}, M={self.M}, "
             f"field=GF(2^{self.field.degree}))"
         )
-
-
-def _reduce(pivots: list[int], v: int) -> int:
-    """``v`` reduced against an echelon: 0 exactly when v is in its span."""
-    while v:
-        w = pivots[v.bit_length() - 1]
-        if not w:
-            return v
-        v ^= w
-    return 0
 
 
 class _Residues:
@@ -753,28 +740,105 @@ def _phi_walk(
     return out
 
 
-def _parity_side(code: LinearCode) -> Optional[LinearCode]:
-    """The parity-check code when 0 < n - M <= M (the smaller rank), else None."""
-    return _dual(code) if code.M < code.n <= 2 * code.M else None
+class _RankHierarchy:
+    """Exact d, rho and phi from the largest flats of each rank.
 
+    For a scalar code a nontrivial chain of x regenerating sets has a
+    union U of nullity |U| - rank(U) >= x, and every such U holds one:
+    the fundamental circuits of x elements of U outside a basis of U.
+    So phi(x) = min{|U| : nullity(U) >= x}, Wei's x-th generalized
+    Hamming weight of the dual code.  On the generator side the values
+    come from the one ascending walk over the largest flat of each rank,
+    best[t] (:func:`_phi_walk`); best[M-1] is n - d, taken from the
+    distance only if the walk gets that far.  By Wei's duality theorem
+    the phi values and the numbers best[t] + 1 for t < M split 1..n
+    between them.
 
-def _distance(code: LinearCode, dual: Optional[LinearCode]) -> int:
-    """Minimum distance on the side :func:`_parity_side` chose.
+    The constructor makes the one duality choice: ``dual`` is the
+    parity-check code H when it has the smaller rank, 0 < n - M <= M,
+    and None otherwise.  H is built once per hierarchy and serves both
+    d and phi.  With best*[t] the size of H's largest flat of rank t,
+    Wei's duality gives phi(x) = n - best*[n-M-x], searched rank by rank
+    downwards, and d is phi(1) of H: the ascending walk on H, stopped at
+    its first value.  Without H, d is n minus the size of a hyperplane,
+    the largest flat of rank M-1, searched from the first M-1 columns
+    as incumbent; when M = n every coordinate is a coloop and d = 1.
 
-    That is phi(1) of the parity-check code (Wei's duality: d is the
-    size of its smallest circuit), the ascending walk of
-    :func:`_phi_walk` stopped at its first value; or n minus the size
-    of a largest rank-deficient set: a hyperplane, the largest flat of
-    rank M-1, searched from the first M-1 columns as incumbent.  When
-    M = n every coordinate is a coloop and d = 1.
+    A witness chain is one continuation test away, on the generator
+    side whichever side gave the values.  Adding circuits to a union W
+    raises its nullity by at least one each, and the fundamental
+    circuits of k elements outside a basis give back any gain of k, so
+    the smallest union k more sets can reach from W is |W| + phi of the
+    contraction by W at k: the columns outside W modulo the span of W's.
     """
-    if dual is not None:
-        return _phi_walk(dual, 1)[0]
-    n, M = code.n, code.M
-    if M == n:
-        return 1
-    size, _ = _largest_flat(code.field, code.columns, M - 1, M - 1, (1 << (M - 1)) - 1)
-    return n - size
+
+    def __init__(self, code: LinearCode):
+        self.code = code
+        self.dual = _dual(code) if code.M < code.n <= 2 * code.M else None
+        self._d: Optional[int] = None
+
+    def distance(self) -> int:
+        """Minimum distance, on the side the constructor chose; searched once."""
+        if self._d is None:
+            code = self.code
+            n, M = code.n, code.M
+            if self.dual is not None:
+                self._d = _phi_walk(self.dual, 1)[0]
+            elif M == n:
+                self._d = 1
+            else:
+                size, _ = _largest_flat(
+                    code.field, code.columns, M - 1, M - 1, (1 << (M - 1)) - 1
+                )
+                self._d = n - size
+        return self._d
+
+    def rho(self) -> int:
+        """n - M + 1 - d: a set of nullity x has rank below M iff x <= rho."""
+        return self.code.n - self.code.M + 1 - self.distance()
+
+    def values(self, x_max: int) -> list[int]:
+        """phi(1), ..., phi(x_max), cut short where chains run out."""
+        n, M = self.code.n, self.code.M
+        x_max = min(x_max, n - M)
+        dual = self.dual
+        if dual is None:
+            return _phi_walk(self.code, x_max, lambda: n - self.distance())
+        # phi rises strictly, so best*[t] < best*[t+1]; below rank d-1
+        # every flat of H is independent
+        out: list[int] = []
+        best = n
+        for t in range(n - M - 1, n - M - 1 - x_max, -1):
+            if self._d is not None and t < self._d - 1:
+                best = t
+            else:
+                best, _ = _largest_flat(dual.field, dual.columns, t, t, limit=best - 1)
+            out.append(n - best)
+        return out
+
+    def scan(self, size_cap: int) -> Iterable[int]:
+        """The circuits of up to ``size_cap`` members by size then lex, lazily."""
+        return _iter_circuits(self.code, size_cap)
+
+    def reaches(self, grown: int, k: int, goal: int) -> bool:
+        """Whether k more sets can end on a union of at most ``goal``.
+
+        That is phi(k) <= goal - |grown| in the contraction by
+        ``grown``.  As best[t] - t never falls, it holds iff at the
+        largest useful rank, t = goal - |grown| - k, a flat has at least
+        k + t columns; at the contraction's full rank every column
+        counts.
+        """
+        t = goal - grown.bit_count() - k
+        if k == 0 or t < 0:
+            return t >= 0
+        code = self.code
+        columns = _contraction(code.field, code.columns, grown)
+        rank = len(columns[0]) if columns else 0
+        if t >= rank:
+            return len(columns) - rank >= k
+        found, _ = _largest_flat(code.field, columns, t, k + t - 1, limit=k + t)
+        return found >= k + t
 
 
 def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
@@ -786,12 +850,12 @@ def min_distance(code: LinearCode, search_cap: Optional[int] = None) -> int:
     circuit of the parity-check code's.  Both sides run the flat search:
     the primal one visits flats of rank up to M-2, the dual one flats of
     rank below d-1 <= n-M, so a high-rate code is searched on the dual
-    side (:func:`_distance`).  Both counts can grow exponentially with
-    n, so the code length is gated by ``search_cap`` (default
+    side (:class:`_RankHierarchy`).  Both counts can grow exponentially
+    with n, so the code length is gated by ``search_cap`` (default
     :data:`DEFAULT_SEARCH_CAP`).
     """
     _check_search_cap(code, search_cap)
-    return _distance(code, _parity_side(code))
+    return _RankHierarchy(code).distance()
 
 
 def erasure_decodable(code: LinearCode, failed: Iterable[int]) -> bool:
@@ -803,10 +867,6 @@ def erasure_decodable(code: LinearCode, failed: Iterable[int]) -> bool:
 
 # ---------------------------------------------------------------------------
 # JSON code file format
-
-def _elem_to_hex(v: int) -> str:
-    return format(v, "x")
-
 
 def _elem_from_hex(s: str) -> int:
     try:
@@ -827,10 +887,10 @@ def to_json_dict(code: LinearCode, metadata: Optional[dict] = None) -> dict:
     obj = {
         "q": 2,
         "m": code.field.degree,
-        "modulus_hex": _elem_to_hex(code.field.modulus),
+        "modulus_hex": format(code.field.modulus, "x"),
         "n": code.n,
         "M": code.M,
-        "columns": [[_elem_to_hex(x) for x in col] for col in code.columns],
+        "columns": [[format(x, "x") for x in col] for col in code.columns],
     }
     if metadata is not None:
         obj["metadata"] = metadata
@@ -856,7 +916,7 @@ def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
         n = obj["n"]
         M = obj["M"]
         raw_columns = obj["columns"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, DomainError) as exc:
         raise DomainError(f"malformed code file: {exc}") from None
     for key, value in (("q", q), ("m", m), ("n", n), ("M", M)):
         if not _is_int(value):
@@ -875,8 +935,11 @@ def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
     if q != 2:
         raise DomainError(f"only base field GF(2) is supported, got q={q}")
     field = gf2m.GF2m(m, modulus)
-    columns = [[_elem_from_hex(x) for x in col] for col in raw_columns]
-    code = LinearCode(field, n, M, columns)
+    try:
+        columns = [[_elem_from_hex(x) for x in col] for col in raw_columns]
+        code = LinearCode(field, n, M, columns)
+    except DomainError as exc:
+        raise DomainError(f"malformed code file: {exc}") from None
     return code, metadata
 
 

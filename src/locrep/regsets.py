@@ -9,20 +9,19 @@ can have, and rho is the largest x for which phi(x) - x still falls
 short of M.  The minimal regenerating sets of i are the circuits
 through i of the column matroid.  Everything here talks to the code
 through bitmask ranks, ``LinearCode._rank``, the circuit scan
-``linear_code._iter_circuits`` and the flat search
-``linear_code._largest_flat``; the searches keep sets as bitmasks.
+``linear_code._circuits`` and the exact engine
+``linear_code._RankHierarchy``; the searches keep sets as bitmasks.
 The circuit scan is the one enumeration of regenerating sets: a
 target's minimal regenerating sets are the circuits it lists that hold
 the target.
 
 Exact phi is Wei's generalized Hamming weight of the dual code,
-min{|U| : |U| - rank(U) >= x}, and comes from the sizes of the largest
-flats of each rank, on the side of duality with the smaller rank
-(``linear_code._parity_side``).  Exact rho is
-n - M + 1 - d.  Only a size cap that leaves circuits out runs the
-branch-and-bound over the capped circuits.  Both kinds of profile share
-one witness walk, on the generator side.  Locality and repair tolerance
-are one minimum hitting set of the circuits of up to r+1 members.
+min{|U| : |U| - rank(U) >= x}, and exact rho is n - M + 1 - d; both
+come from the rank hierarchy.  Only a size cap that leaves circuits
+out runs the branch-and-bound over the capped circuits.  Both kinds of
+profile share one witness walk, on the generator side.  Locality and
+repair tolerance are one minimum hitting set of the circuits of up to
+r+1 members.
 """
 
 from __future__ import annotations
@@ -38,17 +37,7 @@ from .errors import (
     SearchCapExceeded,
 )
 from .gf2m import _check_int
-from .linear_code import (
-    LinearCode,
-    _check_search_cap,
-    _circuits,
-    _contraction,
-    _distance,
-    _iter_circuits,
-    _largest_flat,
-    _parity_side,
-    _phi_walk,
-)
+from .linear_code import LinearCode, _RankHierarchy, _check_search_cap, _circuits
 
 # Locality answers and repair plans scan the circuits of up to r+1
 # members, which grows exponentially with the length.
@@ -246,103 +235,6 @@ class _PhiSearch:
         return self.completion(grown, k) <= goal
 
 
-class _RankHierarchy:
-    """Exact phi from the largest flats of each rank.
-
-    For a scalar code a nontrivial chain of x regenerating sets has a
-    union U of nullity |U| - rank(U) >= x, and every such U holds one:
-    the fundamental circuits of x elements of U outside a basis of U.
-    So phi(x) = min{|U| : nullity(U) >= x}, Wei's x-th generalized
-    Hamming weight of the dual code.  On the generator side the values
-    come from the one ascending walk over the largest flat of each rank,
-    best[t] (``linear_code._phi_walk``); best[M-1] is n - d, taken from
-    the distance only if the walk gets that far.  By Wei's duality
-    theorem the phi values and the numbers best[t] + 1 for t < M split
-    1..n between them.
-
-    When the parity-check code H has the smaller rank, n - M, the
-    values come from the same flat search on it (``_parity_side``),
-    rank by rank downwards.  With best*[t] the size of H's largest flat
-    of rank t, Wei's duality gives phi(x) = n - best*[n-M-x], and d is
-    phi(1) of H: the ascending walk on H, stopped at its first value.
-    H is built once per hierarchy and serves both.
-
-    A witness chain is one continuation test away, on the generator
-    side whichever side gave the values.  Adding circuits to a union W
-    raises its nullity by at least one each, and the fundamental
-    circuits of k elements outside a basis give back any gain of k, so
-    the smallest union k more sets can reach from W is |W| + phi of the
-    contraction by W at k: the columns outside W modulo the span of W's.
-    """
-
-    def __init__(self, code: LinearCode):
-        self.code = code
-        self._dual = _parity_side(code)
-        self._d: Optional[int] = None
-        self._reaches: dict[tuple[int, int, int], bool] = {}
-
-    def distance(self) -> int:
-        if self._d is None:
-            self._d = _distance(self.code, self._dual)
-        return self._d
-
-    def rho(self) -> int:
-        """n - M + 1 - d: a set of nullity x has rank below M iff x <= rho."""
-        return self.code.n - self.code.M + 1 - self.distance()
-
-    def values(self, x_max: int) -> list[int]:
-        """phi(1), ..., phi(x_max), cut short where chains run out."""
-        n, M = self.code.n, self.code.M
-        x_max = min(x_max, n - M)
-        if self._dual is None:
-            return _phi_walk(self.code, x_max, lambda: n - self.distance())
-        # phi rises strictly, so best*[t] < best*[t+1]; below rank d-1
-        # every flat of H is independent
-        dual = self._dual
-        out: list[int] = []
-        best = n
-        for t in range(n - M - 1, n - M - 1 - x_max, -1):
-            if self._d is not None and t < self._d - 1:
-                best = t
-            else:
-                best, _ = _largest_flat(dual.field, dual.columns, t, t, limit=best - 1)
-            out.append(n - best)
-        return out
-
-    def scan(self, size_cap: int) -> Iterable[int]:
-        """The circuits of up to ``size_cap`` members by size then lex, lazily."""
-        return _iter_circuits(self.code, size_cap)
-
-    def reaches(self, grown: int, k: int, goal: int) -> bool:
-        """Whether k more sets can end on a union of at most ``goal``.
-
-        That is phi(k) <= goal - |grown| in the contraction by
-        ``grown``.  As best[t] - t never falls, it holds iff at the
-        largest useful rank, t = goal - |grown| - k, a flat has at least
-        k + t columns; at the contraction's full rank every column
-        counts.
-        """
-        size = grown.bit_count()
-        t = goal - size - k
-        if k == 0 or t < 0:
-            return t >= 0
-        key = (grown, k, goal)
-        known = self._reaches.get(key)
-        if known is None:
-            code = self.code
-            columns = _contraction(code.field, code.columns, grown)
-            rank = len(columns[0]) if columns else 0
-            if t >= rank:
-                known = len(columns) - rank >= k
-            else:
-                found, _ = _largest_flat(
-                    code.field, columns, t, k + t - 1, limit=k + t
-                )
-                known = found >= k + t
-            self._reaches[key] = known
-        return known
-
-
 def _witness(
     search, n: int, x: int, goal: int
 ) -> tuple[RegeneratingSet, ...]:
@@ -521,7 +413,7 @@ def _tolerance(code: LinearCode, r: int, limit: int) -> int:
     """
     if _prunes_no_circuit(code, r + 1):
         _check_search_cap(code, _LOCALITY_N_CAP)
-        return min(_distance(code, _parity_side(code)) - 1, limit)
+        return min(_RankHierarchy(code).distance() - 1, limit)
     circuits = _local_circuits(code, r + 1)
     families = [
         [c ^ (1 << i) for c in circuits if c >> i & 1]

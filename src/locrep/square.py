@@ -24,7 +24,7 @@ from . import gf2m, regsets
 from .bounds import _check_square_shape, bound_general, s_value
 from .errors import DomainError, InvariantError
 from .gf2m import _is_int
-from .linear_code import LinearCode, min_distance, to_json_dict
+from .linear_code import LinearCode, min_distance
 from .regsets import RegeneratingSet
 
 
@@ -42,6 +42,15 @@ def grid_of(r: int, coord: int) -> tuple[int, int]:
     if not _is_int(coord) or not 1 <= coord <= (r + 1) ** 2:
         raise DomainError(f"coordinate {coord!r} is not in 1..{(r + 1) ** 2}")
     return (coord - 1) // (r + 1) + 1, (coord - 1) % (r + 1) + 1
+
+
+def _grid_lines(r: int, i: int, j: int) -> tuple[list[int], list[int]]:
+    """The coordinates of grid row i and of grid column j."""
+    cells = range(1, r + 2)
+    return (
+        [coordinate_of(r, i, jj) for jj in cells],
+        [coordinate_of(r, ii, j) for ii in cells],
+    )
 
 
 class LemmaCheck(enum.Enum):
@@ -68,9 +77,6 @@ class SquareCode:
 
     def metadata(self) -> dict:
         return {"family": "square", "r": self.r, "M": self.M}
-
-    def to_json_dict(self) -> dict:
-        return to_json_dict(self.code, metadata=self.metadata())
 
 
 def build_square_code(
@@ -141,22 +147,14 @@ def verify_grid_relations(sc: SquareCode) -> bool:
     Squaring distributes over sums in characteristic 2, so the zero sums
     of the cell values propagate to every generator row.
     """
-    size = sc.r + 1
     cols = sc.code.columns
-    for i in range(1, size + 1):
-        acc = [0] * sc.M
-        for j in range(1, size + 1):
-            col = cols[coordinate_of(sc.r, i, j) - 1]
-            acc = [a ^ c for a, c in zip(acc, col)]
-        if any(acc):
-            return False
-    for j in range(1, size + 1):
-        acc = [0] * sc.M
-        for i in range(1, size + 1):
-            col = cols[coordinate_of(sc.r, i, j) - 1]
-            acc = [a ^ c for a, c in zip(acc, col)]
-        if any(acc):
-            return False
+    for k in range(1, sc.r + 2):
+        for line in _grid_lines(sc.r, k, k):
+            acc = [0] * sc.M
+            for c in line:
+                acc = [a ^ x for a, x in zip(acc, cols[c - 1])]
+            if any(acc):
+                return False
     return True
 
 
@@ -168,15 +166,9 @@ def grid_regsets(
     Both have size r+1 and intersect exactly in the cell itself; both
     are checked against the entropy oracle before being returned.
     """
-    size = sc.r + 1
     target = coordinate_of(sc.r, i, j)
-    row = RegeneratingSet(
-        target,
-        frozenset(coordinate_of(sc.r, i, jj) for jj in range(1, size + 1)),
-    )
-    col = RegeneratingSet(
-        target,
-        frozenset(coordinate_of(sc.r, ii, j) for ii in range(1, size + 1)),
+    row, col = (
+        RegeneratingSet(target, frozenset(line)) for line in _grid_lines(sc.r, i, j)
     )
     for rs in (row, col):
         if not regsets.is_regenerating(sc.code, rs.target, rs.members):

@@ -201,6 +201,19 @@ def test_verify_optimal_square_needs_metadata(capsys, tmp_path, code_file):
     assert "square metadata" in err
 
 
+def test_verify_optimal_square_refuses_a_tampered_file(capsys, tmp_path, code_file):
+    # two swapped columns keep the declared shape, not the construction
+    with open(code_file) as fh:
+        obj = json.load(fh)
+    obj["columns"][0], obj["columns"][1] = obj["columns"][1], obj["columns"][0]
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(obj))
+    rc, out, err = _run(capsys, "verify", str(tampered), "--optimal-square")
+    assert rc == 2
+    assert out == ""
+    assert "does not match the square construction" in err
+
+
 def test_verify_requires_a_mode(capsys, code_file):
     rc, _, err = _run(capsys, "verify", code_file)
     assert rc == 2
@@ -331,9 +344,28 @@ def _without_r(obj):
     del obj["metadata"]["r"]
 
 
+def _first_symbol(value):
+    def edit(obj):
+        obj["columns"][0][0] = value
+
+    return edit
+
+
+def _without_columns(obj):
+    del obj["columns"]
+
+
 @pytest.mark.parametrize(
     "verb, edit",
     [
+        ("distance", _first_symbol("zz")),
+        ("distance", _first_symbol("-1")),
+        ("distance", _first_symbol(5)),
+        ("distance", _first_symbol("10")),
+        ("distance", lambda obj: obj.update(modulus_hex="x13")),
+        ("distance", lambda obj: obj["columns"].pop()),
+        ("distance", lambda obj: obj["columns"][0].pop()),
+        ("distance", _without_columns),
         ("distance", lambda obj: obj.update(m=4.0)),
         ("distance", lambda obj: obj.update(n=9.0)),
         ("distance", lambda obj: obj.update(M=True)),
@@ -348,6 +380,9 @@ def _without_r(obj):
         ("phi", _without_r),
     ],
     ids=[
+        "symbol-not-hex", "symbol-negative", "symbol-not-str",
+        "symbol-outside-field", "modulus-not-hex", "columns-n-minus-1",
+        "column-ragged", "columns-missing",
         "m-float", "n-float", "M-bool", "q-float", "q-str", "columns-int",
         "phi-columns-int", "columns-not-lists", "metadata-int",
         "metadata-r-str", "metadata-M-float", "metadata-r-missing",

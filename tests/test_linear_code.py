@@ -27,11 +27,11 @@ from locrep import linear_code
 from locrep.linear_code import (
     _circuits,
     _contraction,
-    _distance,
     _dual,
     _iter_circuits,
     _largest_flat,
     _phi_walk,
+    _RankHierarchy,
     dumps,
     loads,
 )
@@ -429,7 +429,10 @@ def test_min_distance_with_M_equal_n_minus_1():
 def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes):
     codes = _dual_test_codes(square_r2_m3, square_r2_m4) + square_r3_codes
     for code in codes:
-        primal = _distance(code, None)
+        # the generator side, whatever the rate
+        hierarchy = _RankHierarchy(code)
+        hierarchy.dual = None
+        primal = hierarchy.distance()
         assert primal == _phi_walk(_dual(code), 1)[0] == min_distance(code), code
 
 
@@ -532,6 +535,13 @@ def test_encode_matches_columns(square_r2_m3):
         msg = [1 if i == k else 0 for i in range(code.M)]
         word = code.encode(msg)
         assert word == tuple(col[k] for col in code.columns)
+
+
+def test_encode_rejects_a_message_of_the_wrong_length(square_r2_m3):
+    code = square_r2_m3.code
+    for length in (code.M - 1, code.M + 1):
+        with pytest.raises(DomainError, match=f"message must have {code.M} symbols"):
+            code.encode([1] * length)
 
 
 def test_json_round_trip(square_r2_m3):

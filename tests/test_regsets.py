@@ -36,14 +36,14 @@ from locrep import linear_code, regsets
 from locrep.linear_code import (
     _circuits,
     _contraction,
-    _distance,
     _dual,
     _largest_flat,
     _normalized,
     _phi_walk,
+    _RankHierarchy,
     _Residues,
 )
-from locrep.regsets import _PhiSearch, _RankHierarchy, _witness
+from locrep.regsets import _PhiSearch, _witness
 
 from oracles import (
     all_regenerating_sets,
@@ -910,7 +910,7 @@ def test_parity_check_values_match_the_nullity_oracle(square_r2_m3):
         expected = [nullity_phi(code, x) for x in range(1, code.n - code.M + 1)]
         for distance_first in (False, True):
             hierarchy = _RankHierarchy(code)
-            assert hierarchy._dual is not None
+            assert hierarchy.dual is not None
             if distance_first:
                 assert hierarchy.distance() == min_distance(code)
             assert hierarchy.values(code.n) == expected, code.columns
@@ -939,16 +939,24 @@ def _wei_test_codes():
     return codes
 
 
+def _generator_side(code):
+    """A rank hierarchy that searches the generator whatever the rate."""
+    hierarchy = _RankHierarchy(code)
+    hierarchy.dual = None
+    return hierarchy
+
+
 def test_both_sides_of_wei_duality_agree_beyond_the_oracles():
     # n = 9..14 is past the 2^n oracles' reach: the generator side and
     # the parity-check side check each other
     for code in _wei_test_codes():
         n, M = code.n, code.M
         dual = _dual(code)
-        assert _distance(code, None) == _phi_walk(dual, 1)[0], code.columns
+        primal_d = _generator_side(code).distance()
+        assert primal_d == _phi_walk(dual, 1)[0], code.columns
         # the walk searches rank M-1 itself unless the hyperplane is supplied
         primal = _phi_walk(code, n - M)
-        assert _phi_walk(code, n - M, lambda: n - _distance(code, None)) == primal
+        assert _phi_walk(code, n - M, lambda: n - primal_d) == primal
         from_dual = [
             n - _largest_flat(dual.field, dual.columns, n - M - x, n - M - x)[0]
             for x in range(1, n - M + 1)
@@ -957,7 +965,7 @@ def test_both_sides_of_wei_duality_agree_beyond_the_oracles():
         assert _RankHierarchy(code).values(n) == primal, code.columns
         # with d known, the ranks below d-1 are not searched
         hierarchy = _RankHierarchy(code)
-        assert hierarchy.distance() == _distance(code, None)
+        assert hierarchy.distance() == primal_d
         assert hierarchy.values(n) == primal, code.columns
 
 
@@ -1015,22 +1023,22 @@ def test_exact_values_run_no_circuit_scan(monkeypatch):
     def refuse(*args):
         raise AssertionError("an exact value scanned circuits")
 
-    for module in (linear_code, regsets):
-        for name in ("_circuits", "_iter_circuits"):
-            monkeypatch.setattr(module, name, refuse)
+    for module, name in ((linear_code, "_circuits"), (linear_code, "_iter_circuits"),
+                         (regsets, "_circuits")):
+        monkeypatch.setattr(module, name, refuse)
     for M in (4, 6, 9):
         code = build_square_code(3, M).code
         for x in range(1, 4):
             phi(code, x)
         rho(code)
-        regsets._RankHierarchy(code).values(code.n)
+        _RankHierarchy(code).values(code.n)
 
 
 def test_exact_witness_scans_stop_at_the_goal_less_the_sets_left(monkeypatch):
     # each step of an exact witness walk scans the circuits lazily, up
     # to the largest size the step can take
     scans = []
-    iter_circuits = regsets._iter_circuits
+    iter_circuits = linear_code._iter_circuits
 
     def recording(code, size_cap):
         scans.append(size_cap)
@@ -1049,7 +1057,7 @@ def test_exact_witness_scans_stop_at_the_goal_less_the_sets_left(monkeypatch):
         walks.append(x)
         return chain
 
-    monkeypatch.setattr(regsets, "_iter_circuits", recording)
+    monkeypatch.setattr(linear_code, "_iter_circuits", recording)
     monkeypatch.setattr(regsets, "_witness", walking)
     for M in (4, 6):
         code = build_square_code(3, M).code

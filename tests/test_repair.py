@@ -13,6 +13,7 @@ from locrep import (
     GF2m,
     LinearCode,
     RepairError,
+    RepairPlan,
     SearchCapExceeded,
     build_square_code,
     execute_repair,
@@ -119,6 +120,19 @@ def test_execute_rejects_wrong_length(square_r2_m3):
     plan = plan_repair(square_r2_m3.code, [], 2)
     with pytest.raises(DomainError):
         execute_repair([0] * 5, plan)
+
+
+def test_execute_rejects_a_step_whose_helper_is_still_erased(square_r2_m3):
+    # each step alone is sound, but the first reads the second's target
+    code = square_r2_m3.code
+    first = plan_repair(code, [1], 2).steps[0]
+    second = plan_repair(code, [2], 2).steps[0]
+    assert 2 in first.helpers
+    plan = RepairPlan(code=code, steps=(first, second))
+    word = list(code.encode((1, 2, 3)))
+    word[0] = word[1] = None
+    with pytest.raises(DomainError, match="helper 2 for target 1 is still erased"):
+        execute_repair(word, plan)
 
 
 def test_locality_cap_must_be_an_integer(square_r2_m3):

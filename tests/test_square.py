@@ -140,6 +140,20 @@ def test_grid_relations_detect_perturbation(square_r2_m3):
     assert not verify_grid_relations(perturbed)
 
 
+def test_grid_relations_detect_a_swap_within_a_grid_row(square_r2_m3):
+    # every grid row still sums to zero; grid columns 1 and 2 do not
+    sc = square_r2_m3
+    cols = list(sc.code.columns)
+    cols[0], cols[1] = cols[1], cols[0]
+    swapped = LinearCode(sc.field, sc.code.n, sc.code.M, cols)
+    from locrep.square import SquareCode
+
+    perturbed = SquareCode(
+        r=sc.r, M=sc.M, field=sc.field, betas=sc.betas, code=swapped
+    )
+    assert not verify_grid_relations(perturbed)
+
+
 def test_grid_regsets_cell_11(square_r2_m3):
     row, col = grid_regsets(square_r2_m3, 1, 1)
     assert row.sorted_members() == (1, 2, 3)
