@@ -16,8 +16,8 @@ from .errors import DomainError, InvariantError
 
 # Log/antilog tables make multiplication a couple of list lookups but
 # take 2^m ints of memory and, at degree 16, milliseconds to fill, so
-# they are filled on first use, and large degrees fall back to
-# shift-and-xor.
+# a field fills them only at its (2^m >> 8)-th product or inverse, and
+# large degrees always multiply by shift-and-xor.
 _TABLE_DEGREE_MAX = 16
 
 #: Largest field degree accepted.  Rabin's test on a given modulus takes
@@ -144,17 +144,26 @@ class GF2m:
         set.  ``None`` selects :func:`default_modulus`.
 
     Up to degree 16 multiplication and inversion go through log/antilog
-    tables of 2^m entries each.  They are filled on first use, not by
-    the constructor, so a field that is only built, squared or
-    serialised never pays for them.
+    tables of 2^m entries each.  They are not filled by the constructor,
+    so a field that is only built, squared or serialised never pays for
+    them.  A field has an allowance of ``2^m >> 8`` products and
+    inverses (256 at degree 16, 1 at degree 8, none below).  Each one
+    made without tables, by shift-and-xor or by extended Euclid, spends
+    one unit, and the one that spends the last unit fills them and
+    answers from them.  The allowance costs a few
+    percent of a fill (about 0.6 ms against 14 ms at degree 16), so a
+    field that needs many products loses little, and one that needs
+    few never fills.
 
     Instances are immutable in value and safe to share between threads;
     all element operations are pure functions on ints.  Two threads that
-    multiply first at the same time may both fill the tables; they fill
-    identical ones, and either may be kept.
+    multiply at the same time may count down the allowance from stale
+    values or both fill the tables.  A race on the count costs a few more
+    or fewer products without tables, two fills are identical, and
+    either may be kept: every answer is the same either way.
     """
 
-    __slots__ = ("degree", "modulus", "order", "_exp", "_log")
+    __slots__ = ("degree", "modulus", "order", "_exp", "_log", "_allowance")
 
     def __init__(self, degree: int, modulus: Optional[int] = None):
         _check_degree(degree)
@@ -172,21 +181,29 @@ class GF2m:
         object.__setattr__(self, "order", 1 << degree)
         object.__setattr__(self, "_exp", None)
         object.__setattr__(self, "_log", None)
+        # products and inverses left to make without tables
+        object.__setattr__(self, "_allowance", self.order >> 8)
 
     def __setattr__(self, name, value):
         raise AttributeError("GF2m is immutable")
 
     def _tables(self):
-        """The log/antilog tables, filled on first use.
+        """The log/antilog tables, filled once the allowance is spent.
 
-        Returns (exp, log), or (None, None) above the table degree.
+        Returns (exp, log), or (None, None) above the table degree and
+        while the allowance lasts.
         """
-        if self._exp is None and self.degree <= _TABLE_DEGREE_MAX:
-            exp, log = self._build_tables()
-            # _log first: whoever sees _exp filled finds _log filled too
-            object.__setattr__(self, "_log", log)
-            object.__setattr__(self, "_exp", exp)
-        return self._exp, self._log
+        exp = self._exp
+        if exp is not None:
+            # _log is written first, so it is filled too
+            return exp, self._log
+        if self.degree > _TABLE_DEGREE_MAX or self._allowance > 0:
+            return None, None
+        exp, log = self._build_tables()
+        # _log first: whoever sees _exp filled finds _log filled too
+        object.__setattr__(self, "_log", log)
+        object.__setattr__(self, "_exp", exp)
+        return exp, log
 
     def _build_tables(self):
         # z itself need not generate the multiplicative group (it does not
@@ -234,23 +251,51 @@ class GF2m:
                 a ^= self.modulus
         return r
 
+    def _tableless(self) -> bool:
+        """Whether the next product or inverse is made without tables.
+
+        Called only while the field has none: above the table degree it
+        never will; otherwise one unit of the allowance is spent, and the
+        call that spends the last one fills the tables.  A thread that
+        wrote back a stale count may have raised the allowance again
+        after this call spent the last unit; then nothing is filled and
+        this product, too, is made without tables.
+        """
+        if self.degree > _TABLE_DEGREE_MAX:
+            return True
+        left = self._allowance - 1
+        object.__setattr__(self, "_allowance", max(left, 0))
+        if left > 0:
+            return True
+        return self._tables()[0] is None
+
     def _mul(self, a: int, b: int) -> int:
         """Product of two elements already known to lie in the field."""
         if a == 0 or b == 0:
             return 0
-        if self._exp is None:
-            if self.degree > _TABLE_DEGREE_MAX:
-                return self._polymul(a, b)
-            self._tables()
+        if self._exp is None and self._tableless():
+            return self._polymul(a, b)
         return self._exp[self._log[a] + self._log[b]]
 
     def _inv(self, a: int) -> int:
         """Inverse of a nonzero element already known to lie in the field."""
-        if self._exp is None:
-            if self.degree > _TABLE_DEGREE_MAX:
-                return self._polypow(a, self.order - 2)
-            self._tables()
+        if self._exp is None and self._tableless():
+            return self._euclid_inv(a)
         return self._exp[self.order - 1 - self._log[a]]
+
+    def _euclid_inv(self, a: int) -> int:
+        # extended Euclid in GF(2)[z], keeping g * a = u and h * a = v
+        # modulo the modulus; the degrees of u and v fall until u = 1
+        u, v = a, self.modulus
+        g, h = 1, 0
+        while u != 1:
+            shift = u.bit_length() - v.bit_length()
+            if shift < 0:
+                u, v, g, h = v, u, h, g
+                shift = -shift
+            u ^= v << shift
+            g ^= h << shift
+        return g
 
     def _square(self, a: int) -> int:
         """Square of an element already known to lie in the field.

@@ -25,7 +25,7 @@ parity-check code's smallest circuit, its phi(1), and the generator's
 exact phi.  Each scan keeps the columns' coordinates
 in the quotient by the current span, and pushing a column is one
 elimination step in the log domain: one table lookup per coordinate (a
-multiplication where the field has no log tables) where the packed
+multiplication where the field has no log tables yet) where the packed
 images would need m XOR passes.  The flat search keeps the coordinates
 coordinate-major and pushes with :func:`_quotient`; the push that
 reaches the rank below the target writes only the columns above the
@@ -52,24 +52,42 @@ from .errors import DomainError, InvariantError, SearchCapExceeded
 DEFAULT_SEARCH_CAP = 24
 
 
-def _pack_column(field: gf2m.GF2m, col: Sequence[int]) -> tuple[int, ...]:
-    """The m GF(2) images z^t * column, t = 0..m-1, each bit-packed.
+def _pack(m: int, entries: Iterable[int]) -> int:
+    """A vector bit-packed: entry i occupies bits i*m .. i*m+m-1."""
+    packed = 0
+    for i, x in enumerate(entries):
+        packed |= x << (i * m)
+    return packed
 
-    Entry i of the column occupies bits i*m .. i*m+m-1.  Multiplying
-    every entry by z at once is a shift within each slot, plus the
-    reduction polynomial in every slot whose top bit overflowed.
+
+def _images(field: gf2m.GF2m, packed: int, length: int) -> list[int]:
+    """The m GF(2) images z^t * v, t = 0..m-1, of a packed vector.
+
+    Multiplying every entry by z at once is a shift within each of the
+    ``length`` slots, plus the reduction polynomial in every slot whose
+    top bit overflowed.
     """
     m = field.degree
-    packed = top = 0
-    for i, x in enumerate(col):
-        packed |= x << (i * m)
-        top |= 1 << (i * m + m - 1)
+    # the top bit of every slot
+    top = ((1 << (length * m)) - 1) // ((1 << m) - 1) << (m - 1)
     reduction = field.modulus ^ (1 << m)
     images = [packed]
     for _ in range(m - 1):
         packed = ((packed & ~top) << 1) ^ ((packed & top) >> (m - 1)) * reduction
         images.append(packed)
-    return tuple(images)
+    return images
+
+
+def _times(images: Sequence[int], x: int) -> int:
+    """x * v from v's images z^t * v: their XOR over the set bits t of x."""
+    total = 0
+    t = 0
+    while x:
+        if x & 1:
+            total ^= images[t]
+        x >>= 1
+        t += 1
+    return total
 
 
 class LinearCode:
@@ -99,9 +117,10 @@ class LinearCode:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "M", M)
         object.__setattr__(self, "columns", cols)
-        object.__setattr__(
-            self, "_packed", tuple(_pack_column(field, col) for col in cols)
-        )
+        # each column's m images z^t * column, bit-packed
+        object.__setattr__(self, "_packed", tuple(
+            tuple(_images(field, _pack(field.degree, col), M)) for col in cols
+        ))
         object.__setattr__(self, "_rank_cache", {0: 0})
         if self._rank((1 << n) - 1) != M:
             raise DomainError("generator columns must have full rank M")
@@ -376,7 +395,10 @@ def _quotient(
     at ``pos`` is zero is kept as it is.  Fields without log tables
     keep elements where the logs would be and multiply instead.
     ``factors``, one slot per row, caches row p's logs for the next
-    push against the same rows.
+    push against the same rows.  A field with no tables yet may fill
+    them during a push, so a cache is kept only on a field that had its
+    tables before the first push that wrote it: a log and an element
+    are never mixed.
     """
     exp, log = field._tables()
     mul = field._mul
@@ -485,7 +507,10 @@ class _FlatSearch:
         """
         size = flat.bit_count()
         count = len(cols)
-        factors = [None] * len(rows)
+        # row logs cached across this flat's pushes; a field still
+        # without tables may fill them in one, so the cache starts at
+        # the first push after the fill
+        factors = None
         # the columns an earlier push at this flat closed over: pushing
         # one spans the same flat again
         zeroed = 0
@@ -496,6 +521,8 @@ class _FlatSearch:
             if size + count - pos <= self.size or self.size >= self.limit:
                 break
             grown = flat | 1 << j
+            if factors is None and self.field._exp is not None:
+                factors = [None] * len(rows)
             if depth == 1:
                 reduced = _quotient(self.field, rows, pos, factors, pos + 1)
                 zeroed |= self.group(grown, cols[pos + 1:], reduced)
@@ -672,22 +699,62 @@ def _contraction(
     return list(zip(*rows))
 
 
+def _echelon(code: LinearCode) -> tuple[list[list[int]], list[int]]:
+    """The generator's reduced row echelon form, with no field product.
+
+    The same rows and pivot columns as :func:`gf2m._eliminate` on the
+    code's columns, which the form being unique makes equal entry for
+    entry.  Each row is packed once into n m-bit slots.  A pivot row is
+    scaled to a leading 1 with one field inversion, applied as the XOR
+    of its images z^t * row, and then gets its own m images; every
+    other row with an entry f in the pivot column subtracts f * row, the
+    XOR of those images over the set bits of f.
+    """
+    field, n = code.field, code.n
+    m = field.degree
+    mask = field.order - 1
+    rows = [_pack(m, row) for row in zip(*code.columns)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(n):
+        if r == len(rows):
+            break
+        shift = c * m
+        pivot = next((i for i in range(r, len(rows)) if rows[i] >> shift & mask), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = field._inv(rows[r] >> shift & mask)
+        images = _images(field, _times(_images(field, rows[r], n), scale), n)
+        rows[r] = images[0]
+        for i, row in enumerate(rows):
+            f = row >> shift & mask
+            if f and i != r:
+                rows[i] = row ^ _times(images, f)
+        pivot_cols.append(c)
+        r += 1
+    return [[row >> (j * m) & mask for j in range(n)] for row in rows], pivot_cols
+
+
 def _dual(code: LinearCode) -> LinearCode:
     """The parity-check code: its columns are dual to the generator's.
 
-    From the reduced row echelon form of the generator, with pivot
-    columns P and free columns F, row i is the unit vector e_i on P and
-    some a_i on F.  The parity-check column at pivot p_i is a_i, and
-    at the k-th free column it is e_k: in characteristic 2, -A^T = A^T.
-    Its column matroid is the dual of the generator's, so its circuits
-    are the generator's cocircuits.  Needs M < n.
+    From the reduced row echelon form of the generator
+    (:func:`_echelon`), with pivot columns P and free columns F, row i
+    is the unit vector e_i on P and some a_i on F.  The parity-check
+    column at pivot p_i is a_i, and at the k-th free column it is e_k:
+    in characteristic 2, -A^T = A^T.  Its column matroid is the dual of
+    the generator's, so its circuits are the generator's cocircuits.
+    Needs M < n.  Neither step multiplies in the field: building H
+    makes only the M pivot inversions, so on a field without tables it
+    spends M units of the tableless allowance.
 
     G.H^T = 0 is checked on the packed images: parity-check row h
     weights generator column j by x = H[h][j], and x * column is the
     XOR of the images z^t * column over the set bits t of x.
     """
     n = code.n
-    rows, pivot_cols = gf2m._eliminate(code.field, code.M, code.columns)
+    rows, pivot_cols = _echelon(code)
     free = [j for j in range(n) if j not in pivot_cols]
     columns: list[list[int]] = [[]] * n
     for k, f in enumerate(free):
@@ -697,13 +764,7 @@ def _dual(code: LinearCode) -> LinearCode:
     for h in range(len(free)):
         total = 0
         for images, col in zip(code._packed, columns):
-            x = col[h]
-            t = 0
-            while x:
-                if x & 1:
-                    total ^= images[t]
-                x >>= 1
-                t += 1
+            total ^= _times(images, col[h])
         if total:
             raise InvariantError("parity-check rows are not orthogonal to G")
     return LinearCode(code.field, n, n - code.M, columns)
@@ -932,10 +993,10 @@ def from_json_dict(obj: dict) -> tuple[LinearCode, Optional[dict]]:
         raise DomainError("malformed code file: metadata must be an object")
     if metadata and metadata.get("family") == "square":
         _check_square_metadata(metadata, n, M)
-    if q != 2:
-        raise DomainError(f"only base field GF(2) is supported, got q={q}")
-    field = gf2m.GF2m(m, modulus)
     try:
+        if q != 2:
+            raise DomainError(f"only base field GF(2) is supported, got q={q}")
+        field = gf2m.GF2m(m, modulus)
         columns = [[_elem_from_hex(x) for x in col] for col in raw_columns]
         code = LinearCode(field, n, M, columns)
     except DomainError as exc:

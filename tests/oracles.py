@@ -17,7 +17,7 @@ from random import Random
 
 from locrep import GF2m, LinearCode, build_square_code, matrix_rank
 from locrep.linear_code import dumps
-from locrep.gf2m import poly_mod
+from locrep.gf2m import _eliminate, poly_mod
 
 
 def trial_division_irreducible(poly: int) -> bool:
@@ -125,6 +125,36 @@ def oracle_codes(*codes: LinearCode) -> list[LinearCode]:
         M = rng.randrange(1, n)
         out.append(random_code(rng, field, n, M, require_repairable=False))
     return out
+
+
+def reference_dual(code: LinearCode) -> LinearCode:
+    """The parity-check code, from the field elimination's echelon form.
+
+    Row i of the reduced generator is e_i on the pivot columns and a_i
+    on the free ones; H's column at pivot p_i is a_i, and at the k-th
+    free column e_k.  Needs M < n.
+    """
+    n = code.n
+    rows, pivots = _eliminate(code.field, code.M, code.columns)
+    free = [j for j in range(n) if j not in pivots]
+    columns = [[int(i == k) for i in range(len(free))] for k in range(len(free))]
+    columns = dict(zip(free, columns))
+    for row, p in zip(rows, pivots):
+        columns[p] = [row[f] for f in free]
+    return LinearCode(code.field, n, n - code.M, [columns[j] for j in range(n)])
+
+
+def spend_allowance(field: GF2m, left: int = 0) -> GF2m:
+    """``field`` after products that leave ``left`` more to fill its tables.
+
+    Each product spends a unit of the tableless allowance, and the one
+    that spends the last unit (below degree 8, the first) fills the log
+    tables; with ``left = 0`` they are filled.  Above degree 16 there
+    are none, and nothing is spent.
+    """
+    while field._exp is None and field.degree <= 16 and max(field._allowance, 1) > left:
+        field.mul(1, 1)
+    return field
 
 
 def subset_rank(code: LinearCode, members) -> int:

@@ -401,6 +401,30 @@ def test_malformed_code_file_is_domain_error(capsys, tmp_path, code_file, verb, 
     assert err.startswith("error: malformed code file")
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"modulus_hex": "15"}, "modulus 0x15 is reducible over GF(2)"),
+        ({"m": 0}, "field degree must be an integer in 1..512, got 0"),
+        ({"q": 3}, "only base field GF(2) is supported, got q=3"),
+    ],
+    ids=["modulus-reducible", "m-out-of-range", "q-not-2"],
+)
+def test_field_defects_are_malformed_code_files(
+    capsys, tmp_path, code_file, edit, message
+):
+    # the field is built inside the reader's error wrapping, like the
+    # symbols: z^4 + z^2 + 1 is (z^2 + z + 1)^2
+    with open(code_file) as fh:
+        obj = json.load(fh)
+    obj.update(edit)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    rc, out, err = _run(capsys, "distance", str(path))
+    assert (rc, out) == (2, "")
+    assert err == f"error: malformed code file: {message}\n"
+
+
 def test_huge_field_degree_in_code_file_is_rejected_fast(capsys, tmp_path, code_file):
     # Rabin's test on a degree-20000 modulus would take minutes
     with open(code_file) as fh:

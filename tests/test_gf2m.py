@@ -20,7 +20,7 @@ from locrep import (
     solve_column,
 )
 from locrep.gf2m import MAX_DEGREE, poly_mod
-from oracles import poly_mul, trial_division_irreducible
+from oracles import poly_mul, spend_allowance, trial_division_irreducible
 
 GF16 = GF2m(4)  # modulus z^4 + z + 1
 Z = 2  # the element z
@@ -110,8 +110,9 @@ def test_product_of_two_degree_18_irreducibles_rejected_at_degree_36():
 
 def _field_tables_are_exact(field, rng):
     q = field.order
-    # the first product fills the tables, equal to a fill from scratch
-    field.mul(1, 1)
+    # the product that spends the allowance fills the tables, equal to a
+    # fill from scratch
+    spend_allowance(field)
     exp, log = field._exp, field._log
     assert (exp, log) == field._build_tables()
     # exp runs once round the multiplicative group, twice over
@@ -149,12 +150,61 @@ def test_construction_fills_no_tables():
     assert GF2m(17)._tables() == (None, None)
 
 
-def test_threads_that_multiply_first_share_one_field():
-    # on each fresh field every thread may find the tables empty and fill
-    # them; a reader must never see _exp filled and _log still empty
+@pytest.mark.parametrize(
+    "degree, allowance", [(1, 0), (7, 0), (8, 1), (9, 2), (12, 16), (16, 256)]
+)
+def test_tables_are_filled_by_the_product_that_spends_the_allowance(
+    degree, allowance
+):
+    # 2^m >> 8 products and inverses are made without tables; the one
+    # that spends the last unit fills them, and below degree 8 the first
+    field = GF2m(degree)
+    rng = Random(degree)
+    for k in range(allowance - 1):
+        a = rng.randrange(1, field.order)
+        if k % 2:
+            assert field._polymul(a, field.inv(a)) == 1
+        else:
+            assert field.mul(a, a) == field._square(a)
+        assert field._tables() == (None, None)
+    # zero operands and squaring spend nothing
+    assert field.mul(0, 1) == field.mul(1, 0) == 0
+    field.frobenius(field.order - 1, 1)
+    assert field._exp is None
+    field.mul(1, 1)
+    assert field._exp is not None and field._tables()[0] is field._exp
+
+
+@pytest.mark.parametrize("op", ["mul", "inv"])
+def test_a_stale_count_makes_the_last_product_without_tables(monkeypatch, op):
+    # a thread spends the last unit while another, switched out after
+    # reading the count as 2, writes back 1: the fill does not happen,
+    # and the product that spent the unit is made without tables
+    field = GF2m(9)
+    field.mul(3, 5)
+    fill = GF2m._tables
+
+    def stale(self):
+        object.__setattr__(self, "_allowance", 1)
+        monkeypatch.setattr(GF2m, "_tables", fill)
+        return fill(self)
+
+    monkeypatch.setattr(GF2m, "_tables", stale)
+    if op == "mul":
+        assert field.mul(300, 77) == field._polymul(300, 77)
+    else:
+        assert field._polymul(300, field.inv(300)) == 1
+    assert field._exp is None
+    field.mul(1, 1)
+    assert field._exp is not None
+
+
+def _threads_share_fresh_fields(degree):
+    """Four threads multiply on each of 400 fresh fields at once."""
     rng = Random(12)
-    fields = [GF2m(6) for _ in range(400)]
-    pairs = [(rng.randrange(1, 64), rng.randrange(1, 64)) for _ in range(20)]
+    fields = [GF2m(degree) for _ in range(400)]
+    q = fields[0].order
+    pairs = [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(20)]
     expected = [fields[0]._polymul(a, b) for a, b in pairs]
     workers = 4
     start = threading.Barrier(workers)
@@ -182,7 +232,21 @@ def test_threads_that_multiply_first_share_one_field():
         sys.setswitchinterval(switch)
     assert not any(t.is_alive() for t in threads)
     assert errors == [] and wrong == []
+    for field in fields:
+        # a race on the count may leave some of the allowance unspent
+        spend_allowance(field)
     assert all((f._exp, f._log) == fields[0]._tables() for f in fields)
+
+
+def test_threads_that_multiply_first_share_one_field():
+    # on each fresh field every thread may find the tables empty and fill
+    # them; a reader must never see _exp filled and _log still empty
+    _threads_share_fresh_fields(6)
+
+
+def test_threads_that_spend_the_allowance_share_one_field():
+    # the threads also count down the allowance of 4 together
+    _threads_share_fresh_fields(10)
 
 
 @pytest.mark.parametrize(
@@ -337,9 +401,30 @@ def test_untabled_field_inverse_roundtrip():
         assert field.mul(field.inv(a), field.mul(a, b)) == b
 
 
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_euclid_inverse_is_the_table_inverse_on_every_element(degree):
+    field = GF2m(degree)
+    spend_allowance(field)
+    for a in range(1, field.order):
+        assert field._euclid_inv(a) == field._inv(a), a
+
+
+@pytest.mark.parametrize("degree", [16, 17, 36, 64])
+def test_tableless_inverse_on_samples(degree):
+    # degree 16 while its allowance lasts, the others always
+    field = GF2m(degree)
+    rng = Random(degree)
+    samples = [1, 2, field.order - 1] + [rng.randrange(1, field.order) for _ in range(100)]
+    for a in samples:
+        inverse = field.inv(a)
+        assert 0 < inverse < field.order
+        assert field._polymul(a, inverse) == 1
+    assert field._exp is None
+
+
 @pytest.mark.parametrize("degree", [1, 4, 9, 17])
 def test_unchecked_mul_and_inv_agree_with_the_checked_ones(degree):
-    # degree 17 has no log tables: shift-and-xor and square-and-multiply
+    # degree 17 has no log tables: shift-and-xor and extended Euclid
     field = GF2m(degree)
     rng = Random(41)
     for _ in range(100):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import gc
 import json
+from functools import reduce
 from itertools import combinations
+from operator import xor
 from random import Random
 
 import pytest
@@ -36,6 +38,8 @@ from locrep.linear_code import (
     loads,
 )
 
+from locrep.regsets import phi_profile, rho
+
 from oracles import (
     codeword_min_weight,
     largest_flat,
@@ -44,8 +48,10 @@ from oracles import (
     oracle_codes,
     random_code,
     reference_circuits,
+    reference_dual,
     repetition_code,
     single_parity_code,
+    spend_allowance,
     subset_rank,
 )
 
@@ -391,16 +397,107 @@ def test_dual_turns_coloops_into_zero_columns():
 
 def test_dual_rejects_a_parity_check_that_is_not_orthogonal(monkeypatch):
     code = single_parity_code()
-    real = linear_code.gf2m._eliminate
+    real = linear_code._echelon
 
-    def corrupted(field, nrows, columns):
-        rows, pivots = real(field, nrows, columns)
+    def corrupted(code):
+        rows, pivots = real(code)
         rows[0][-1] ^= 1
         return rows, pivots
 
-    monkeypatch.setattr(linear_code.gf2m, "_eliminate", corrupted)
+    monkeypatch.setattr(linear_code, "_echelon", corrupted)
     with pytest.raises(InvariantError):
         _dual(code)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 9, 16, 17])
+def test_dual_equals_the_reference_dual(degree):
+    # the echelon form is unique, so the packed elimination and the field
+    # elimination give the same H; the codes have zero, repeated and
+    # scaled columns, a leading column that is no pivot, and M = n - 1 at
+    # n = 2, 4, 8.  _dual runs on a fresh field, which at degree 16 has
+    # no tables, while building the codes fills them
+    rng = Random(97 + degree)
+    field = GF2m(degree)
+    for n, M in ((2, 1), (4, 3), (6, 3), (8, 7), (10, 4), (12, 6)):
+        base = _cornered_code(rng, field, n - 1, M).columns
+        for cols in (
+            [[0] * M, *base],
+            [*base, rng.choice(base)],
+            _cornered_code(rng, field, n, M).columns,
+        ):
+            code = LinearCode(field, n, M, cols)
+            cold = LinearCode(GF2m(degree), n, M, cols)
+            assert _dual(cold).columns == reference_dual(code).columns, cols
+
+
+def test_a_cold_dual_distance_makes_no_tables():
+    # r = 4, M = 16 is searched on the dual side: _dual spends 16
+    # inversions and H's search fewer than the 256 of the allowance
+    code = build_square_code(4, 16).code
+    assert min_distance(code, 25) == bound_square(code.n, 16, 4)
+    assert code.field._exp is None
+
+
+def test_a_cold_primal_distance_fills_the_tables():
+    # r = 4, M = 5's hyperplane search multiplies thousands of times, so
+    # the allowance runs out early and the search finishes on tables
+    code = build_square_code(4, 5).code
+    assert min_distance(code, 25) == bound_square(code.n, 5, 4)
+    assert code.field._exp is not None
+
+
+def test_a_flat_search_that_fills_the_tables_part_way():
+    # columns 2..k+1 span a hyperplane that column 1 is outside, so the
+    # largest flat is found only after the first top-level push, and a
+    # random change of basis keeps it off the coordinate axes.  Wherever
+    # the fill lands, the answer is the warm field's: no push may read
+    # row elements cached before the fill as logs
+    rng = Random(107)
+    warm = spend_allowance(GF2m(16))
+    q = warm.order
+    for n, M, k in ((10, 4, 7), (12, 5, 8)):
+        while True:
+            hidden = [[rng.randrange(q) for _ in range(M - 1)] + [0] for _ in range(k)]
+            free = [[rng.randrange(1, q) for _ in range(M)] for _ in range(n - k)]
+            basis = [[rng.randrange(q) for _ in range(M)] for _ in range(M)]
+            cols = [[reduce(xor, map(warm.mul, row, col)) for row in basis]
+                    for col in free[:1] + hidden + free[1:]]
+            if matrix_rank(warm, M, cols) == M:
+                break
+        expected = (k, ((1 << k) - 1) << 1)
+        assert _largest_flat(warm, cols, M - 1, 0) == expected
+        for products in range(1, 60, 3):
+            field = spend_allowance(GF2m(16), products)
+            assert _largest_flat(field, cols, M - 1, 0) == expected, products
+
+
+def _cold_and_warm_cases():
+    """(degree, n, M, columns) of square r=3 M=8, r=4 M=16 and random codes."""
+    for r, M in ((3, 8), (4, 16)):
+        code = build_square_code(r, M).code
+        yield r * r, code.n, M, code.columns
+    rng = Random(101)
+    for degree in (9, 16):
+        field = GF2m(degree)
+        for n, M in ((7, 2), (8, 5), (9, 3), (10, 8)):
+            yield degree, n, M, _cornered_code(rng, field, n, M).columns
+
+
+def test_answers_do_not_depend_on_when_the_tables_are_filled():
+    # a search that starts without tables and fills them part way must
+    # never read an element as a log: on a fresh field per answer, the
+    # distance, rho and the exact profile, witnesses included, match the
+    # answers on a field filled beforehand
+    for degree, n, M, columns in _cold_and_warm_cases():
+        warm = spend_allowance(GF2m(degree))
+        answers = []
+        for field_of in (lambda: GF2m(degree), lambda: warm):
+            answers.append((
+                min_distance(LinearCode(field_of(), n, M, columns), 25),
+                rho(LinearCode(field_of(), n, M, columns), search_cap=25),
+                phi_profile(LinearCode(field_of(), n, M, columns), search_cap=25),
+            ))
+        assert answers[0] == answers[1], columns
 
 
 def test_min_distance_of_a_code_with_M_equal_n_builds_no_dual(monkeypatch):
