@@ -31,11 +31,15 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _check_int(value, low: int, what: str) -> None:
-    """Raise :class:`DomainError` unless ``value`` is an integer >= ``low``."""
+def _check_int(value, low: Optional[int], what: str) -> None:
+    """Raise :class:`DomainError` unless ``value`` is an integer >= ``low``.
+
+    A ``low`` of None tests the type alone, for a caller whose range
+    test has its own message.
+    """
     if not _is_int(value):
         raise DomainError(f"{what} must be an integer, got {value!r}")
-    if value < low:
+    if low is not None and value < low:
         raise DomainError(f"{what} must be >= {low}, got {value}")
 
 
@@ -155,6 +159,13 @@ class GF2m:
     field that needs many products loses little, and one that needs
     few never fills.
 
+    The public element operations (:meth:`add`, :meth:`mul`,
+    :meth:`inv`, :meth:`pow`, :meth:`frobenius`) check their operands
+    and serve library users.  The package checks each outside value once,
+    where it enters (a code's columns, a message, a codeword, a repair
+    plan's coefficients), and then multiplies and inverts with the
+    unchecked ``_mul`` and ``_inv``.
+
     Instances are immutable in value and safe to share between threads;
     all element operations are pure functions on ints.  Two threads that
     multiply at the same time may count down the allowance from stale
@@ -170,12 +181,16 @@ class GF2m:
         if modulus is None:
             # irreducible by construction; not tested again
             modulus = default_modulus(degree)
-        elif poly_degree(modulus) != degree:
-            raise DomainError(
-                f"modulus {modulus:#x} is not monic of degree {degree}"
-            )
-        elif not is_irreducible(modulus):
-            raise DomainError(f"modulus {modulus:#x} is reducible over GF(2)")
+        else:
+            # a negative int has a bit length too, but reducing by it
+            # never ends
+            _check_int(modulus, 0, "field modulus")
+            if poly_degree(modulus) != degree:
+                raise DomainError(
+                    f"modulus {modulus:#x} is not monic of degree {degree}"
+                )
+            if not is_irreducible(modulus):
+                raise DomainError(f"modulus {modulus:#x} is reducible over GF(2)")
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "order", 1 << degree)
@@ -315,8 +330,8 @@ class GF2m:
         return r
 
     def _check(self, a: int) -> int:
-        # one type test, not _is_int's two: mul checks both operands on
-        # every repair step; JSON true/false, a bool, is not an element
+        # one type test, not _is_int's two: it runs on every entry of a
+        # code's columns; JSON true/false, a bool, is not an element
         if type(a) is not int or a < 0 or a >= self.order:
             raise DomainError(f"{a!r} is not an element of GF(2^{self.degree})")
         return a

@@ -39,6 +39,7 @@ there is one tuple comparison, and a push updates each vector in place
 from __future__ import annotations
 
 import json
+from functools import reduce
 from itertools import compress, islice
 from operator import xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -90,6 +91,14 @@ def _times(images: Sequence[int], x: int) -> int:
     return total
 
 
+def _combination(code: LinearCode, coeffs: Iterable[int], coords: Iterable[int]) -> int:
+    """The packed column sum(x * g_i) over the pairs of coeffs and coords."""
+    total = 0
+    for x, i in zip(coeffs, coords):
+        total ^= _times(code._packed[i - 1], x)
+    return total
+
+
 class LinearCode:
     """An (n, M) linear code over GF(2^m), stored as generator columns.
 
@@ -103,6 +112,8 @@ class LinearCode:
     def __init__(
         self, field: gf2m.GF2m, n: int, M: int, columns: Sequence[Sequence[int]]
     ):
+        _check_int(n, None, "code length n")
+        _check_int(M, None, "code dimension M")
         if not 1 <= M <= n:
             raise DomainError(f"need 1 <= M <= n, got M={M}, n={n}")
         if len(columns) != n:
@@ -184,14 +195,9 @@ class LinearCode:
         """Codeword for an M-symbol message."""
         if len(message) != self.M:
             raise DomainError(f"message must have {self.M} symbols")
-        mul = self.field.mul
-        word = []
-        for col in self.columns:
-            s = 0
-            for u, g in zip(message, col):
-                s ^= mul(u, g)
-            word.append(s)
-        return tuple(word)
+        message = [self.field._check(u) for u in message]
+        mul = self.field._mul
+        return tuple(reduce(xor, map(mul, message, col), 0) for col in self.columns)
 
     def __repr__(self):
         return (
@@ -750,8 +756,7 @@ def _dual(code: LinearCode) -> LinearCode:
     spends M units of the tableless allowance.
 
     G.H^T = 0 is checked on the packed images: parity-check row h
-    weights generator column j by x = H[h][j], and x * column is the
-    XOR of the images z^t * column over the set bits t of x.
+    weights generator column j by H[h][j], with no field product.
     """
     n = code.n
     rows, pivot_cols = _echelon(code)
@@ -762,10 +767,7 @@ def _dual(code: LinearCode) -> LinearCode:
     for row, p in zip(rows, pivot_cols):
         columns[p] = [row[f] for f in free]
     for h in range(len(free)):
-        total = 0
-        for images, col in zip(code._packed, columns):
-            total ^= _times(images, col[h])
-        if total:
+        if _combination(code, [col[h] for col in columns], range(1, n + 1)):
             raise InvariantError("parity-check rows are not orthogonal to G")
     return LinearCode(code.field, n, n - code.M, columns)
 

@@ -96,17 +96,30 @@ def _coords(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
+def _regset_mask(
+    code: LinearCode, target: int, members: Iterable[int]
+) -> tuple[int, bool]:
+    """The members' mask, and whether they regenerate ``target``.
+
+    Members and target are checked as coordinates, and the target must
+    be a member.
+    """
+    mask = code._coord_mask(members)
+    bit = code._coord_mask([target])
+    if not mask & bit:
+        raise DomainError(
+            f"target {target} is not a member of {sorted(_coords(mask))}"
+        )
+    return mask, code._rank(mask) == code._rank(mask ^ bit)
+
+
 def is_regenerating(code: LinearCode, target: int, members: Iterable[int]) -> bool:
     """Whether ``members`` is a regenerating set of ``target``.
 
     True iff dropping the target does not lower the joint entropy, i.e.
     the rest of the set already determines the target's value.
     """
-    mask = code._coord_mask(members)
-    mset = _coords(mask)
-    if target not in mset:
-        raise DomainError(f"target {target} is not a member of {sorted(mset)}")
-    return code._rank(mask) == code._rank(mask ^ (1 << (target - 1)))
+    return _regset_mask(code, target, members)[1]
 
 
 def minimal_regsets(
@@ -130,6 +143,24 @@ def minimal_regsets(
     ]
 
 
+def _nontrivial_union(
+    code: LinearCode, sequence: Sequence[RegeneratingSet]
+) -> Optional[int]:
+    """The union's mask, or None when a target lies in an earlier set."""
+    union = 0
+    ok = True
+    for rs in sequence:
+        mask, regenerates = _regset_mask(code, rs.target, rs.members)
+        if not regenerates:
+            raise DomainError(
+                f"set {rs.sorted_members()} does not regenerate {rs.target}"
+            )
+        if (union >> (rs.target - 1)) & 1:
+            ok = False
+        union |= mask
+    return union if ok else None
+
+
 def is_nontrivial_union(
     code: LinearCode, sequence: Sequence[RegeneratingSet]
 ) -> bool:
@@ -139,17 +170,7 @@ def is_nontrivial_union(
     a non-regenerating item is rejected as a usage error rather than
     returning False.
     """
-    union = 0
-    ok = True
-    for rs in sequence:
-        if not is_regenerating(code, rs.target, rs.members):
-            raise DomainError(
-                f"set {rs.sorted_members()} does not regenerate {rs.target}"
-            )
-        if (union >> (rs.target - 1)) & 1:
-            ok = False
-        union |= code._coord_mask(rs.members)
-    return ok
+    return _nontrivial_union(code, sequence) is not None
 
 
 def check_union_entropy(
@@ -161,9 +182,9 @@ def check_union_entropy(
     theorem for such chains, so a False return signals a bug in the
     entropy oracle or in the caller's sets, not a property of the code.
     """
-    if not is_nontrivial_union(code, sequence):
+    union = _nontrivial_union(code, sequence)
+    if union is None:
         raise DomainError("sequence does not have a nontrivial union")
-    union = code._coord_mask(i for rs in sequence for i in rs.members)
     return code._rank(union) <= union.bit_count() - len(sequence)
 
 

@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvariantError, RepairError
 from .gf2m import _check_int, solve_column
-from .linear_code import LinearCode
+from .linear_code import LinearCode, _combination
 # bench/tracing.py wraps minimal_regsets and verify_locality under this
 # module's name too
 from .regsets import _coords, _local_circuits, _tolerance
@@ -58,20 +58,14 @@ class RepairPlan:
 def _solve_step(code: LinearCode, target: int, members: frozenset[int]) -> RepairStep:
     helpers = sorted(members - {target})
     cols = [code.columns[h - 1] for h in helpers]
-    rhs = code.columns[target - 1]
-    coeffs = solve_column(code.field, code.M, cols, rhs)
+    coeffs = solve_column(code.field, code.M, cols, code.columns[target - 1])
     if coeffs is None:
         raise InvariantError(
             f"regenerating set {sorted(members)} cannot express column {target}"
         )
     # the plan is self-validating: the combination must reproduce the column
-    mul = code.field.mul
-    for row in range(code.M):
-        acc = 0
-        for c, col in zip(coeffs, cols):
-            acc ^= mul(c, col[row])
-        if acc != rhs[row]:
-            raise InvariantError("repair coefficients fail to reproduce the column")
+    if _combination(code, coeffs, helpers) != code._packed[target - 1][0]:
+        raise InvariantError("repair coefficients fail to reproduce the column")
     return RepairStep(
         target=target,
         members=tuple(sorted(members)),
@@ -117,7 +111,8 @@ def execute_repair(
     """Fill in the erased symbols of a codeword by running the plan.
 
     Erasures are ``None`` entries and must coincide with the plan's
-    targets; any mismatch is a usage error.  The input is not modified.
+    targets; any mismatch is a usage error, and so is a symbol or a
+    coefficient that is not a field element.  The input is not modified.
     """
     code = plan.code
     if len(codeword) != code.n:
@@ -130,8 +125,11 @@ def execute_repair(
             f"erased positions {sorted(erased)} do not match plan targets "
             f"{sorted(plan.targets())}"
         )
-    symbols: list[Optional[int]] = list(codeword)
-    mul = code.field.mul
+    # every outside value is checked once here; the products are unchecked
+    check, mul = code.field._check, code.field._mul
+    symbols = [None if sym is None else check(sym) for sym in codeword]
+    for coeff in (c for step in plan.steps for c in step.coefficients):
+        check(coeff)
     for step in plan.steps:
         acc = 0
         for coeff, helper in zip(step.coefficients, step.helpers):
@@ -142,7 +140,7 @@ def execute_repair(
                 )
             acc ^= mul(coeff, value)
         symbols[step.target - 1] = acc
-    return [code.field._check(s) for s in symbols]
+    return symbols
 
 
 def repair_tolerance(code: LinearCode, locality_cap: int) -> int:

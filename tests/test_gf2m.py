@@ -281,6 +281,22 @@ def test_wrong_degree_modulus_rejected():
         GF2m(4, modulus=0b1011)  # degree 3
 
 
+@pytest.mark.parametrize(
+    "modulus, message",
+    [
+        (19.0, "field modulus must be an integer, got 19.0"),
+        ("13", "field modulus must be an integer, got '13'"),
+        (True, "field modulus must be an integer, got True"),
+        # reduction by a negative int never ends
+        (-19, "field modulus must be >= 0, got -19"),
+    ],
+)
+def test_modulus_must_be_a_nonnegative_integer(modulus, message):
+    # 19.0 and "13" once raised AttributeError, and -19 hung the constructor
+    with pytest.raises(DomainError, match=message):
+        GF2m(4, modulus)
+
+
 def test_field_degree_is_bounded():
     # the largest accepted degree still builds, over its default modulus
     assert GF2m(MAX_DEGREE).modulus == (1 << MAX_DEGREE) | 0x125

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import re
 from functools import reduce
 from itertools import combinations
 from operator import xor
@@ -93,6 +94,26 @@ def test_dimension_bounds():
     field = GF2m(4)
     with pytest.raises(DomainError):
         LinearCode(field, 2, 3, [[1, 0, 0], [0, 1, 0]])
+
+
+@pytest.mark.parametrize(
+    "n, M, message",
+    [
+        (3.0, 2, "code length n must be an integer, got 3.0"),
+        (True, 1, "code length n must be an integer, got True"),
+        (3, True, "code dimension M must be an integer, got True"),
+        (3, 2.0, "code dimension M must be an integer, got 2.0"),
+        # the range test keeps its own message
+        (3, 0, "need 1 <= M <= n, got M=0, n=3"),
+        (-1, 2, "need 1 <= M <= n, got M=2, n=-1"),
+    ],
+)
+def test_length_and_dimension_must_be_integers(n, M, message):
+    # n = 3.0 once raised TypeError, and M = True built a code whose repr
+    # said M=True
+    field = GF2m(2)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        LinearCode(field, n, M, [[1, 0], [0, 1], [1, 1]])
 
 
 def test_entropy_empty_and_full(square_r2_m3):
@@ -639,6 +660,18 @@ def test_encode_rejects_a_message_of_the_wrong_length(square_r2_m3):
     for length in (code.M - 1, code.M + 1):
         with pytest.raises(DomainError, match=f"message must have {code.M} symbols"):
             code.encode([1] * length)
+
+
+@pytest.mark.parametrize("bad", ["bool", "order", "negative"])
+def test_encode_checks_every_message_symbol(square_r2_m3, bad):
+    # the products are unchecked, so the message is checked where it enters
+    code = square_r2_m3.code
+    value = {"bool": True, "order": code.field.order, "negative": -1}[bad]
+    for k in range(code.M):
+        message = [1] * code.M
+        message[k] = value
+        with pytest.raises(DomainError, match="is not an element"):
+            code.encode(message)
 
 
 def test_json_round_trip(square_r2_m3):

@@ -95,6 +95,36 @@ def test_is_regenerating_rejects_foreign_target(square_r2_m3):
         is_regenerating(square_r2_m3.code, 4, [1, 2, 3])
 
 
+@pytest.mark.parametrize("target", [True, 1.0, 0, 10])
+def test_a_target_that_is_not_a_coordinate_is_rejected(square_r2_m3, target):
+    # True once counted as coordinate 1 and 1.0 raised TypeError; a hand-built
+    # RegeneratingSet accepts both, since True and 1.0 are "in" {1, 2, 3}
+    code = square_r2_m3.code
+    with pytest.raises(DomainError, match=f"coordinate {target!r} is not in 1..9"):
+        is_regenerating(code, target, [1, 2, 3])
+    if target in (1, 2, 3):
+        chain = [RegeneratingSet(target, frozenset({1, 2, 3}))]
+        for check in (is_nontrivial_union, check_union_entropy):
+            with pytest.raises(DomainError, match=f"coordinate {target!r}"):
+                check(code, chain)
+
+
+def test_union_checks_read_each_member_set_once(monkeypatch):
+    code = build_square_code(2, 3).code
+    chain = [_rs(3, [1, 2, 3]), _rs(7, [1, 4, 7])]
+    calls = []
+    coord_mask = LinearCode._coord_mask
+
+    def counted(self, members):
+        calls.append(tuple(members))
+        return coord_mask(self, calls[-1])
+
+    monkeypatch.setattr(LinearCode, "_coord_mask", counted)
+    assert check_union_entropy(code, chain)
+    # each set's members and its target, once each
+    assert sorted(tuple(sorted(c)) for c in calls) == [(1, 2, 3), (1, 4, 7), (3,), (7,)]
+
+
 def test_minimal_regsets_square(square_r2_m3):
     sets = minimal_regsets(square_r2_m3.code, 1, 3)
     members = [rs.sorted_members() for rs in sets]

@@ -11,16 +11,22 @@ from itertools import combinations
 from locrep import (
     DomainError,
     GF2m,
+    InvariantError,
     LinearCode,
     RepairError,
     RepairPlan,
+    RepairStep,
     SearchCapExceeded,
     build_square_code,
     execute_repair,
+    min_distance,
     minimal_regsets,
+    phi_profile,
     plan_repair,
     repair_tolerance,
+    verify_locality,
 )
+from locrep import repair
 
 from oracles import random_code, repetition_code, single_parity_code
 
@@ -114,6 +120,94 @@ def test_bool_symbols_and_columns_are_rejected(square_r2_m3):
     columns[0][0] = True
     with pytest.raises(DomainError, match="True is not an element"):
         LinearCode(code.field, code.n, code.M, columns)
+
+
+def _erase_first(code):
+    """A plan repairing coordinate 1, and a codeword with it erased."""
+    word = list(code.encode((1, 2, 3)))
+    word[0] = None
+    return plan_repair(code, [1], 2), word
+
+
+@pytest.mark.parametrize("bad", ["bool", "order"])
+@pytest.mark.parametrize("where", ["helper", "bystander"])
+def test_execute_checks_every_codeword_symbol(square_r2_m3, bad, where):
+    # the products are unchecked, so the codeword is checked where it
+    # enters; a symbol the plan never reads is checked too
+    code = square_r2_m3.code
+    plan, word = _erase_first(code)
+    step = plan.steps[0]
+    if where == "helper":
+        pos = step.helpers[0]
+    else:
+        pos = min(set(range(1, code.n + 1)) - set(step.members))
+    word[pos - 1] = True if bad == "bool" else code.field.order
+    with pytest.raises(DomainError, match="is not an element"):
+        execute_repair(word, plan)
+
+
+@pytest.mark.parametrize("bad", ["bool", "order"])
+def test_execute_checks_every_plan_coefficient(square_r2_m3, bad):
+    # a RepairPlan is public input: its coefficients are outside values
+    code = square_r2_m3.code
+    plan, word = _erase_first(code)
+    step = plan.steps[0]
+    coefficient = True if bad == "bool" else code.field.order
+    forged = RepairStep(
+        step.target, step.members, (coefficient, *step.coefficients[1:])
+    )
+    with pytest.raises(DomainError, match="is not an element"):
+        execute_repair(word, RepairPlan(code=code, steps=(forged,)))
+
+
+def test_a_wrong_coefficient_fails_the_plan_self_check(square_r2_m3, monkeypatch):
+    # the self-check XORs the helpers' packed images against the target's
+    solve_column = repair.solve_column
+
+    def flipped(*args):
+        coeffs = solve_column(*args)
+        coeffs[0] ^= 1
+        return coeffs
+
+    monkeypatch.setattr(repair, "solve_column", flipped)
+    with pytest.raises(InvariantError, match="fail to reproduce the column"):
+        plan_repair(square_r2_m3.code, [1], 2)
+
+
+def _answers(r, M, m):
+    """Every library answer that multiplies, on a freshly built code."""
+    code = build_square_code(r, M, None if m is None else GF2m(m)).code
+    word = code.encode(list(range(1, M + 1)))
+    plans = []
+    for failed in [(t,) for t in range(1, code.n + 1)] + [(1, 2), (1, code.n)]:
+        plan = plan_repair(code, failed, r)
+        erased = [None if i + 1 in failed else x for i, x in enumerate(word)]
+        assert execute_repair(erased, plan) == list(word)
+        plans.append(plan.to_json_dict())
+    return (
+        word,
+        plans,
+        repair_tolerance(code, r),
+        verify_locality(code, r, 3),
+        min_distance(code),
+        phi_profile(code, size_cap=r + 1).to_json_dict(),
+        phi_profile(code).to_json_dict(),
+    )
+
+
+@pytest.mark.parametrize("r, M, m", [(2, 3, None), (3, 6, None), (3, 5, 17)])
+def test_the_package_makes_no_checked_field_operation(monkeypatch, r, M, m):
+    # GF2m's checked methods serve library users; inside the package each
+    # outside value is checked once and products go through _mul/_inv.
+    # GF(2^17) has no log tables, so its products take the tableless path.
+    expected = _answers(r, M, m)
+
+    def refuse(*args):
+        raise AssertionError("a checked GF2m method ran inside the package")
+
+    for name in ("add", "mul", "inv"):
+        monkeypatch.setattr(GF2m, name, refuse)
+    assert _answers(r, M, m) == expected
 
 
 def test_execute_rejects_wrong_length(square_r2_m3):
