@@ -31,16 +31,9 @@ def _require_positive(**params: int) -> None:
             _check_int(value, 1, f"parameter {name}")
 
 
-def _require_int(**params: int) -> None:
-    # for parameters whose range check has its own message
-    for name, value in params.items():
-        if not _is_int(value):
-            raise DomainError(f"parameter {name} must be an integer, got {value!r}")
-
-
 def _require_scalar(theorem: str, alpha: int) -> None:
     # the integer 1: alpha=1.0 or True is a usage error, not a scalar code
-    _require_int(alpha=alpha)
+    _check_int(alpha, None, "parameter alpha")
     if alpha != 1:
         raise DomainError(f"the {theorem} bound applies to scalar codes (alpha=1)")
 
@@ -90,7 +83,7 @@ def bound_lrc(n: int, M: int, alpha: int, r: int, delta: int) -> int:
 def rdc_mu(M: int, r: int, delta: int) -> int:
     """mu = ceil(((M-1)(delta-1)+1) / ((r-1)(delta-1)+1)) - 1."""
     _require_positive(M=M)
-    _require_int(r=r)
+    _check_int(r, None, "parameter r")
     if r < 2:
         raise DomainError(
             f"disjoint-repair-set bound needs r >= 2 (denominator "
@@ -115,7 +108,7 @@ def bound_rdc(n: int, M: int, r: int, delta: int) -> int:
 def g_function(x: int, r: int) -> int:
     """x*r - x^2/4 for even x, x*r - (x^2-1)/4 for odd x; defined on [0, 2r+1]."""
     _require_positive(r=r)
-    _require_int(x=x)
+    _check_int(x, None, "parameter x")
     if not 0 <= x <= 2 * r + 1:
         raise DomainError(f"g is defined on 0..{2 * r + 1}, got x={x}")
     if x % 2 == 0:

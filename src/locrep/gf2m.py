@@ -57,8 +57,16 @@ def poly_degree(p: int) -> int:
 
 def poly_mod(a: int, b: int) -> int:
     """Remainder of a modulo b in GF(2)[z]; b must be nonzero."""
+    # a negative int has a bit length too, but reducing by it never ends
+    _check_int(a, 0, "polynomial")
+    _check_int(b, 0, "polynomial")
     if b == 0:
         raise DomainError("polynomial division by zero")
+    return _poly_mod(a, b)
+
+
+def _poly_mod(a: int, b: int) -> int:
+    """:func:`poly_mod` of two polynomials already known to be valid."""
     nb = b.bit_length()
     while (na := a.bit_length()) >= nb:
         a ^= b << (na - nb)
@@ -67,7 +75,7 @@ def poly_mod(a: int, b: int) -> int:
 
 def _poly_gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, poly_mod(a, b)
+        a, b = b, _poly_mod(a, b)
     return a
 
 
@@ -102,6 +110,7 @@ def is_irreducible(poly: int) -> bool:
     modulo f, so the cost is polynomial in m.  Degree-1 polynomials are
     irreducible; constants are not.
     """
+    _check_int(poly, 0, "polynomial")
     m = poly_degree(poly)
     if m < 1:
         return False
@@ -109,7 +118,7 @@ def is_irreducible(poly: int) -> bool:
         return True
     frob = [2]  # frob[k] = z^(2^k) mod poly
     for _ in range(m):
-        frob.append(poly_mod(_poly_square(frob[-1]), poly))
+        frob.append(_poly_mod(_poly_square(frob[-1]), poly))
     if frob[m] != 2:
         return False
     return all(_poly_gcd(poly, frob[m // p] ^ 2) == 1 for p in _prime_factors(m))
@@ -318,7 +327,7 @@ class GF2m:
         Squaring is GF(2)-linear: a's bits spread to the even powers and
         reduced once, so no tables are needed.
         """
-        return poly_mod(_poly_square(a), self.modulus)
+        return _poly_mod(_poly_square(a), self.modulus)
 
     def _polypow(self, a: int, e: int) -> int:
         r = 1

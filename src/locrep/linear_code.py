@@ -33,7 +33,12 @@ pushed one, the ones it then groups by direction.  The circuit scan,
 the one enumeration of circuits and so of minimal regenerating sets,
 keeps one vector per column, scaled to a leading 1, so a span test
 there is one tuple comparison, and a push updates each vector in place
-(:meth:`_Residues._push`).
+(:func:`_push_normalized`).  A hyperplane search, whose target rank is
+one below the residues' dimension, runs its last two levels on such
+normalized vectors too: the residues there are points of projective
+3-space and then of a projective plane, and the line through the
+pushed point and another is keyed by their XOR difference, with no
+product.
 """
 
 from __future__ import annotations
@@ -220,15 +225,9 @@ class _Residues:
 
     Pushes follow the mask as a stack: ``sync`` pops back to the lowest
     column where the new mask differs from the last, so walking masks in
-    lex order re-pushes only the tails in which they differ.  A push
-    drops the pushed residue's leading coordinate p from each residue
-    above it, column by column, with no transposition.  A residue that
-    is 0 at p only loses that coordinate.  One that leads at p has a 1
-    there, as the pushed one does, so the pushed one is XORed in and
-    the result scaled to a leading 1 again.  One that leads before p
-    keeps its leading 1 and adds c times the pushed one, c its entry at
-    p, through the log tables.  The residues are those :func:`_quotient`
-    gives coordinate-major, normalized.
+    lex order re-pushes only the tails in which they differ.  A push is
+    one :func:`_push_normalized` of the residues above the pushed
+    column, column by column, with no transposition.
     """
 
     __slots__ = ("field", "top", "residues", "_prefix", "_stack")
@@ -266,48 +265,67 @@ class _Residues:
         """Quotient the residues above column j by j's; none if j's is zero."""
         residues = self.residues
         pivot = residues[j]
-        if pivot is None:
-            return
-        # p is the pivot's leading coordinate, and its entry there is 1
-        p = pivot.index(1)
-        tail = pivot[p + 1:]
-        field = self.field
-        exp, log = field._tables()
-        period = field.order - 1
-        tail_logs = None
-        news: list = [None] * (j + 1)
-        for old in islice(residues, j + 1, None):
-            c = old[p] if old is not None else 0
-            if not c:
-                news.append(old and old[:p] + old[p + 1:])
-            elif c == 1:
-                # old - pivot: a residue that led at p lost its leading 1
-                new = old[:p] + tuple(map(xor, old[p + 1:], tail))
-                lead = next(filter(None, new), 0)
-                if lead == 1:
-                    news.append(new)
-                elif lead and log:
-                    # _normalized, with the tables bound once per push
-                    shift = period - log[lead]
-                    news.append(tuple([exp[log[x] + shift] if x else 0 for x in new]))
-                else:
-                    news.append(_normalized(field, new))
+        if pivot is not None:
+            self.residues = [None] * (j + 1) + _push_normalized(
+                self.field, islice(residues, j + 1, None), pivot
+            )
+
+
+def _push_normalized(
+    field: gf2m.GF2m,
+    residues: Iterable[Optional[tuple[int, ...]]],
+    pivot: tuple[int, ...],
+) -> list[Optional[tuple[int, ...]]]:
+    """Normalized residues in the quotient by a normalized pivot's span.
+
+    Each residue is scaled to a leading 1, or None when zero, and so is
+    each result.  The pivot's leading coordinate p is dropped.  A
+    residue that is 0 at p only loses that coordinate.  One that leads
+    at p has a 1 there, as the pivot does, so the pivot is XORed in and
+    the result scaled to a leading 1 again; it is None when the two are
+    equal.  One that leads before p keeps its leading 1 and adds c times
+    the pivot, c its entry at p, through the log tables.  The results
+    are those :func:`_quotient` gives coordinate-major, normalized.
+    """
+    # p is the pivot's leading coordinate, and its entry there is 1
+    p = pivot.index(1)
+    tail = pivot[p + 1:]
+    exp, log = field._tables()
+    period = field.order - 1
+    tail_logs = None
+    news: list = []
+    for old in residues:
+        c = old[p] if old is not None else 0
+        if not c:
+            news.append(old and old[:p] + old[p + 1:])
+        elif c == 1:
+            # old - pivot: a residue that led at p lost its leading 1
+            new = old[:p] + tuple(map(xor, old[p + 1:], tail))
+            lead = next(filter(None, new), 0)
+            if lead == 1:
+                news.append(new)
+            elif lead and log:
+                # _normalized, with the tables bound once per push
+                shift = period - log[lead]
+                news.append(tuple([exp[log[x] + shift] if x else 0 for x in new]))
             else:
-                # old leads before p, as every leading entry is 1, and
-                # keeps its lead: old - c * pivot
-                if log:
-                    if tail_logs is None:
-                        tail_logs = [log[a] if a else None for a in tail]
-                    lc = log[c]
-                    new = [
-                        u if la is None else u ^ exp[la + lc]
-                        for u, la in zip(old[p + 1:], tail_logs)
-                    ]
-                else:
-                    mul = field._mul
-                    new = [u ^ mul(a, c) if a else u for u, a in zip(old[p + 1:], tail)]
-                news.append(old[:p] + tuple(new))
-        self.residues = news
+                news.append(_normalized(field, new))
+        else:
+            # old leads before p, as every leading entry is 1, and
+            # keeps its lead: old - c * pivot
+            if log:
+                if tail_logs is None:
+                    tail_logs = [log[a] if a else None for a in tail]
+                lc = log[c]
+                new = [
+                    u if la is None else u ^ exp[la + lc]
+                    for u, la in zip(old[p + 1:], tail_logs)
+                ]
+            else:
+                mul = field._mul
+                new = [u ^ mul(a, c) if a else u for u, a in zip(old[p + 1:], tail)]
+            news.append(old[:p] + tuple(new))
+    return news
 
 
 def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
@@ -465,12 +483,11 @@ class _FlatSearch:
     The last push, to a flat of rank t-1, writes only the columns above
     its pivot, and :meth:`group` files them by direction: each
     direction is the flat of rank t that the column adds.  The ones the
-    push zeroed join the flat.  In the plane over a flat of rank M-2 a
-    direction is a line, keyed by log x - log y (or x = 0, or y = 0);
-    in more dimensions it is the residue scaled to a leading 1.  A flat
-    of rank t is counted in full at the flat spanned by the first t-1
-    columns of its own greedy basis, where its columns outside that flat
-    all lie above the last basis column.  So the last push runs no
+    push zeroed join the flat.  A direction is keyed by the residue
+    scaled to a leading 1 (by a line's key in a plane search, below).
+    A flat of rank t is counted in full at the flat spanned by the first
+    t-1 columns of its own greedy basis, where its columns outside that
+    flat all lie above the last basis column.  So the last push runs no
     greedy test: a set it counts with a column of its flat or direction
     below the pivot left out lies strictly inside a flat counted in full
     elsewhere, so it never ties the best, and with ``limit`` it reaches
@@ -486,6 +503,21 @@ class _FlatSearch:
     largest flat it meets is the lex-first one: a later one replaces it
     only when strictly larger, and a branch is cut when it cannot be.
     Once the best reaches ``limit`` every branch is cut.
+
+    A plane search, one whose target rank is one below the residues'
+    dimension (the hyperplane of the columns' span, and of any
+    contraction), runs its last two levels on residues scaled to a
+    leading 1, with no :func:`_quotient` and no :meth:`group`: 4
+    coordinates at depth 2 (:meth:`_space`), then 3 at depth 1, the
+    points of a projective plane (:meth:`_plane`).  Scaling a residue
+    changes no direction.  Two residues are parallel exactly when their
+    points are equal, and the line a point spans with the pushed one is
+    the direction of its residue after the push.  So these levels skip
+    the same pushes, zero the same columns and file the same columns
+    into the same lines, in the same order, as the coordinate-major
+    levels would; only the keys differ, and every answer is the same.
+    Points are field elements with or without log tables, so a fill in
+    the middle of a search mixes nothing.
     """
 
     __slots__ = ("field", "size", "mask", "limit")
@@ -509,8 +541,16 @@ class _FlatSearch:
         ``last`` is the flat's last basis column (-1 for none), ``cols``
         lists the columns outside it in order, and ``rows`` their
         residues, coordinate-major.  ``depth`` is at least 1; the last
-        push hands the columns above its pivot to :meth:`group`.
+        push hands the columns above its pivot to :meth:`group`.  A plane
+        search's last two levels go to :meth:`_space` and :meth:`_plane`.
         """
+        if depth <= 2 and len(rows) == depth + 2:
+            if depth == 2:
+                self._space(flat, last, cols, rows)
+            else:
+                points = [_normalized(self.field, res) for res in zip(*rows)]
+                self._plane(flat, cols, points)
+            return
         size = flat.bit_count()
         count = len(cols)
         # row logs cached across this flat's pushes; a field still
@@ -551,19 +591,136 @@ class _FlatSearch:
                 child_rows = [list(compress(row, nonzero)) for row in reduced]
             self.visit(grown, j, child_cols, child_rows, depth - 1)
 
-    def group(self, flat: int, cols: list[int], rows: list[Sequence[int]]) -> int:
-        """File ``cols`` by direction over ``flat``; return the zero ones.
+    def _space(
+        self, flat: int, last: int, cols: list[int], rows: list[Sequence[int]]
+    ) -> None:
+        """:meth:`visit` at depth 2 of a plane search, on normalized points.
 
-        ``rows`` are the columns' residues over the flat, coordinate-
-        major.  A zero residue is in the flat's closure, so it joins the
-        flat and every direction.
+        The residues have 4 coordinates.  They are scaled to a leading 1
+        once, at the first push, and one dict lists the positions of
+        each point.  Two residues are parallel exactly when their points
+        are equal, so j's push zeroes the positions of j's point: the
+        basis is greedy when j holds its first one, and the later ones
+        join the flat.  A later one is never pushed, since its point
+        first occurs at j.  The push writes the child's plane points,
+        normalized, for the columns above j only: inline for a pivot that
+        leads at coordinate 0, the common case, and through
+        :func:`_push_normalized` for any other.
         """
         field = self.field
-        lines: dict = {}
-        if len(rows) == 2:
+        period = field.order - 1
+        size = flat.bit_count()
+        count = len(cols)
+        points: list = []
+        for pos, j in enumerate(cols):
+            if j < last:
+                continue
+            # the flat plus every outside column from j up, at most; the
+            # child's first cut is the same bound, so it is not tried again
+            if size + count - pos <= self.size or self.size >= self.limit:
+                break
+            exp, log = field._tables()
+            if not points:
+                held: dict = {}
+                for q, res in enumerate(zip(*rows)):
+                    lead = res[0] or res[1] or res[2] or res[3]
+                    if lead != 1:
+                        if log:
+                            shift = period - log[lead]
+                            res = tuple([x and exp[log[x] + shift] for x in res])
+                        else:
+                            res = _normalized(field, res)
+                    points.append(res)
+                    if res in held:
+                        held[res].append(q)
+                    else:
+                        held[res] = [q]
+            pivot = points[pos]
+            same = held[pivot]
+            if same[0] < pos:
+                continue
+            grown = flat | 1 << j
+            for q in same[1:]:
+                grown |= 1 << cols[q]
+            above = islice(points, pos + 1, None)
+            if not pivot[0]:
+                child = _push_normalized(field, above, pivot)
+                if len(same) == 1:
+                    self._plane(grown, cols[pos + 1:], child)
+                else:
+                    kept = [point is not None for point in child]
+                    child_cols = list(compress(cols[pos + 1:], kept))
+                    self._plane(grown, child_cols, list(compress(child, kept)))
+                continue
+            # the pivot leads at 0: a point that leads there too is XORed
+            # with it and scaled again, and the others lose coordinate 0
+            _, a, b, c = pivot
+            child_cols = []
+            child = []
+            for col, (v0, v1, v2, v3) in zip(islice(cols, pos + 1, None), above):
+                if v0:
+                    x, y, z = v1 ^ a, v2 ^ b, v3 ^ c
+                    lead = x or y or z
+                    if not lead:
+                        continue
+                    if lead != 1:
+                        if log:
+                            shift = period - log[lead]
+                            x, y, z = (
+                                x and exp[log[x] + shift],
+                                y and exp[log[y] + shift],
+                                z and exp[log[z] + shift],
+                            )
+                        else:
+                            x, y, z = _normalized(field, (x, y, z))
+                    child.append((x, y, z))
+                else:
+                    child.append((v1, v2, v3))
+                child_cols.append(col)
+            self._plane(grown, child_cols, child)
+
+    def _plane(
+        self, flat: int, cols: list[int], points: list[tuple[int, int, int]]
+    ) -> None:
+        """:meth:`visit` at depth 1 of a plane search, on normalized points.
+
+        Every column lies above the flat's last basis column, and its
+        residue is a point of the projective plane, scaled to a leading
+        1.  Pushing j maps each point v above it to a 2-vector whose
+        direction is the line through j and v.  With j = (1, a, b) that
+        is (v1, v2) XOR v0 * (a, b), and v0 is 0 or 1, so no product is
+        made; with j = (0, 1, b) it is (v0, v2 + v1 * b), a product only
+        when v leads at 0; with j = (0, 0, 1) it is (v0, v1).  Lines are
+        keyed by log x - log y (or x = 0, or y = 0), and the zero vectors,
+        the points equal to j's, join the flat.
+        """
+        field = self.field
+        mul = field._mul
+        period = field.order - 1
+        size = flat.bit_count()
+        count = len(cols)
+        # the columns an earlier push at this flat closed over
+        zeroed = 0
+        for pos, j in enumerate(cols):
+            if zeroed >> j & 1:
+                continue
+            if size + count - pos <= self.size or self.size >= self.limit:
+                break
             log = field._tables()[1]
-            period = field.order - 1
-            for c, x, y in zip(cols, *rows):
+            j0, j1, j2 = points[pos]
+            lines: dict = {}
+            get = lines.get
+            above = zip(islice(cols, pos + 1, None), islice(points, pos + 1, None))
+            for c, (v0, v1, v2) in above:
+                if j0:
+                    if v0:
+                        x, y = v1 ^ j1, v2 ^ j2
+                    else:
+                        x, y = v1, v2
+                elif j1:
+                    x, y = v0, v2 ^ (mul(v1, j2) if v0 else v1 and j2)
+                else:
+                    x, y = v0, v1
                 # the line through the point: x/y as a log, -2 for x = 0
                 # and -1 for y = 0
                 if not y:
@@ -573,12 +730,25 @@ class _FlatSearch:
                 elif log:
                     key = (log[x] - log[y]) % period
                 else:
-                    key = field._mul(x, field._inv(y))
-                lines[key] = lines.get(key, 0) | 1 << c
-        else:
-            for c, res in zip(cols, zip(*rows)):
-                key = _normalized(field, res)
-                lines[key] = lines.get(key, 0) | 1 << c
+                    key = mul(x, field._inv(y))
+                lines[key] = get(key, 0) | 1 << c
+            zeroed |= self._count(flat | 1 << j, lines)
+
+    def group(self, flat: int, cols: list[int], rows: list[Sequence[int]]) -> int:
+        """File ``cols`` by direction over ``flat``; return the zero ones.
+
+        ``rows`` are the columns' residues over the flat, coordinate-
+        major.  A zero residue is in the flat's closure, so it joins the
+        flat and every direction.
+        """
+        lines: dict = {}
+        for c, res in zip(cols, zip(*rows)):
+            key = _normalized(self.field, res)
+            lines[key] = lines.get(key, 0) | 1 << c
+        return self._count(flat, lines)
+
+    def _count(self, flat: int, lines: dict) -> int:
+        """Count each direction's flat; return the closure, keyed None."""
         closure = lines.pop(None, 0)
         flat |= closure
         size = flat.bit_count()

@@ -56,6 +56,8 @@ class RegeneratingSet:
     members: frozenset[int]
 
     def __post_init__(self):
+        # True and 1.0 are "in" {1, 2, 3}
+        _check_int(self.target, None, "regenerating set target")
         if self.target not in self.members:
             raise DomainError(
                 f"target {self.target} must belong to its regenerating set"

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .errors import DomainError, InvariantError, RepairError
-from .gf2m import _check_int, solve_column
+from .gf2m import _check_int, _is_int, solve_column
 from .linear_code import LinearCode, _combination
 # bench/tracing.py wraps minimal_regsets and verify_locality under this
 # module's name too
@@ -64,13 +64,24 @@ def _solve_step(code: LinearCode, target: int, members: frozenset[int]) -> Repai
             f"regenerating set {sorted(members)} cannot express column {target}"
         )
     # the plan is self-validating: the combination must reproduce the column
-    if _combination(code, coeffs, helpers) != code._packed[target - 1][0]:
+    if not _rebuilds(code, target, helpers, coeffs):
         raise InvariantError("repair coefficients fail to reproduce the column")
     return RepairStep(
         target=target,
         members=tuple(sorted(members)),
         coefficients=tuple(coeffs),
     )
+
+
+def _rebuilds(
+    code: LinearCode, target: int, helpers: Sequence[int], coeffs: Sequence[int]
+) -> bool:
+    """Whether sum(c_h * g_h) over the helpers is the target's column.
+
+    An XOR of the helpers' packed images (:func:`_combination`), with
+    no field product; the coefficients must already be field elements.
+    """
+    return _combination(code, coeffs, helpers) == code._packed[target - 1][0]
 
 
 def plan_repair(
@@ -112,7 +123,12 @@ def execute_repair(
 
     Erasures are ``None`` entries and must coincide with the plan's
     targets; any mismatch is a usage error, and so is a symbol or a
-    coefficient that is not a field element.  The input is not modified.
+    coefficient that is not a field element.  A plan is public input, so
+    every step is checked before any runs: its members are coordinates
+    and hold its target, it has one coefficient per helper, its helpers
+    are not erased when it runs, and its coefficients rebuild the
+    target's column from the helpers' (:func:`_rebuilds`).  The input is
+    not modified.
     """
     code = plan.code
     if len(codeword) != code.n:
@@ -128,18 +144,39 @@ def execute_repair(
     # every outside value is checked once here; the products are unchecked
     check, mul = code.field._check, code.field._mul
     symbols = [None if sym is None else check(sym) for sym in codeword]
-    for coeff in (c for step in plan.steps for c in step.coefficients):
-        check(coeff)
+    missing = code._coord_mask(erased)
+    runs = []
     for step in plan.steps:
+        target, coeffs = step.target, step.coefficients
+        members = code._coord_mask(step.members)
+        # the target is erased, so an int one is a coordinate
+        if not _is_int(target) or not members >> (target - 1) & 1:
+            raise DomainError(f"target {target!r} is not a member of its step")
+        helpers = step.helpers
+        if len(coeffs) != len(helpers):
+            raise DomainError(
+                f"step for target {target} has {len(coeffs)} "
+                f"coefficients for {len(helpers)} helpers"
+            )
+        still = missing & members & ~(1 << (target - 1))
+        if still:
+            raise DomainError(
+                f"helper {(still & -still).bit_length()} for target {target} "
+                "is still erased"
+            )
+        for coeff in coeffs:
+            check(coeff)
+        if not _rebuilds(code, target, helpers, coeffs):
+            raise DomainError(
+                f"the coefficients for target {target} do not rebuild its column"
+            )
+        missing &= ~(1 << (target - 1))
+        runs.append((target - 1, helpers, coeffs))
+    for t, helpers, coeffs in runs:
         acc = 0
-        for coeff, helper in zip(step.coefficients, step.helpers):
-            value = symbols[helper - 1]
-            if value is None:
-                raise DomainError(
-                    f"helper {helper} for target {step.target} is still erased"
-                )
-            acc ^= mul(coeff, value)
-        symbols[step.target - 1] = acc
+        for coeff, helper in zip(coeffs, helpers):
+            acc ^= mul(coeff, symbols[helper - 1])
+        symbols[t] = acc
     return symbols
 
 

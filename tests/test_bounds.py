@@ -231,6 +231,8 @@ def test_bound_square_rejects_vector_codes():
         (lambda: bound_report("square", n=16, M=6, r=3, alpha=True), "alpha"),
         (lambda: bound_report("rdc", n=16, M=6, r=3, delta=3, alpha=1.0), "alpha"),
         (lambda: bound_report("rdc", n=16, M=6, r=3, delta=3, alpha=True), "alpha"),
+        (lambda: rdc_mu(6, True, 3), "r"),
+        (lambda: g_function(2.0, 3), "x"),
     ],
 )
 def test_bounds_reject_non_integer_parameters(call, name):

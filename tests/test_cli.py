@@ -287,6 +287,50 @@ def test_identical_invocations_byte_identical(capsys, code_file):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "r, M, calls",
+    [
+        # the capped answers (square metadata), the exact phi (a bare
+        # copy) and the distance, whose last flat-search pushes multiply
+        (3, 5, [("phi", "--x-max", "3"), ("rho",), ("bare", "phi", "--x-max", "2"),
+                ("distance",)]),
+        # 2M >= n: H's flats; a fresh GF(2^16) answers within its
+        # tableless allowance, so its cold path meets the tableless one
+        (4, 16, [("distance",), ("verify", "--optimal-square")]),
+    ],
+)
+def test_a_tableless_field_prints_the_same_bytes(
+    capsys, tmp_path, monkeypatch, r, M, calls
+):
+    # the same grid over GF(2^17), which never has log tables, so every
+    # push, scale and line key multiplies; the matroid depends only on
+    # the GF(2) relations among the cells, so every answer matches the
+    # default field's byte for byte.  Each call loads its file into a
+    # fresh field, as a new process does
+    monkeypatch.setenv("LOCREP_SEARCH_CAP", "25")
+    outputs = []
+    for m in ([], ["--m", "17"]):
+        path = tmp_path / f"square{''.join(m)}.json"
+        rc, _, err = _run(capsys, "build", "--family", "square", "--r", str(r),
+                          "--M", str(M), *m, "-o", str(path))
+        assert rc == 0, err
+        obj = json.loads(path.read_text())
+        del obj["metadata"]
+        bare = tmp_path / f"bare{''.join(m)}.json"
+        bare.write_text(json.dumps(obj))
+        printed = []
+        for call in calls:
+            if call[0] == "bare":
+                argv = [call[1], str(bare), *call[2:]]
+            else:
+                argv = [call[0], str(path), *call[1:]]
+            rc, out, err = _run(capsys, *argv)
+            assert rc == 0, err
+            printed.append(out)
+        outputs.append(printed)
+    assert outputs[0] == outputs[1]
+
+
 @pytest.fixture()
 def repetition_file(tmp_path):
     from locrep.linear_code import dumps

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import signal
 import sys
 import threading
 from random import Random
@@ -295,6 +296,34 @@ def test_modulus_must_be_a_nonnegative_integer(modulus, message):
     # 19.0 and "13" once raised AttributeError, and -19 hung the constructor
     with pytest.raises(DomainError, match=message):
         GF2m(4, modulus)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: is_irreducible(-19), "polynomial must be >= 0, got -19"),
+        (lambda: is_irreducible(19.0), "polynomial must be an integer, got 19.0"),
+        (lambda: is_irreducible(True), "polynomial must be an integer, got True"),
+        (lambda: poly_mod(-5, 3), "polynomial must be >= 0, got -5"),
+        (lambda: poly_mod(5, -3), "polynomial must be >= 0, got -3"),
+        (lambda: poly_mod(5.0, 3), "polynomial must be an integer, got 5.0"),
+        (lambda: poly_mod(5, True), "polynomial must be an integer, got True"),
+    ],
+)
+def test_polynomial_arguments_are_checked(call, message):
+    # is_irreducible(-19) once never returned: reducing by a negative int
+    # never ends.  An alarm on this process turns a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("no answer within 5 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        with pytest.raises(DomainError, match=message):
+            call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_field_degree_is_bounded():

@@ -264,25 +264,122 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
             assert found == size
 
 
-@pytest.mark.parametrize("r, M, calls, cells", [
-    (3, 7, 1064, 27491), (3, 8, 577, 22938), (4, 5, 1770, 40990),
-])
-def test_flat_search_work_is_pinned(monkeypatch, r, M, calls, cells):
-    # the pushes and the cells in the rows they return are deterministic;
-    # a last push that writes the columns below its pivot too, or a push
-    # of a column an earlier push at the same flat zeroed, reads more
-    quotient = linear_code._quotient
-    seen = []
+# per distance search: _quotient's pushes (calls, cells written), a
+# plane search's depth-2 pushes (calls, plane points written for the
+# child) and the last pushes (calls, columns keyed or grouped)
+_PINNED_WORK = {
+    (3, 7): {"quotient": (162, 10076), "plane": (288, 1746), "last": (606, 2958)},
+    (3, 8): {"quotient": (577, 22938), "plane": (0, 0), "last": (472, 2433)},
+    (4, 5): {"quotient": (20, 2000), "plane": (210, 2170), "last": (1540, 11935)},
+}
 
-    def counting(*args):
+
+@pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
+def test_flat_search_work_is_pinned(monkeypatch, r, M):
+    # the pushes at each depth and what they write are deterministic; a
+    # last push that keys the columns below its pivot too, a depth-2 push
+    # that writes them, or a push of a column an earlier push at the same
+    # flat zeroed, reads more.  r = 3, M = 8 is searched on the dual side,
+    # below its hyperplane rank, so it makes no plane push
+    seen: dict = {"quotient": [], "plane": [], "last": []}
+    quotient = linear_code._quotient
+    plane = linear_code._FlatSearch._plane
+    count = linear_code._FlatSearch._count
+
+    def counting_quotient(*args):
         out = quotient(*args)
-        seen.append(sum(map(len, out)))
+        seen["quotient"].append(sum(map(len, out)))
         return out
 
-    monkeypatch.setattr(linear_code, "_quotient", counting)
+    def counting_plane(self, flat, cols, points):
+        seen["plane"].append(len(points))
+        return plane(self, flat, cols, points)
+
+    def counting_last(self, flat, lines):
+        seen["last"].append(sum(line.bit_count() for line in lines.values()))
+        return count(self, flat, lines)
+
+    monkeypatch.setattr(linear_code, "_quotient", counting_quotient)
+    monkeypatch.setattr(linear_code._FlatSearch, "_plane", counting_plane)
+    monkeypatch.setattr(linear_code._FlatSearch, "_count", counting_last)
     code = build_square_code(r, M).code
     assert min_distance(code, 25) == bound_square(code.n, M, r)
-    assert (len(seen), sum(seen)) == (calls, cells)
+    work = {name: (len(sizes), sum(sizes)) for name, sizes in seen.items()}
+    assert work == _PINNED_WORK[r, M]
+
+
+def _plane_code(rng: Random, field: GF2m, n: int, D: int) -> LinearCode:
+    """A random full-rank code that reaches every branch of the plane kernel.
+
+    Zero columns, runs of parallel columns (scaled copies, which the
+    depth-2 greedy test and the closures meet), columns that lead after
+    coordinate 0, so that residues lead at coordinates 1 and 2 under
+    pivots of every lead, and sparse columns.
+    """
+    q = field.order
+    while True:
+        cols: list[list[int]] = []
+        for _ in range(n):
+            kind = rng.random()
+            if kind < 0.1:
+                cols.append([0] * D)
+            elif kind < 0.35 and cols:
+                scale = rng.randrange(1, q)
+                cols.append([field.mul(scale, x) for x in rng.choice(cols)])
+            elif kind < 0.65:
+                lead = rng.randrange(1, D)
+                cols.append([0] * lead + [rng.randrange(1, q)] + [
+                    rng.randrange(q) if rng.random() < 0.5 else rng.randrange(2)
+                    for _ in range(D - lead - 1)
+                ])
+            else:
+                cols.append([rng.randrange(q) if rng.random() < 0.5
+                             else rng.randrange(2) for _ in range(D)])
+        if matrix_rank(field, D, cols) == D:
+            return LinearCode(field, n, D, cols)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 4, 9, 16, 17, "cold"])
+def test_the_plane_kernel_agrees_with_the_oracle(degree):
+    # the hyperplane search, rank D-1 on D-coordinate columns, runs its
+    # last two levels on normalized points: D = 3 starts at depth 1, D = 4
+    # at depth 2 and D = 5 one level above.  Size and lex-first witness,
+    # with and without an incumbent and a limit.  Degree 16 has log
+    # tables, degree 17 none, and a "cold" GF(2^16) has a few tableless
+    # products left, so its tables fill part way through the search
+    cold = degree == "cold"
+    rng = Random(113 if cold else 113 + degree)
+    field = GF2m(16 if cold else degree)
+    fills = 0
+    for trial in range(12):
+        D = 3 + trial % 3
+        n = rng.randrange(D + 2, 13)
+        code = _plane_code(rng, field, n, D)
+        size, witness = largest_flat(code, D - 1)
+        mask = sum(1 << (i - 1) for i in witness)
+
+        def search(*args, **kwargs):
+            return _largest_flat(field, code.columns, D - 1, *args, **kwargs)
+
+        if cold:
+            searched = spend_allowance(GF2m(16), rng.choice([1, 4, 16, 64]))
+            found = _largest_flat(searched, code.columns, D - 1, 0)
+            assert found == (size, mask), code.columns
+            fills += searched._exp is not None
+        assert search(0) == (size, mask), (code.columns, degree)
+        # an incumbent at least as large comes back unchanged, and one
+        # just below the largest is replaced by it
+        assert search(size, 5) == (size, 5)
+        assert search(size - 1, 5) == (size, mask)
+        for limit in range(1, n + 2):
+            found = search(0, limit=limit)
+            assert (found[0] >= limit) == (size >= limit), (code.columns, limit)
+            if limit > size:
+                assert found == (size, mask)
+    if cold:
+        assert fills
+    elif degree > 16:
+        assert field._exp is None
 
 
 def test_contraction_ranks_are_ranks_over_the_contracted_set():

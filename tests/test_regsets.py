@@ -97,16 +97,29 @@ def test_is_regenerating_rejects_foreign_target(square_r2_m3):
 
 @pytest.mark.parametrize("target", [True, 1.0, 0, 10])
 def test_a_target_that_is_not_a_coordinate_is_rejected(square_r2_m3, target):
-    # True once counted as coordinate 1 and 1.0 raised TypeError; a hand-built
-    # RegeneratingSet accepts both, since True and 1.0 are "in" {1, 2, 3}
+    # True once counted as coordinate 1 and 1.0 raised TypeError.  A
+    # hand-built RegeneratingSet refuses both, though True and 1.0 are
+    # "in" {1, 2, 3}; one whose members hold 0 or 10 is refused by the
+    # chain checks
     code = square_r2_m3.code
     with pytest.raises(DomainError, match=f"coordinate {target!r} is not in 1..9"):
         is_regenerating(code, target, [1, 2, 3])
-    if target in (1, 2, 3):
-        chain = [RegeneratingSet(target, frozenset({1, 2, 3}))]
-        for check in (is_nontrivial_union, check_union_entropy):
-            with pytest.raises(DomainError, match=f"coordinate {target!r}"):
-                check(code, chain)
+    if isinstance(target, bool) or not isinstance(target, int):
+        with pytest.raises(DomainError, match="target must be an integer"):
+            RegeneratingSet(target, frozenset({1, 2, 3}))
+        return
+    chain = [RegeneratingSet(target, frozenset({1, 2, 3, target}))]
+    for check in (is_nontrivial_union, check_union_entropy):
+        with pytest.raises(DomainError, match=f"coordinate {target!r}"):
+            check(code, chain)
+
+
+@pytest.mark.parametrize("target", [True, False, 1.0, "1"])
+def test_a_regenerating_set_target_must_be_an_integer(target):
+    # True and 1.0 are "in" {1, 2, 3}, so the membership test alone let
+    # both construct
+    with pytest.raises(DomainError, match="regenerating set target must be an integer"):
+        RegeneratingSet(target, frozenset({1, 2, 3}))
 
 
 def test_union_checks_read_each_member_set_once(monkeypatch):

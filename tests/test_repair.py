@@ -229,6 +229,46 @@ def test_execute_rejects_a_step_whose_helper_is_still_erased(square_r2_m3):
         execute_repair(word, plan)
 
 
+@pytest.mark.parametrize(
+    "members, coefficients, message",
+    [
+        # each once returned a wrong symbol with no error: 5 where the
+        # codeword holds 0, symbols[-1] read for helper 0, and a helper
+        # dropped by zip
+        ((1, 2, 3), (1, 3), "coefficients for target 1 do not rebuild its column"),
+        ((0, 1, 3), (1, 1), "coordinate 0 is not in 1..9"),
+        ((1, 2, 3), (1,), "1 coefficients for 2 helpers"),
+        ((1, 2, 3), (1, 1, 1), "3 coefficients for 2 helpers"),
+        ((2, 3, 4), (1, 1), "target 1 is not a member of its step"),
+        ((1, 2, 10), (1, 1), "coordinate 10 is not in 1..9"),
+    ],
+)
+def test_execute_checks_every_step_before_it_runs_one(
+    square_r2_m3, monkeypatch, members, coefficients, message
+):
+    code = square_r2_m3.code
+    word = list(code.encode((5, 2, 7)))
+    erased = [None, *word[1:]]
+    plan = plan_repair(code, [1], 2)
+    assert plan.steps == (RepairStep(1, (1, 2, 3), (1, 1)),)
+    assert execute_repair(erased, plan) == word
+    forged = RepairPlan(code=code, steps=(RepairStep(1, members, coefficients),))
+    with pytest.raises(DomainError, match=message):
+        execute_repair(erased, forged)
+    # a forged second step is refused before the first one multiplies
+    good = plan_repair(code, [9], 2).steps[0]
+    assert 1 not in good.members
+    erased[8] = None
+    two = RepairPlan(code=code, steps=(good, RepairStep(1, members, coefficients)))
+
+    def refuse(*args):
+        raise AssertionError("a step ran before every step was checked")
+
+    monkeypatch.setattr(GF2m, "_mul", refuse)
+    with pytest.raises(DomainError, match=message):
+        execute_repair(erased, two)
+
+
 def test_locality_cap_must_be_an_integer(square_r2_m3):
     code = square_r2_m3.code
     with pytest.raises(DomainError, match="locality cap must be an integer"):
