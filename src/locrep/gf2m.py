@@ -433,8 +433,7 @@ def _eliminate(
     with an exact field inversion.  Returns the reduced rows and the
     pivot column indices in increasing order.
     """
-    if nrows < 0:
-        raise DomainError(f"row count must be >= 0, got {nrows}")
+    _check_int(nrows, 0, "row count")
     for col in columns:
         if len(col) != nrows:
             raise DomainError(
@@ -485,6 +484,7 @@ def solve_column(
     are set to zero, so the returned combination is deterministic.  The
     system is inconsistent exactly when the rhs column becomes a pivot.
     """
+    _check_int(nrows, 0, "row count")
     if len(rhs) != nrows:
         raise DomainError(f"rhs must have {nrows} entries, got {len(rhs)}")
     k = len(columns)

@@ -22,23 +22,22 @@ search over flats for the largest flat of a given rank.  That one
 search gives the generator's largest hyperplane, and one ascending
 walk of it over the ranks (:func:`_phi_walk`) gives both the
 parity-check code's smallest circuit, its phi(1), and the generator's
-exact phi.  Each scan keeps the columns' coordinates
-in the quotient by the current span, and pushing a column is one
-elimination step in the log domain: one table lookup per coordinate (a
+exact phi.  Each scan keeps, for each column, its coordinates in the
+quotient by the current span, scaled to a leading 1: a point of
+projective space, or None for the zero residue.  Two nonzero residues
+are dependent exactly when their points are equal, so a span test, or
+the test of which columns a push closes over, is one tuple
+comparison.  Pushing a column is one elimination step in the log
+domain, :func:`_push_normalized`: one table lookup per coordinate (a
 multiplication where the field has no log tables yet) where the packed
-images would need m XOR passes.  The flat search keeps the coordinates
-coordinate-major and pushes with :func:`_quotient`; the push that
-reaches the rank below the target writes only the columns above the
-pushed one, the ones it then groups by direction.  The circuit scan,
-the one enumeration of circuits and so of minimal regenerating sets,
-keeps one vector per column, scaled to a leading 1, so a span test
-there is one tuple comparison, and a push updates each vector in place
-(:func:`_push_normalized`).  A hyperplane search, whose target rank is
-one below the residues' dimension, runs its last two levels on such
-normalized vectors too: the residues there are points of projective
-3-space and then of a projective plane, and the line through the
-pushed point and another is keyed by their XOR difference, with no
-product.
+images would need m XOR passes, and a plain XOR for a residue that
+leads where the pivot does.  The circuit scan, the flat search
+and the contraction behind exact witnesses all push through it.  A
+hyperplane search, whose target rank is one below the residues'
+dimension, writes its last two levels out: the residues there are
+points of projective 3-space and then of a projective plane, and the
+line through the pushed point and another is keyed by their XOR
+difference, with no product.
 """
 
 from __future__ import annotations
@@ -284,8 +283,8 @@ def _push_normalized(
     at p has a 1 there, as the pivot does, so the pivot is XORed in and
     the result scaled to a leading 1 again; it is None when the two are
     equal.  One that leads before p keeps its leading 1 and adds c times
-    the pivot, c its entry at p, through the log tables.  The results
-    are those :func:`_quotient` gives coordinate-major, normalized.
+    the pivot, c its entry at p, through the log tables.  The other
+    coordinates keep their order.
     """
     # p is the pivot's leading coordinate, and its entry there is 1
     p = pivot.index(1)
@@ -359,26 +358,38 @@ def _largest_flat(
     ``limit`` exactly when some flat does, but it is then only a lower
     bound on the largest; a size below ``limit`` is exact.
 
-    Rank 0 is the set of zero columns.  Otherwise every flat of rank t
-    is a flat of rank t-1 plus the columns whose residues over it are
-    multiples of one vector, so :class:`_FlatSearch` visits the flats
-    of rank t-1 and groups the columns outside each one by direction.
+    Each column is scaled to a leading 1 once (:func:`_normalized`), a
+    point of projective space, and the zero columns are the loops.  Rank
+    0 is the set of loops, and rank 1 files the other columns by point.
+    Otherwise every flat of rank t is a flat of rank t-1 plus the
+    columns whose residues over it are one point, so
+    :class:`_FlatSearch` visits the flats of rank t-1 and files the
+    columns outside each one by point.  At rank 2 that search is its
+    last level alone, run at the loops.
     """
     loops = 0
     cols: list[int] = []
+    points: list[tuple[int, ...]] = []
     for j, col in enumerate(columns):
-        if any(col):
-            cols.append(j)
-        else:
+        point = _normalized(field, col)
+        if point is None:
             loops |= 1 << j
-    rows = list(zip(*(columns[j] for j in cols)))
+        else:
+            cols.append(j)
+            points.append(point)
     if rank == 0:
         return (loops.bit_count(), loops) if loops.bit_count() > size else (size, mask)
     search = _FlatSearch(field, size, mask, len(columns) + 1 if limit is None else limit)
     if rank == 1:
-        search.group(loops, cols, rows)
+        lines: dict = {}
+        for c, point in zip(cols, points):
+            lines[point] = lines.get(point, 0) | 1 << c
+        search._count(loops, lines)
+    elif rank == 2:
+        last_level = search._plane if len(columns[0]) == 3 else search._last
+        last_level(loops, cols, points)
     else:
-        search.visit(loops, -1, cols, rows, rank - 1)
+        search.visit(loops, -1, cols, points, rank - 1)
     return search.size, search.mask
 
 
@@ -397,74 +408,38 @@ def _normalized(field: gf2m.GF2m, res: Sequence[int]) -> Optional[tuple[int, ...
     return tuple([mul(x, scale) for x in res])
 
 
-def _quotient(
-    field: gf2m.GF2m,
-    rows: Sequence[Sequence[int]],
-    pos: int,
-    factors: Optional[list] = None,
-    first: int = 0,
-) -> list[Sequence[int]]:
-    """Columns from ``first`` on in the quotient by the span of the one at ``pos``.
+def _plane_points(
+    field: gf2m.GF2m, pivot: tuple[int, ...], points: Iterable[tuple[int, ...]]
+) -> list[tuple[int, int, int]]:
+    """:func:`_push_normalized` of 4-coordinate points by a pivot that leads at 0.
 
-    The columns are given coordinate-major: ``rows[k][c]`` is coordinate
-    k of column c, and column ``pos`` is nonzero.  With p its leading
-    coordinate, each column v becomes v - (v[p] / v_pos[p]) * v_pos,
-    and row p is dropped, so every column comes back with one
-    coordinate fewer; the columns before ``first`` are left out, so
-    with ``first`` above ``pos`` the push writes only the columns above
-    its pivot.  This is the elimination step of the flat search and of
-    :func:`_contraction`.  It runs in the log domain: row p is turned
-    into discrete logs once, so each entry update is one table lookup,
-    u ^ exp[log a + log x], and no method call, and a row whose entry
-    at ``pos`` is zero is kept as it is.  Fields without log tables
-    keep elements where the logs would be and multiply instead.
-    ``factors``, one slot per row, caches row p's logs for the next
-    push against the same rows.  A field with no tables yet may fill
-    them during a push, so a cache is kept only on a field that had its
-    tables before the first push that wrote it: a log and an element
-    are never mixed.
+    None of the points equals the pivot.  A point that leads at 0 too is
+    XORed with the pivot and scaled to a leading 1 again; the others
+    only lose coordinate 0.  Written out for the 4 coordinates of a
+    plane search's depth 2, where most pivots lead at 0.
     """
     exp, log = field._tables()
-    mul = field._mul
-    for p, pivot in enumerate(rows):
-        if pivot[pos]:
-            break
-    row_logs = factors[p] if factors is not None else None
-    if row_logs is None:
-        if log:
-            row_logs = [log[a] if a else None for a in pivot]
-        else:
-            row_logs = [a or None for a in pivot]
-        if factors is not None:
-            factors[p] = row_logs
-    if log:
-        period = field.order - 1
-        lead = row_logs[pos]
-    else:
-        scale = field._inv(pivot[pos])
-    if first:
-        row_logs = row_logs[first:]
-    out = []
-    for k, row in enumerate(rows):
-        x = row[pos]
-        if k == p:
+    period = field.order - 1
+    _, a, b, c = pivot
+    child = []
+    for v0, v1, v2, v3 in points:
+        if not v0:
+            child.append((v1, v2, v3))
             continue
-        if first:
-            row = row[first:]
-        if not x:
-            out.append(row)
-        elif log:
-            # x over the pivot's leading entry, as a log
-            lx = (log[x] - lead) % period
-            out.append([
-                u if la is None else u ^ exp[la + lx] for u, la in zip(row, row_logs)
-            ])
-        else:
-            lx = mul(x, scale)
-            out.append([
-                u if la is None else u ^ mul(la, lx) for u, la in zip(row, row_logs)
-            ])
-    return out
+        x, y, z = v1 ^ a, v2 ^ b, v3 ^ c
+        lead = x or y or z
+        if lead != 1:
+            if log:
+                shift = period - log[lead]
+                x, y, z = (
+                    x and exp[log[x] + shift],
+                    y and exp[log[y] + shift],
+                    z and exp[log[z] + shift],
+                )
+            else:
+                x, y, z = _normalized(field, (x, y, z))
+        child.append((x, y, z))
+    return child
 
 
 class _FlatSearch:
@@ -473,51 +448,47 @@ class _FlatSearch:
     A flat is reached once, through its greedy basis: each basis column
     is the lowest column outside the span of the ones before it.  The
     search carries the residues of the columns outside the flat, their
-    coordinates in the quotient by the flat's span, in GF(2^m).
-    Pushing a basis column is one :func:`_quotient`; a residue that
-    becomes zero joins the closure, and one below the pushed column
-    means the basis is not greedy, so that flat is reached elsewhere.
-    A column that an earlier push at the same flat closed over spans
-    that push's flat again, so it is not pushed.
+    coordinates in the quotient by the flat's span, in GF(2^m), each
+    scaled to a leading 1: a point of projective space.  Scaling changes
+    no span, and two residues are parallel exactly when their points
+    are equal, so pushing a basis column j zeroes exactly the columns
+    whose point is j's.  One dict lists the positions of each point:
+    the basis is greedy when j holds the first position of its point,
+    the later ones join the flat with no push, and a later one is never
+    pushed itself, as its point first occurs at j.  The push of the
+    other points is one :func:`_push_normalized`.
 
-    The last push, to a flat of rank t-1, writes only the columns above
-    its pivot, and :meth:`group` files them by direction: each
-    direction is the flat of rank t that the column adds.  The ones the
-    push zeroed join the flat.  A direction is keyed by the residue
-    scaled to a leading 1 (by a line's key in a plane search, below).
-    A flat of rank t is counted in full at the flat spanned by the first
-    t-1 columns of its own greedy basis, where its columns outside that
-    flat all lie above the last basis column.  So the last push runs no
-    greedy test: a set it counts with a column of its flat or direction
-    below the pivot left out lies strictly inside a flat counted in full
-    elsewhere, so it never ties the best, and with ``limit`` it reaches
-    the limit only when that flat does.  Every set counted below a flat
-    lies within the flat and the columns above its last basis column,
-    which bounds the branch.
+    The last level, at a flat of rank t-1, keys each column above its
+    pivot by its point after the push (:meth:`_last`): each point is the
+    flat of rank t that the column adds, and a zero residue, keyed
+    None, joins the flat.  A flat of rank t is counted in full at the
+    flat spanned by the first t-1 columns of its own greedy basis, where
+    its columns outside that flat all lie above the last basis column.
+    So the last level runs no greedy test, and the push before it writes
+    only the columns above its pivot: a set the last level counts with
+    a column of its flat or point below the pivot left out lies strictly
+    inside a flat counted in full elsewhere, so it never ties the best,
+    and with ``limit`` it reaches the limit only when that flat does.
+    Every set counted below a flat lies within the flat and the columns
+    above its last basis column, which bounds the branch.
 
     Of two flats of one rank and size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
     lex-first too, and so is the flat it is counted at; at one flat,
-    directions are met in the order of their lowest columns.  The
-    search visits flats in the lex order of their bases, so the first
-    largest flat it meets is the lex-first one: a later one replaces it
-    only when strictly larger, and a branch is cut when it cannot be.
-    Once the best reaches ``limit`` every branch is cut.
+    points are met in the order of their lowest columns.  The search
+    visits flats in the lex order of their bases, so the first largest
+    flat it meets is the lex-first one: a later one replaces it only
+    when strictly larger, and a branch is cut when it cannot be.  Once
+    the best reaches ``limit`` every branch is cut.
 
     A plane search, one whose target rank is one below the residues'
     dimension (the hyperplane of the columns' span, and of any
-    contraction), runs its last two levels on residues scaled to a
-    leading 1, with no :func:`_quotient` and no :meth:`group`: 4
-    coordinates at depth 2 (:meth:`_space`), then 3 at depth 1, the
-    points of a projective plane (:meth:`_plane`).  Scaling a residue
-    changes no direction.  Two residues are parallel exactly when their
-    points are equal, and the line a point spans with the pushed one is
-    the direction of its residue after the push.  So these levels skip
-    the same pushes, zero the same columns and file the same columns
-    into the same lines, in the same order, as the coordinate-major
-    levels would; only the keys differ, and every answer is the same.
-    Points are field elements with or without log tables, so a fill in
-    the middle of a search mixes nothing.
+    contraction), has 4-coordinate points at depth 2 and then the points
+    of a projective plane at depth 1.  Its depth-2 pushes by a pivot
+    that leads at 0 are written out (:func:`_plane_points`), and its
+    last level keys lines by scalars (:meth:`_plane`).  Points are field
+    elements with or without log tables, so a fill in the middle of a
+    search mixes nothing.
     """
 
     __slots__ = ("field", "size", "mask", "limit")
@@ -533,85 +504,29 @@ class _FlatSearch:
         flat: int,
         last: int,
         cols: list[int],
-        rows: list[Sequence[int]],
+        points: list[tuple[int, ...]],
         depth: int,
     ) -> None:
         """Search the flats above ``flat`` for ``depth`` more basis columns.
 
         ``last`` is the flat's last basis column (-1 for none), ``cols``
-        lists the columns outside it in order, and ``rows`` their
-        residues, coordinate-major.  ``depth`` is at least 1; the last
-        push hands the columns above its pivot to :meth:`group`.  A plane
-        search's last two levels go to :meth:`_space` and :meth:`_plane`.
-        """
-        if depth <= 2 and len(rows) == depth + 2:
-            if depth == 2:
-                self._space(flat, last, cols, rows)
-            else:
-                points = [_normalized(self.field, res) for res in zip(*rows)]
-                self._plane(flat, cols, points)
-            return
-        size = flat.bit_count()
-        count = len(cols)
-        # row logs cached across this flat's pushes; a field still
-        # without tables may fill them in one, so the cache starts at
-        # the first push after the fill
-        factors = None
-        # the columns an earlier push at this flat closed over: pushing
-        # one spans the same flat again
-        zeroed = 0
-        for pos, j in enumerate(cols):
-            if j < last or zeroed >> j & 1:
-                continue
-            # the flat plus every outside column from j up, at most
-            if size + count - pos <= self.size or self.size >= self.limit:
-                break
-            grown = flat | 1 << j
-            if factors is None and self.field._exp is not None:
-                factors = [None] * len(rows)
-            if depth == 1:
-                reduced = _quotient(self.field, rows, pos, factors, pos + 1)
-                zeroed |= self.group(grown, cols[pos + 1:], reduced)
-                continue
-            reduced = _quotient(self.field, rows, pos, factors)
-            nonzero = list(map(any, zip(*reduced)))
-            # j's own residue is now zero; one below it means the basis
-            # is not greedy, one above it joins the flat
-            if nonzero.index(False) < pos:
-                continue
-            if nonzero.count(False) == 1:
-                child_cols = cols[:pos] + cols[pos + 1:]
-                child_rows = [row[:pos] + row[pos + 1:] for row in reduced]
-            else:
-                for c, kept in zip(cols[pos + 1:], nonzero[pos + 1:]):
-                    if not kept:
-                        grown |= 1 << c
-                zeroed |= grown
-                child_cols = list(compress(cols, nonzero))
-                child_rows = [list(compress(row, nonzero)) for row in reduced]
-            self.visit(grown, j, child_cols, child_rows, depth - 1)
-
-    def _space(
-        self, flat: int, last: int, cols: list[int], rows: list[Sequence[int]]
-    ) -> None:
-        """:meth:`visit` at depth 2 of a plane search, on normalized points.
-
-        The residues have 4 coordinates.  They are scaled to a leading 1
-        once, at the first push, and one dict lists the positions of
-        each point.  Two residues are parallel exactly when their points
-        are equal, so j's push zeroes the positions of j's point: the
-        basis is greedy when j holds its first one, and the later ones
-        join the flat.  A later one is never pushed, since its point
-        first occurs at j.  The push writes the child's plane points,
-        normalized, for the columns above j only: inline for a pivot that
-        leads at coordinate 0, the common case, and through
-        :func:`_push_normalized` for any other.
+        lists the columns outside it in order, and ``points`` their
+        normalized residues, none zero.  ``depth`` is at least 2.  A
+        push writes every column but j's parallels, as the child's
+        greedy test reads the ones below j too; at depth 2 the child is
+        the last level (:meth:`_plane` on 3 coordinates, :meth:`_last`
+        otherwise), and the push writes only the columns above j.
         """
         field = self.field
-        period = field.order - 1
         size = flat.bit_count()
         count = len(cols)
-        points: list = []
+        # the positions of each point, in order
+        held: dict = {}
+        for q, point in enumerate(points):
+            if point in held:
+                held[point].append(q)
+            else:
+                held[point] = [q]
         for pos, j in enumerate(cols):
             if j < last:
                 continue
@@ -619,65 +534,54 @@ class _FlatSearch:
             # child's first cut is the same bound, so it is not tried again
             if size + count - pos <= self.size or self.size >= self.limit:
                 break
-            exp, log = field._tables()
-            if not points:
-                held: dict = {}
-                for q, res in enumerate(zip(*rows)):
-                    lead = res[0] or res[1] or res[2] or res[3]
-                    if lead != 1:
-                        if log:
-                            shift = period - log[lead]
-                            res = tuple([x and exp[log[x] + shift] for x in res])
-                        else:
-                            res = _normalized(field, res)
-                    points.append(res)
-                    if res in held:
-                        held[res].append(q)
-                    else:
-                        held[res] = [q]
             pivot = points[pos]
             same = held[pivot]
-            if same[0] < pos:
+            # a parallel below j means the basis is not greedy; the ones
+            # above j join the flat
+            if same[0] != pos:
                 continue
             grown = flat | 1 << j
             for q in same[1:]:
                 grown |= 1 << cols[q]
-            above = islice(points, pos + 1, None)
-            if not pivot[0]:
-                child = _push_normalized(field, above, pivot)
-                if len(same) == 1:
-                    self._plane(grown, cols[pos + 1:], child)
-                else:
-                    kept = [point is not None for point in child]
-                    child_cols = list(compress(cols[pos + 1:], kept))
-                    self._plane(grown, child_cols, list(compress(child, kept)))
+            # from column 0, or from j + 1 when the child is the last level
+            low = 0 if depth > 2 else pos + 1
+            child_cols = cols[low:pos] + cols[pos + 1:]
+            rest = points[low:pos] + points[pos + 1:]
+            if len(same) > 1:
+                kept = [point != pivot for point in rest]
+                child_cols = list(compress(child_cols, kept))
+                rest = list(compress(rest, kept))
+            if depth > 2:
+                child = _push_normalized(field, rest, pivot)
+                self.visit(grown, j, child_cols, child, depth - 1)
+            elif len(pivot) != 4:
+                self._last(grown, child_cols, _push_normalized(field, rest, pivot))
+            elif pivot[0]:
+                self._plane(grown, child_cols, _plane_points(field, pivot, rest))
+            else:
+                self._plane(grown, child_cols, _push_normalized(field, rest, pivot))
+
+    def _last(self, flat: int, cols: list[int], points: list[tuple[int, ...]]) -> None:
+        """:meth:`visit` at depth 1: each push keys the points above its pivot.
+
+        Every column lies above the flat's last basis column.  A column
+        an earlier push at this flat closed over spans that push's flat
+        again, so it is not pushed.
+        """
+        field = self.field
+        size = flat.bit_count()
+        count = len(cols)
+        zeroed = 0
+        for pos, j in enumerate(cols):
+            if zeroed >> j & 1:
                 continue
-            # the pivot leads at 0: a point that leads there too is XORed
-            # with it and scaled again, and the others lose coordinate 0
-            _, a, b, c = pivot
-            child_cols = []
-            child = []
-            for col, (v0, v1, v2, v3) in zip(islice(cols, pos + 1, None), above):
-                if v0:
-                    x, y, z = v1 ^ a, v2 ^ b, v3 ^ c
-                    lead = x or y or z
-                    if not lead:
-                        continue
-                    if lead != 1:
-                        if log:
-                            shift = period - log[lead]
-                            x, y, z = (
-                                x and exp[log[x] + shift],
-                                y and exp[log[y] + shift],
-                                z and exp[log[z] + shift],
-                            )
-                        else:
-                            x, y, z = _normalized(field, (x, y, z))
-                    child.append((x, y, z))
-                else:
-                    child.append((v1, v2, v3))
-                child_cols.append(col)
-            self._plane(grown, child_cols, child)
+            if size + count - pos <= self.size or self.size >= self.limit:
+                break
+            lines: dict = {}
+            above = _push_normalized(field, islice(points, pos + 1, None), points[pos])
+            for c, key in zip(islice(cols, pos + 1, None), above):
+                lines[key] = lines.get(key, 0) | 1 << c
+            zeroed |= self._count(flat | 1 << j, lines)
 
     def _plane(
         self, flat: int, cols: list[int], points: list[tuple[int, int, int]]
@@ -733,19 +637,6 @@ class _FlatSearch:
                     key = mul(x, field._inv(y))
                 lines[key] = get(key, 0) | 1 << c
             zeroed |= self._count(flat | 1 << j, lines)
-
-    def group(self, flat: int, cols: list[int], rows: list[Sequence[int]]) -> int:
-        """File ``cols`` by direction over ``flat``; return the zero ones.
-
-        ``rows`` are the columns' residues over the flat, coordinate-
-        major.  A zero residue is in the flat's closure, so it joins the
-        flat and every direction.
-        """
-        lines: dict = {}
-        for c, res in zip(cols, zip(*rows)):
-            key = _normalized(self.field, res)
-            lines[key] = lines.get(key, 0) | 1 << c
-        return self._count(flat, lines)
 
     def _count(self, flat: int, lines: dict) -> int:
         """Count each direction's flat; return the closure, keyed None."""
@@ -855,24 +746,26 @@ def _contraction(
 ) -> list[tuple[int, ...]]:
     """The columns outside ``mask`` in the quotient by the span of those in it.
 
-    These are the columns of the contraction by ``mask``, in order; a
-    column in the span becomes zero.  Each column in ``mask`` with a
-    nonzero residue is pushed with :func:`_quotient`, so the results
-    have one coordinate per dimension left: when ``columns`` span their
-    space, the length of each is the contraction's rank.
+    These are the columns of the contraction by ``mask``, in order, each
+    scaled to a leading 1; a column in the span becomes zero.  The
+    columns in ``mask`` are pushed in order, each nonzero one with
+    :func:`_push_normalized`, so the results have one coordinate per
+    dimension left: when ``columns`` span their space, the length of
+    each is the contraction's rank.
     """
-    rows = list(zip(*columns))
-    pos = 0  # where the next column sits among those not yet dropped
-    for j in range(len(columns)):
-        if not (mask >> j) & 1:
-            pos += 1
-            continue
-        if any(row[pos] for row in rows):
-            rows = _quotient(field, rows, pos)
-        rows = [row[:pos] + row[pos + 1:] for row in rows]
-    if not rows:
-        return [()] * pos
-    return list(zip(*rows))
+    inside = [_normalized(field, col) for j, col in enumerate(columns) if mask >> j & 1]
+    outside = [
+        _normalized(field, col) for j, col in enumerate(columns) if not mask >> j & 1
+    ]
+    residues = inside + outside
+    dim = len(columns[0]) if columns else 0
+    for k in range(len(inside)):
+        pivot = residues[k]
+        if pivot is not None:
+            residues[k + 1:] = _push_normalized(field, residues[k + 1:], pivot)
+            dim -= 1
+    zero = (0,) * dim
+    return [res or zero for res in residues[len(inside):]]
 
 
 def _echelon(code: LinearCode) -> tuple[list[list[int]], list[int]]:

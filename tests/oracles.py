@@ -321,6 +321,42 @@ def largest_flat(code: LinearCode, rank: int) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the empty set has rank 0")
 
 
+def contraction(field: GF2m, columns, mask: int) -> list[tuple[int, ...]]:
+    """The columns outside ``mask`` modulo the span of those in it.
+
+    Plain elimination, one column of ``mask`` at a time, in order: with
+    p the first nonzero coordinate of its residue, every residue v
+    becomes v - (v[p] / w[p]) * w and coordinate p is deleted.  The
+    others keep their order, so the coordinates are those of the
+    package's pushes, up to each column's scale.  Products go through
+    the checked public ``mul`` and ``inv``.
+    """
+    residues = [list(col) for col in columns]
+    for j in range(len(columns)):
+        if not mask >> j & 1:
+            continue
+        pivot = residues[j]
+        p = next((k for k, x in enumerate(pivot) if x), None)
+        if p is None:
+            continue
+        scale = field.inv(pivot[p])
+        for i, v in enumerate(residues):
+            f = field.mul(v[p], scale)
+            v = [x ^ field.mul(f, w) for x, w in zip(v, pivot)]
+            del v[p]
+            residues[i] = v
+    return [tuple(v) for j, v in enumerate(residues) if not mask >> j & 1]
+
+
+def projective_point(field: GF2m, vector) -> tuple[int, ...] | None:
+    """``vector`` over its first nonzero entry, or None when it is zero."""
+    lead = next((x for x in vector if x), None)
+    if lead is None:
+        return None
+    scale = field.inv(lead)
+    return tuple(field.mul(scale, x) for x in vector)
+
+
 def fraction_ceil(a: int, b: int) -> int:
     """Ceiling of a/b via divmod, as an independent check of ceil arithmetic."""
     q, rem = divmod(a, b)

@@ -11,11 +11,18 @@ from pathlib import Path
 
 import pytest
 
-from locrep import GF2m, cli, default_modulus, verify_grid_relations
+from locrep import (
+    GF2m,
+    LinearCode,
+    bound_square,
+    cli,
+    default_modulus,
+    verify_grid_relations,
+)
 from locrep.cli import main
 from locrep.linear_code import dumps, loads
 from locrep.square import SquareCode
-from oracles import mismatched_square_files, repetition_code
+from oracles import mismatched_square_files, repetition_code, square_phi
 
 # Frozen bytes of the CLI from before the one-verb parser, on one Python
 FROZEN = json.loads((Path(__file__).parent / "cli_bytes.json").read_text())
@@ -578,3 +585,115 @@ def test_build_fills_no_field_tables(capsys, monkeypatch, M):
     rc, out, err = _run(capsys, "build", "--family", "square", "--r", "4", "--M", M)
     assert rc == 0, err
     assert json.loads(out)["m"] == 16
+
+
+# The console smoke checks, in process: each call loads its file into a
+# fresh field, as a new process does
+
+
+@pytest.fixture()
+def square_r3_file(tmp_path, capsys):
+    path = tmp_path / "square_r3.json"
+    rc, _, err = _run(
+        capsys, "build", "--family", "square", "--r", "3", "--M", "5",
+        "-o", str(path),
+    )
+    assert rc == 0, err
+    return str(path)
+
+
+def test_square_r3_capped_answers_and_locality(capsys, square_r3_file):
+    # the square metadata caps sets at r + 1 = 4, so these run the
+    # cap-4 circuit scan; delta = 5 asks for 3 extra erasures, and a
+    # square code tolerates 2
+    payload = _run_json(capsys, "phi", square_r3_file, "--x-max", "3")
+    assert payload["phi"] == [0, 4, 7, 10]
+    assert (payload["rho"], payload["size_cap"]) == (1, 4)
+    assert _run_json(capsys, "rho", square_r3_file) == {"rho": 1}
+    for delta, rc in (("3", 0), ("5", 1)):
+        status, out, err = _run(
+            capsys, "verify", square_r3_file, "--locality", "3", "--delta", delta
+        )
+        assert status == rc, err
+        assert json.loads(out)["ok"] is (rc == 0)
+
+
+def test_square_r3_repair_from_a_grid_column(capsys, square_r3_file):
+    # cell 1 shares its grid row with cell 2, so it is rebuilt from its
+    # grid column; with the 2x2 block 1, 2, 5, 6 erased no cell keeps a
+    # clear row or column
+    payload = _run_json(
+        capsys, "repair", square_r3_file, "--erase", "1,2", "--cap", "3"
+    )
+    step = payload["steps"][0]
+    assert (step["target"], step["members"]) == (1, [1, 5, 9, 13])
+    rc, out, err = _run(
+        capsys, "repair", square_r3_file, "--erase", "1,2,5,6", "--cap", "3"
+    )
+    assert (rc, out) == (2, "")
+    assert "unrepairable" in err
+
+
+@pytest.mark.parametrize(
+    "theorem, flags, expected",
+    [
+        ("general", ["--rho", "2"], {"value": 9, "rho": 2}),
+        ("locality_r", ["--r", "3"], {"value": 10, "rho_lower": 1}),
+        ("lrc", ["--r", "3", "--delta", "3"], {"value": 9, "rho_lower": 2}),
+        ("square", ["--r", "3"], {"value": 9, "s": 2}),
+    ],
+    ids=["general", "locality_r", "lrc", "square"],
+)
+def test_every_theorem_on_the_benchmark_arguments(capsys, theorem, flags, expected):
+    # the value and the rho floor, nothing else; rdc is test_bounds_rdc
+    payload = _run_json(
+        capsys, "bounds", "--theorem", theorem, "--n", "16", "--M", "6", *flags
+    )
+    assert payload == expected
+
+
+def test_reed_solomon_tolerance_is_d_minus_one(capsys, tmp_path):
+    # [15, 4] over GF(16): every 5-set is a circuit, so at r = 4 the cap
+    # prunes none and the tolerance is d - 1 = 11
+    field = GF2m(4)
+    code = LinearCode(
+        field, 15, 4, [[field.pow(x, i) for i in range(4)] for x in range(1, 16)]
+    )
+    path = tmp_path / "rs.json"
+    path.write_text(dumps(code))
+    for delta, rc in (("12", 0), ("13", 1)):
+        status, out, err = _run(
+            capsys, "verify", str(path), "--locality", "4", "--delta", delta
+        )
+        assert status == rc, err
+        assert json.loads(out)["ok"] is (rc == 0)
+
+
+def test_verb_help_and_an_unknown_verb(capsys):
+    # on every Python version, where the frozen bytes may not hold
+    assert _exit_and_output(capsys, lambda: main(["phi", "--help"]))[0] == 0
+    rc, out, _ = _exit_and_output(capsys, lambda: main(["bogus"]))
+    assert (rc, out) == (2, "")
+
+
+@pytest.mark.parametrize("M", [5, 16])
+def test_square_r4_exact_answers_from_a_fresh_load(capsys, tmp_path, monkeypatch, M):
+    # built without log tables and read back; at M = 16, 2M >= n, so the
+    # exact answers come from the parity-check code's flats, and a bare
+    # copy (no metadata) has exact phi and rho
+    monkeypatch.setenv("LOCREP_SEARCH_CAP", "25")
+    path = tmp_path / "square_r4.json"
+    rc, _, err = _run(
+        capsys, "build", "--family", "square", "--r", "4", "--M", str(M),
+        "-o", str(path),
+    )
+    assert rc == 0, err
+    d = bound_square(25, M, 4)
+    assert _run_json(capsys, "distance", str(path)) == {"d": d}
+    obj = json.loads(path.read_text())
+    del obj["metadata"]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(obj))
+    assert _run_json(capsys, "rho", str(bare)) == {"rho": 25 - M + 1 - d}
+    payload = _run_json(capsys, "phi", str(bare), "--x-max", "3")
+    assert payload["phi"] == [0] + [square_phi(4, M, x) for x in (1, 2, 3)]

@@ -558,6 +558,20 @@ def test_matrix_rank_rejects_ragged_columns():
         matrix_rank(GF16, 3, [[1, 0, 0], [1, 0]])
 
 
+@pytest.mark.parametrize("nrows", [True, 1.0, -1, "1"])
+def test_matrix_rank_row_count_must_be_a_nonnegative_integer(nrows):
+    # a bool was taken for 1, and a float reached range() as a TypeError
+    with pytest.raises(DomainError, match="row count must be"):
+        matrix_rank(GF16, nrows, [[1]])
+
+
+@pytest.mark.parametrize("nrows", [True, 2.0, 2.5, -1])
+def test_solve_column_row_count_must_be_a_nonnegative_integer(nrows):
+    # checked before the rhs length, which read "rhs must have 2.5 entries"
+    with pytest.raises(DomainError, match="row count must be"):
+        solve_column(GF16, nrows, [[1, 0]], [1, 0])
+
+
 def test_matrix_rank_of_square_code_columns():
     from locrep import build_square_code
 

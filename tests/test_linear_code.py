@@ -33,6 +33,7 @@ from locrep.linear_code import (
     _dual,
     _iter_circuits,
     _largest_flat,
+    _normalized,
     _phi_walk,
     _RankHierarchy,
     dumps,
@@ -43,10 +44,12 @@ from locrep.regsets import phi_profile, rho
 
 from oracles import (
     codeword_min_weight,
+    contraction,
     largest_flat,
     mismatched_square_files,
     naive_min_distance,
     oracle_codes,
+    projective_point,
     random_code,
     reference_circuits,
     reference_dual,
@@ -264,13 +267,14 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
             assert found == size
 
 
-# per distance search: _quotient's pushes (calls, cells written), a
-# plane search's depth-2 pushes (calls, plane points written for the
-# child) and the last pushes (calls, columns keyed or grouped)
+# per distance search: the flat search's pushes through _push_normalized
+# (calls, points written), a plane search's depth-2 pushes (calls, plane
+# points written for the child) and the last pushes (calls, columns
+# keyed)
 _PINNED_WORK = {
-    (3, 7): {"quotient": (162, 10076), "plane": (288, 1746), "last": (606, 2958)},
-    (3, 8): {"quotient": (577, 22938), "plane": (0, 0), "last": (472, 2433)},
-    (4, 5): {"quotient": (20, 2000), "plane": (210, 2170), "last": (1540, 11935)},
+    (3, 7): {"push": (158, 2102), "plane": (288, 1746), "last": (606, 2958)},
+    (3, 8): {"push": (577, 3276), "plane": (0, 0), "last": (472, 2433)},
+    (4, 5): {"push": (20, 480), "plane": (210, 2170), "last": (1540, 11935)},
 }
 
 
@@ -278,17 +282,18 @@ _PINNED_WORK = {
 def test_flat_search_work_is_pinned(monkeypatch, r, M):
     # the pushes at each depth and what they write are deterministic; a
     # last push that keys the columns below its pivot too, a depth-2 push
-    # that writes them, or a push of a column an earlier push at the same
-    # flat zeroed, reads more.  r = 3, M = 8 is searched on the dual side,
+    # that writes them, a push that writes a column parallel to its
+    # pivot, or a push of a column an earlier push at the same flat
+    # zeroed, reads more.  r = 3, M = 8 is searched on the dual side,
     # below its hyperplane rank, so it makes no plane push
-    seen: dict = {"quotient": [], "plane": [], "last": []}
-    quotient = linear_code._quotient
+    seen: dict = {"push": [], "plane": [], "last": []}
+    push = linear_code._push_normalized
     plane = linear_code._FlatSearch._plane
     count = linear_code._FlatSearch._count
 
-    def counting_quotient(*args):
-        out = quotient(*args)
-        seen["quotient"].append(sum(map(len, out)))
+    def counting_push(*args):
+        out = push(*args)
+        seen["push"].append(len(out))
         return out
 
     def counting_plane(self, flat, cols, points):
@@ -299,7 +304,7 @@ def test_flat_search_work_is_pinned(monkeypatch, r, M):
         seen["last"].append(sum(line.bit_count() for line in lines.values()))
         return count(self, flat, lines)
 
-    monkeypatch.setattr(linear_code, "_quotient", counting_quotient)
+    monkeypatch.setattr(linear_code, "_push_normalized", counting_push)
     monkeypatch.setattr(linear_code._FlatSearch, "_plane", counting_plane)
     monkeypatch.setattr(linear_code._FlatSearch, "_count", counting_last)
     code = build_square_code(r, M).code
@@ -382,6 +387,61 @@ def test_the_plane_kernel_agrees_with_the_oracle(degree):
         assert field._exp is None
 
 
+@pytest.mark.parametrize("degree", [1, 4, 16, 17])
+def test_the_written_out_plane_push_is_the_general_push(degree):
+    # 4-coordinate points under a pivot that leads at 0, none equal to
+    # it: dense entries, so that a point leading at 0 rarely keeps a
+    # leading 1 after the XOR and is scaled again, with or without log
+    # tables
+    rng = Random(167 + degree)
+    field = spend_allowance(GF2m(degree)) if degree == 16 else GF2m(degree)
+    q = field.order
+    for _ in range(200):
+        pivot = (1, *(rng.randrange(q) for _ in range(3)))
+        points = []
+        while len(points) < 8:
+            point = _normalized(field, [rng.randrange(q) if rng.random() < 0.7 else 0
+                                        for _ in range(4)])
+            if point is not None and point != pivot:
+                points.append(point)
+        assert linear_code._plane_points(field, pivot, points) == (
+            linear_code._push_normalized(field, points, pivot)), (pivot, points)
+
+
+def test_a_last_level_pushes_no_column_it_closed_over(monkeypatch):
+    # at one flat, a column parallel to an earlier pivot spans that
+    # pivot's flat again; rank 2 on 4 coordinates runs _last at once
+    rng = Random(173)
+    field = GF2m(3)
+    pivots: list = []
+    push = linear_code._push_normalized
+    last = linear_code._FlatSearch._last
+
+    def recording_push(field, points, pivot):
+        pivots[-1].append(pivot)
+        return push(field, points, pivot)
+
+    def recording_last(self, flat, cols, points):
+        pivots.append([])
+        return last(self, flat, cols, points)
+
+    monkeypatch.setattr(linear_code, "_push_normalized", recording_push)
+    monkeypatch.setattr(linear_code._FlatSearch, "_last", recording_last)
+    for _ in range(20):
+        # 12 columns in 7 parallel classes
+        base = [[rng.randrange(8) for _ in range(4)] for _ in range(7)]
+        cols = []
+        for _ in range(12):
+            scale = rng.randrange(1, 8)
+            cols.append([field.mul(scale, x) for x in rng.choice(base)])
+        if matrix_rank(field, 4, cols) < 3:
+            continue
+        pivots.clear()
+        _largest_flat(field, cols, 2, 0)
+        assert pivots and all(len(set(level)) == len(level) for level in pivots)
+        assert max(map(len, pivots)) > 1
+
+
 def test_contraction_ranks_are_ranks_over_the_contracted_set():
     rng = Random(89)
     for degree in (1, 3):
@@ -402,6 +462,23 @@ def test_contraction_ranks_are_ranks_over_the_contracted_set():
                                 - subset_rank(code, W))
                     got = matrix_rank(field, rank, [columns[k] for k in S]) if rank else 0
                     assert got == expected, (code.columns, W, S)
+
+
+@pytest.mark.parametrize("degree", [1, 3, 8, 16, 17])
+def test_contraction_agrees_with_the_plain_elimination(degree):
+    # the same coordinates, each column scaled to a leading 1, and a zero
+    # residue is a zero tuple as long as the others
+    rng = Random(151 + degree)
+    field = GF2m(degree)
+    for _ in range(30):
+        M = rng.randrange(1, 7)
+        n = rng.randrange(M, 12)
+        code = _cornered_code(rng, field, n, M)
+        mask = rng.getrandbits(n)
+        expected = contraction(field, code.columns, mask)
+        got = _contraction(field, code.columns, mask)
+        assert got == [projective_point(field, col) or col for col in expected], (
+            code.columns, mask)
 
 
 def test_circuit_generator_stops_ranking_when_the_caller_stops():

@@ -35,10 +35,8 @@ from locrep import (
 from locrep import linear_code, regsets
 from locrep.linear_code import (
     _circuits,
-    _contraction,
     _dual,
     _largest_flat,
-    _normalized,
     _phi_walk,
     _RankHierarchy,
     _Residues,
@@ -48,10 +46,12 @@ from locrep.regsets import _PhiSearch, _witness
 from oracles import (
     all_regenerating_sets,
     codeword_min_weight,
+    contraction,
     exhaustive_phi,
     locality_holds,
     nullity_phi,
     oracle_codes,
+    projective_point,
     random_code,
     random_nontrivial_chain,
     reference_circuits,
@@ -608,7 +608,7 @@ def _check_synced_residues(code, masks, expected) -> None:
     """Sync one residue stack to each mask in turn and check what it holds.
 
     Every residue above the pushed columns is the column's normalized
-    image in the contraction by them (``_quotient``'s row-major
+    image in the contraction by them (``oracles.contraction``'s plain
     elimination), and the span test, a nonzero residue other than the
     top's, holds exactly when the column raises the rank of the mask.
     ``expected`` caches the contractions, keyed by prefix.
@@ -622,10 +622,10 @@ def _check_synced_residues(code, masks, expected) -> None:
         prefix = mask ^ (1 << top) if mask else 0
         low = prefix.bit_length()
         if prefix not in expected:
-            contracted = _contraction(field, code.columns, prefix)
+            contracted = contraction(field, code.columns, prefix)
             skipped = prefix.bit_count()
             expected[prefix] = [
-                _normalized(field, contracted[j - skipped]) for j in range(low, n)
+                projective_point(field, contracted[j - skipped]) for j in range(low, n)
             ]
         assert residues.residues[low:] == expected[prefix], (code, mask)
         rank = ranks._rank(mask)
