@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import json
 from functools import reduce
-from itertools import compress, islice
+from itertools import islice
 from operator import xor
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -359,37 +359,37 @@ def _largest_flat(
     bound on the largest; a size below ``limit`` is exact.
 
     Each column is scaled to a leading 1 once (:func:`_normalized`), a
-    point of projective space, and the zero columns are the loops.  Rank
-    0 is the set of loops, and rank 1 files the other columns by point.
-    Otherwise every flat of rank t is a flat of rank t-1 plus the
-    columns whose residues over it are one point, so
-    :class:`_FlatSearch` visits the flats of rank t-1 and files the
-    columns outside each one by point.  At rank 2 that search is its
-    last level alone, run at the loops.
+    point of projective space, and the zero columns are the loops.  The
+    other columns are filed by point once, into parallel classes, each a
+    point and a mask of columns; the search handles a class as one
+    weighted column.  Rank 0 is the set of loops, and rank 1 counts each
+    class.  Otherwise every flat of rank t is a flat of rank t-1 plus the
+    classes whose residues over it are one point, so :class:`_FlatSearch`
+    visits the flats of rank t-1 and files the classes outside each one
+    by point.  At rank 2 that search is its last level alone, run at the
+    loops.
     """
     loops = 0
-    cols: list[int] = []
-    points: list[tuple[int, ...]] = []
+    # the nonzero columns' parallel classes, in the order of their lowest
+    # columns: point -> mask
+    classes: dict = {}
     for j, col in enumerate(columns):
         point = _normalized(field, col)
         if point is None:
             loops |= 1 << j
         else:
-            cols.append(j)
-            points.append(point)
+            classes[point] = classes.get(point, 0) | 1 << j
     if rank == 0:
         return (loops.bit_count(), loops) if loops.bit_count() > size else (size, mask)
     search = _FlatSearch(field, size, mask, len(columns) + 1 if limit is None else limit)
+    left = len(columns) - loops.bit_count()
     if rank == 1:
-        lines: dict = {}
-        for c, point in zip(cols, points):
-            lines[point] = lines.get(point, 0) | 1 << c
-        search._count(loops, lines)
+        search._count(loops, classes)
     elif rank == 2:
         last_level = search._plane if len(columns[0]) == 3 else search._last
-        last_level(loops, cols, points)
+        last_level(loops, left, classes)
     else:
-        search.visit(loops, -1, cols, points, rank - 1)
+        search.visit(loops, left, classes, rank - 1)
     return search.size, search.mask
 
 
@@ -445,32 +445,38 @@ def _plane_points(
 class _FlatSearch:
     """Depth-first search over flats for the largest flat of one rank.
 
-    A flat is reached once, through its greedy basis: each basis column
-    is the lowest column outside the span of the ones before it.  The
-    search carries the residues of the columns outside the flat, their
-    coordinates in the quotient by the flat's span, in GF(2^m), each
-    scaled to a leading 1: a point of projective space.  Scaling changes
-    no span, and two residues are parallel exactly when their points
-    are equal, so pushing a basis column j zeroes exactly the columns
-    whose point is j's.  One dict lists the positions of each point:
-    the basis is greedy when j holds the first position of its point,
-    the later ones join the flat with no push, and a later one is never
-    pushed itself, as its point first occurs at j.  The push of the
-    other points is one :func:`_push_normalized`.
+    The search works on parallel classes.  It carries, for each class
+    outside the flat, the residue of its columns in the quotient by the
+    flat's span, in GF(2^m), scaled to a leading 1: a point of
+    projective space.  Scaling changes no span, and two residues are
+    parallel exactly when their points are equal, so a class is one
+    point and one mask of columns, and every size is a mask's bit count.
+    A node's classes are in the order of their lowest columns, and no
+    two share a point: :func:`_largest_flat` files the columns into
+    classes once, and after a push the classes whose new points are
+    equal are merged into one class of the child (:func:`_classes`).  So
+    a push zeroes no residue.
 
-    The last level, at a flat of rank t-1, keys each column above its
-    pivot by its point after the push (:meth:`_last`): each point is the
-    flat of rank t that the column adds, and a zero residue, keyed
-    None, joins the flat.  A flat of rank t is counted in full at the
-    flat spanned by the first t-1 columns of its own greedy basis, where
-    its columns outside that flat all lie above the last basis column.
-    So the last level runs no greedy test, and the push before it writes
-    only the columns above its pivot: a set the last level counts with
-    a column of its flat or point below the pivot left out lies strictly
-    inside a flat counted in full elsewhere, so it never ties the best,
-    and with ``limit`` it reaches the limit only when that flat does.
-    Every set counted below a flat lies within the flat and the columns
-    above its last basis column, which bounds the branch.
+    Pushing a class writes only the classes above it, at every depth;
+    the push is one :func:`_push_normalized`.  The greedy test is local
+    to the node: a class that shares its point with an earlier one has
+    merged into it, so it is never a pivot and joins the flat with the
+    earlier one.  A flat is counted in full on the path of its own
+    greedy basis, where each basis column is the lowest column of the
+    flat outside the span of the ones before it: every column of the
+    flat outside that span lies above it, and so is still carried.  Any
+    other path leaves out a column below one of its pivots, so the set
+    it counts lies strictly inside the flat it spans, which is counted
+    in full on its own path: such a set never ties the best, and with
+    ``limit`` it reaches the limit only when that flat does.  Every set
+    counted below a pivot lies within the flat and the classes from the
+    pivot on.  ``left``, the number of columns those classes hold, bounds
+    the branch; each node passes its child the count it has left, so
+    nothing is recounted.
+
+    The last level's pivot makes a flat of rank t-1, and each class
+    above the pivot is keyed by its point after the push (:meth:`_last`):
+    each point is the flat of rank t that its classes add.
 
     Of two flats of one rank and size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
@@ -499,123 +505,82 @@ class _FlatSearch:
         self.mask = mask
         self.limit = limit
 
-    def visit(
-        self,
-        flat: int,
-        last: int,
-        cols: list[int],
-        points: list[tuple[int, ...]],
-        depth: int,
-    ) -> None:
+    def visit(self, flat: int, left: int, classes: dict, depth: int) -> None:
         """Search the flats above ``flat`` for ``depth`` more basis columns.
 
-        ``last`` is the flat's last basis column (-1 for none), ``cols``
-        lists the columns outside it in order, and ``points`` their
-        normalized residues, none zero.  ``depth`` is at least 2.  A
-        push writes every column but j's parallels, as the child's
-        greedy test reads the ones below j too; at depth 2 the child is
-        the last level (:meth:`_plane` on 3 coordinates, :meth:`_last`
-        otherwise), and the push writes only the columns above j.
+        ``classes`` maps the normalized residue of each parallel class
+        outside the flat to its mask, in the order of their lowest
+        columns, and ``left`` is the number of columns they hold.
+        ``depth`` is at least 2.  Pushing a class writes only the classes
+        above it, and the child's classes are their new points, merged;
+        at depth 2 the child is the last level (:meth:`_plane` on 3
+        coordinates, :meth:`_last` otherwise).
         """
         field = self.field
         size = flat.bit_count()
-        count = len(cols)
-        # the positions of each point, in order
-        held: dict = {}
-        for q, point in enumerate(points):
-            if point in held:
-                held[point].append(q)
-            else:
-                held[point] = [q]
-        for pos, j in enumerate(cols):
-            if j < last:
-                continue
-            # the flat plus every outside column from j up, at most; the
-            # child's first cut is the same bound, so it is not tried again
-            if size + count - pos <= self.size or self.size >= self.limit:
+        for pos, (pivot, grown) in enumerate(classes.items()):
+            # every set counted below lies within the flat and the classes
+            # from pos on; the child's first cut is the same bound, so it
+            # is not tried again
+            if size + left <= self.size or self.size >= self.limit:
                 break
-            pivot = points[pos]
-            same = held[pivot]
-            # a parallel below j means the basis is not greedy; the ones
-            # above j join the flat
-            if same[0] != pos:
-                continue
-            grown = flat | 1 << j
-            for q in same[1:]:
-                grown |= 1 << cols[q]
-            # from column 0, or from j + 1 when the child is the last level
-            low = 0 if depth > 2 else pos + 1
-            child_cols = cols[low:pos] + cols[pos + 1:]
-            rest = points[low:pos] + points[pos + 1:]
-            if len(same) > 1:
-                kept = [point != pivot for point in rest]
-                child_cols = list(compress(child_cols, kept))
-                rest = list(compress(rest, kept))
+            left -= grown.bit_count()
+            grown |= flat
+            above = islice(classes, pos + 1, None)
+            # only a plane search has 4-coordinate points, at depth 2
+            plane = len(pivot) == 4
+            if plane and pivot[0]:
+                points = _plane_points(field, pivot, above)
+            else:
+                points = _push_normalized(field, above, pivot)
+            child = _classes(points, classes, pos)
             if depth > 2:
-                child = _push_normalized(field, rest, pivot)
-                self.visit(grown, j, child_cols, child, depth - 1)
-            elif len(pivot) != 4:
-                self._last(grown, child_cols, _push_normalized(field, rest, pivot))
-            elif pivot[0]:
-                self._plane(grown, child_cols, _plane_points(field, pivot, rest))
+                self.visit(grown, left, child, depth - 1)
+            elif plane:
+                self._plane(grown, left, child)
             else:
-                self._plane(grown, child_cols, _push_normalized(field, rest, pivot))
+                self._last(grown, left, child)
 
-    def _last(self, flat: int, cols: list[int], points: list[tuple[int, ...]]) -> None:
-        """:meth:`visit` at depth 1: each push keys the points above its pivot.
-
-        Every column lies above the flat's last basis column.  A column
-        an earlier push at this flat closed over spans that push's flat
-        again, so it is not pushed.
-        """
+    def _last(self, flat: int, left: int, classes: dict) -> None:
+        """:meth:`visit` at depth 1: each push keys the classes above its pivot."""
         field = self.field
         size = flat.bit_count()
-        count = len(cols)
-        zeroed = 0
-        for pos, j in enumerate(cols):
-            if zeroed >> j & 1:
-                continue
-            if size + count - pos <= self.size or self.size >= self.limit:
+        for pos, (pivot, line) in enumerate(classes.items()):
+            if size + left <= self.size or self.size >= self.limit:
                 break
+            left -= line.bit_count()
             lines: dict = {}
-            above = _push_normalized(field, islice(points, pos + 1, None), points[pos])
-            for c, key in zip(islice(cols, pos + 1, None), above):
-                lines[key] = lines.get(key, 0) | 1 << c
-            zeroed |= self._count(flat | 1 << j, lines)
+            get = lines.get
+            above = _push_normalized(field, islice(classes, pos + 1, None), pivot)
+            for key, c in zip(above, islice(classes.values(), pos + 1, None)):
+                lines[key] = get(key, 0) | c
+            self._count(flat | line, lines)
 
-    def _plane(
-        self, flat: int, cols: list[int], points: list[tuple[int, int, int]]
-    ) -> None:
+    def _plane(self, flat: int, left: int, classes: dict) -> None:
         """:meth:`visit` at depth 1 of a plane search, on normalized points.
 
-        Every column lies above the flat's last basis column, and its
-        residue is a point of the projective plane, scaled to a leading
-        1.  Pushing j maps each point v above it to a 2-vector whose
-        direction is the line through j and v.  With j = (1, a, b) that
-        is (v1, v2) XOR v0 * (a, b), and v0 is 0 or 1, so no product is
-        made; with j = (0, 1, b) it is (v0, v2 + v1 * b), a product only
-        when v leads at 0; with j = (0, 0, 1) it is (v0, v1).  Lines are
-        keyed by log x - log y (or x = 0, or y = 0), and the zero vectors,
-        the points equal to j's, join the flat.
+        Every class's residue is a point of the projective plane, scaled
+        to a leading 1.  Pushing j maps each point v above it to a
+        2-vector whose direction is the line through j and v.  With j =
+        (1, a, b) that is (v1, v2) XOR v0 * (a, b), and v0 is 0 or 1, so
+        no product is made; with j = (0, 1, b) it is (v0, v2 + v1 * b), a
+        product only when v leads at 0; with j = (0, 0, 1) it is (v0,
+        v1).  Lines are keyed by log x - log y (or x = 0, or y = 0); no
+        vector is zero, as no two classes share a point.
         """
         field = self.field
         mul = field._mul
         period = field.order - 1
         size = flat.bit_count()
-        count = len(cols)
-        # the columns an earlier push at this flat closed over
-        zeroed = 0
-        for pos, j in enumerate(cols):
-            if zeroed >> j & 1:
-                continue
-            if size + count - pos <= self.size or self.size >= self.limit:
+        items = classes.items()
+        for pos, ((j0, j1, j2), line) in enumerate(items):
+            if size + left <= self.size or self.size >= self.limit:
                 break
+            left -= line.bit_count()
             log = field._tables()[1]
-            j0, j1, j2 = points[pos]
             lines: dict = {}
             get = lines.get
-            above = zip(islice(cols, pos + 1, None), islice(points, pos + 1, None))
-            for c, (v0, v1, v2) in above:
+            for (v0, v1, v2), c in islice(items, pos + 1, None):
                 if j0:
                     if v0:
                         x, y = v1 ^ j1, v2 ^ j2
@@ -628,26 +593,35 @@ class _FlatSearch:
                 # the line through the point: x/y as a log, -2 for x = 0
                 # and -1 for y = 0
                 if not y:
-                    key = -1 if x else None
+                    key = -1
                 elif not x:
                     key = -2
                 elif log:
                     key = (log[x] - log[y]) % period
                 else:
                     key = mul(x, field._inv(y))
-                lines[key] = get(key, 0) | 1 << c
-            zeroed |= self._count(flat | 1 << j, lines)
+                lines[key] = get(key, 0) | c
+            self._count(flat | line, lines)
 
-    def _count(self, flat: int, lines: dict) -> int:
-        """Count each direction's flat; return the closure, keyed None."""
-        closure = lines.pop(None, 0)
-        flat |= closure
+    def _count(self, flat: int, lines: dict) -> None:
+        """Count the flat each line adds; the first largest is lex-first."""
         size = flat.bit_count()
         for line in lines.values():
             total = size + line.bit_count()
             if total > self.size:
                 self.size, self.mask = total, flat | line
-        return closure
+
+
+def _classes(points: list[tuple[int, ...]], classes: dict, pos: int) -> dict:
+    """The classes above ``pos`` filed by their new points, merged, in order."""
+    merged = dict(zip(points, islice(classes.values(), pos + 1, None)))
+    if len(merged) < len(points):
+        # some points are shared: merge their masks
+        merged = {}
+        get = merged.get
+        for point, mask in zip(points, islice(classes.values(), pos + 1, None)):
+            merged[point] = get(point, 0) | mask
+    return merged
 
 
 def _circuits(code: LinearCode, size_cap: int) -> list[int]:

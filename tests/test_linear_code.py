@@ -56,6 +56,7 @@ from oracles import (
     repetition_code,
     single_parity_code,
     spend_allowance,
+    square_distance,
     subset_rank,
 )
 
@@ -272,20 +273,14 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
 # points written for the child) and the last pushes (calls, columns
 # keyed)
 _PINNED_WORK = {
-    (3, 7): {"push": (158, 2102), "plane": (288, 1746), "last": (606, 2958)},
-    (3, 8): {"push": (577, 3276), "plane": (0, 0), "last": (472, 2433)},
-    (4, 5): {"push": (20, 480), "plane": (210, 2170), "last": (1540, 11935)},
+    (3, 7): {"push": (161, 1317), "plane": (302, 1748), "last": (625, 3015)},
+    (3, 8): {"push": (577, 3210), "plane": (0, 0), "last": (472, 2433)},
+    (4, 5): {"push": (20, 290), "plane": (210, 2170), "last": (1540, 11935)},
 }
 
 
-@pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
-def test_flat_search_work_is_pinned(monkeypatch, r, M):
-    # the pushes at each depth and what they write are deterministic; a
-    # last push that keys the columns below its pivot too, a depth-2 push
-    # that writes them, a push that writes a column parallel to its
-    # pivot, or a push of a column an earlier push at the same flat
-    # zeroed, reads more.  r = 3, M = 8 is searched on the dual side,
-    # below its hyperplane rank, so it makes no plane push
+def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
+    """min_distance(code) and the flat search work it does, as _PINNED_WORK counts it."""
     seen: dict = {"push": [], "plane": [], "last": []}
     push = linear_code._push_normalized
     plane = linear_code._FlatSearch._plane
@@ -296,21 +291,59 @@ def test_flat_search_work_is_pinned(monkeypatch, r, M):
         seen["push"].append(len(out))
         return out
 
-    def counting_plane(self, flat, cols, points):
-        seen["plane"].append(len(points))
-        return plane(self, flat, cols, points)
+    def counting_plane(self, *args):
+        # the last argument holds the points
+        seen["plane"].append(len(args[-1]))
+        return plane(self, *args)
 
     def counting_last(self, flat, lines):
         seen["last"].append(sum(line.bit_count() for line in lines.values()))
         return count(self, flat, lines)
 
-    monkeypatch.setattr(linear_code, "_push_normalized", counting_push)
-    monkeypatch.setattr(linear_code._FlatSearch, "_plane", counting_plane)
-    monkeypatch.setattr(linear_code._FlatSearch, "_count", counting_last)
+    with monkeypatch.context() as patch:
+        patch.setattr(linear_code, "_push_normalized", counting_push)
+        patch.setattr(linear_code._FlatSearch, "_plane", counting_plane)
+        patch.setattr(linear_code._FlatSearch, "_count", counting_last)
+        d = min_distance(code, code.n)
+    return d, {name: (len(sizes), sum(sizes)) for name, sizes in seen.items()}
+
+
+@pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
+def test_flat_search_work_is_pinned(monkeypatch, r, M):
+    # the pushes at each depth and what they write are deterministic; a
+    # push that writes a class below its pivot, or one parallel to it,
+    # or a last push of a class an earlier push at the same flat closed
+    # over, reads more.  r = 3, M = 8 is searched on the dual side,
+    # below its hyperplane rank, so it makes no plane push
     code = build_square_code(r, M).code
-    assert min_distance(code, 25) == bound_square(code.n, M, r)
-    work = {name: (len(sizes), sum(sizes)) for name, sizes in seen.items()}
+    d, work = _distance_work(monkeypatch, code)
+    assert d == bound_square(code.n, M, r)
     assert work == _PINNED_WORK[r, M]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("r, M", [(3, 5), (3, 6), (3, 7), (4, 5)])
+def test_scaled_copies_add_no_push(monkeypatch, r, M, k):
+    # every column k times, the copies scaled: each parallel class enters
+    # the search as one weighted column, so the search makes the same
+    # pushes of the same sizes and keys k times the columns.  Every
+    # codeword's weight is k times, and so is d
+    code = build_square_code(r, M).code
+    field = code.field
+    rng = Random(179 * k + 10 * r + M)
+    columns = list(code.columns)
+    for _ in range(k - 1):
+        for col in code.columns:
+            scale = rng.randrange(2, field.order)
+            columns.append([field.mul(scale, x) for x in col])
+    copies = LinearCode(field, k * code.n, M, columns)
+    d, work = _distance_work(monkeypatch, code)
+    d_copies, work_copies = _distance_work(monkeypatch, copies)
+    assert d_copies == k * d == k * bound_square(code.n, M, r)
+    assert work_copies["push"] == work["push"]
+    assert work_copies["plane"] == work["plane"]
+    calls, keyed = work["last"]
+    assert work_copies["last"] == (calls, k * keyed)
 
 
 def _plane_code(rng: Random, field: GF2m, n: int, D: int) -> LinearCode:
@@ -342,6 +375,48 @@ def _plane_code(rng: Random, field: GF2m, n: int, D: int) -> LinearCode:
                              else rng.randrange(2) for _ in range(D)])
         if matrix_rank(field, D, cols) == D:
             return LinearCode(field, n, D, cols)
+
+
+def _check_hyperplane_certificate(code: LinearCode, d: int) -> None:
+    """The generator-side search's hyperplane: a certificate that d is reached.
+
+    Its mask has rank M-1 and n-d members, and each column outside it
+    raises the rank to M, so it is a flat: a hyperplane, whose
+    complement, of d columns, is the support of a codeword.
+    """
+    M = code.M
+    size, mask = _largest_flat(code.field, code.columns, M - 1, M - 1, (1 << (M - 1)) - 1)
+    assert size == mask.bit_count() == code.n - d
+    assert code._rank(mask) == M - 1
+    for j in range(code.n):
+        if not mask >> j & 1:
+            assert code._rank(mask | 1 << j) == M, (j, mask)
+
+
+@pytest.mark.parametrize(
+    "r, M", [(3, M) for M in range(4, 10)] + [(4, 5), (4, 16)]
+)
+def test_the_hyperplane_certifies_the_distance_of_square_codes(r, M):
+    # the instances of the benchmark's distance workload, whose d the
+    # paper's bound and the grid formula both give
+    code = build_square_code(r, M).code
+    d = bound_square(code.n, M, r)
+    assert d == square_distance(r, M)
+    _check_hyperplane_certificate(code, d)
+
+
+def test_the_hyperplane_certifies_the_distance_of_random_codes():
+    # parallel classes and zero columns, d from the brute-force scan
+    rng = Random(181)
+    for degree, D in ((1, 3), (4, 4), (9, 5)):
+        field = GF2m(degree)
+        while True:
+            code = _plane_code(rng, field, rng.randrange(D + 5, 13), D)
+            points = [_normalized(field, col) for col in code.columns]
+            nonzero = [point for point in points if point is not None]
+            if len(nonzero) < len(points) and len(set(nonzero)) < len(nonzero):
+                break
+        _check_hyperplane_certificate(code, naive_min_distance(code)[0])
 
 
 @pytest.mark.parametrize("degree", [1, 2, 4, 9, 16, 17, "cold"])
@@ -409,37 +484,55 @@ def test_the_written_out_plane_push_is_the_general_push(degree):
 
 
 def test_a_last_level_pushes_no_column_it_closed_over(monkeypatch):
-    # at one flat, a column parallel to an earlier pivot spans that
-    # pivot's flat again; rank 2 on 4 coordinates runs _last at once
+    # parallel columns are one class before the search starts, so the
+    # closure comes from collinear columns: u + s.v lies on the line
+    # through u and v, so once v is pushed, u and u + s.v share a point.
+    # Rank 3 on 5 coordinates pushes at depth 2 and then runs _last, which
+    # must get them as one class and push that class once
     rng = Random(173)
     field = GF2m(3)
-    pivots: list = []
+    # per _last call, the pivots it pushed; the one running, or None
+    levels: list = []
+    level = None
+    merged: list = []
     push = linear_code._push_normalized
     last = linear_code._FlatSearch._last
 
     def recording_push(field, points, pivot):
-        pivots[-1].append(pivot)
+        if level is not None:
+            level.append(pivot)
         return push(field, points, pivot)
 
-    def recording_last(self, flat, cols, points):
-        pivots.append([])
-        return last(self, flat, cols, points)
+    def recording_last(self, flat, left, classes):
+        nonlocal level
+        level = []
+        levels.append(level)
+        merged.extend(mask.bit_count() for mask in classes.values())
+        try:
+            return last(self, flat, left, classes)
+        finally:
+            level = None
 
     monkeypatch.setattr(linear_code, "_push_normalized", recording_push)
     monkeypatch.setattr(linear_code._FlatSearch, "_last", recording_last)
     for _ in range(20):
-        # 12 columns in 7 parallel classes
-        base = [[rng.randrange(8) for _ in range(4)] for _ in range(7)]
-        cols = []
-        for _ in range(12):
+        # 7 random columns, and 5 more each on the line through two of them
+        base = [[rng.randrange(8) for _ in range(5)] for _ in range(7)]
+        cols = [list(col) for col in base]
+        for _ in range(5):
+            u, v = rng.sample(base, 2)
             scale = rng.randrange(1, 8)
-            cols.append([field.mul(scale, x) for x in rng.choice(base)])
-        if matrix_rank(field, 4, cols) < 3:
+            cols.append([x ^ field.mul(scale, y) for x, y in zip(u, v)])
+        rng.shuffle(cols)
+        if matrix_rank(field, 5, cols) < 4:
             continue
-        pivots.clear()
-        _largest_flat(field, cols, 2, 0)
-        assert pivots and all(len(set(level)) == len(level) for level in pivots)
-        assert max(map(len, pivots)) > 1
+        levels.clear()
+        merged.clear()
+        _largest_flat(field, cols, 3, 0)
+        assert levels and all(len(set(level)) == len(level) for level in levels)
+        assert max(map(len, levels)) > 1
+        # some class entering the last level holds two collinear columns
+        assert max(merged) > 1
 
 
 def test_contraction_ranks_are_ranks_over_the_contracted_set():

@@ -8,7 +8,9 @@ change every residue, its scaled point and its lead pattern.  These
 checks reach square codes past the brute-force oracles, whose own
 column order is the only one the grid formulas are checked in
 elsewhere.  A copy of one code over GF(2^18), which never fills log
-tables, runs every search tableless.
+tables, runs every search tableless.  Random codes of length 12 to 24,
+with a zero column and parallel classes, reach past the oracles too,
+and meet them where they are small enough.
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ from locrep import (
     min_distance,
     repair_tolerance,
 )
-from locrep.linear_code import _RankHierarchy
+from locrep.linear_code import _normalized, _RankHierarchy
 from locrep.regsets import rho
-from oracles import square_phi
+from oracles import naive_min_distance, nullity_phi, square_phi
 
 
 def _permuted(rng: Random, code: LinearCode) -> LinearCode:
@@ -93,3 +95,46 @@ def test_a_tableless_copy_keeps_the_matroid_invariants():
     field = GF2m(18)
     _check_invariants(3, 6, field)
     assert field._tables() == (None, None)
+
+
+def _classed_code(rng: Random, field: GF2m, n: int, M: int) -> LinearCode:
+    """A random full-rank code with a zero column and parallel classes.
+
+    About one column in five is a scaled copy of an earlier one, and the
+    others have mostly random entries, so that d is not small.
+    """
+    q = field.order
+    while True:
+        columns = []
+        for _ in range(n - 1):
+            if columns and rng.random() < 0.2:
+                scale = rng.randrange(1, q)
+                columns.append([field.mul(scale, x) for x in rng.choice(columns)])
+            else:
+                columns.append([rng.randrange(q) if rng.random() < 0.8 else rng.randrange(2)
+                                for _ in range(M)])
+        columns.insert(rng.randrange(n), [0] * M)
+        points = [_normalized(field, col) for col in columns if any(col)]
+        if len(set(points)) < len(points) and matrix_rank(field, M, columns) == M:
+            return LinearCode(field, n, M, columns)
+
+
+@pytest.mark.parametrize("degree", [4, 9])
+@pytest.mark.parametrize(
+    "n, M",
+    [(12, 4), (14, 6), (14, 9), (16, 5), (18, 7), (20, 8), (20, 12), (22, 9),
+     (24, 8), (24, 14), (24, 18)],
+)
+def test_random_codes_with_parallel_classes_keep_their_invariants(degree, n, M):
+    # both sides of duality: M < n/2 is searched on the generator, the
+    # rest on the parity-check code
+    rng = Random(1000 * degree + 50 * n + M)
+    code = _classed_code(rng, GF2m(degree), n, M)
+    expected = (min_distance(code), _RankHierarchy(code).values(2))
+    if n <= 14:
+        assert expected == (naive_min_distance(code)[0],
+                            [nullity_phi(code, x) for x in (1, 2)])
+    for transform in (_permuted, _scaled, _rebased):
+        changed = transform(rng, code)
+        got = (min_distance(changed), _RankHierarchy(changed).values(2))
+        assert got == expected, transform.__name__
