@@ -14,7 +14,7 @@ import sys
 from typing import Optional
 
 from . import bounds, linear_code, regsets, repair, square
-from .errors import InvariantError, LocrepError
+from .errors import DomainError, InvariantError, LocrepError
 from .gf2m import GF2m
 
 SEARCH_CAP_ENV = "LOCREP_SEARCH_CAP"
@@ -50,8 +50,12 @@ def _emit_json(obj: dict, out_path: Optional[str]) -> None:
 
 
 def _load_code(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return linear_code.loads(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"malformed code file: {exc}") from None
+    return linear_code.loads(text)
 
 
 def _default_size_cap(metadata) -> Optional[int]:
@@ -121,7 +125,7 @@ def _cmd_phi(args) -> int:
     return 0
 
 
-@_verb("rho", "largest x with phi(x) - x < M/alpha", _arg("code"))
+@_verb("rho", "largest x with phi(x) - x < M", _arg("code"))
 def _cmd_rho(args) -> int:
     code, metadata = _load_code(args.code)
     value = regsets.rho(

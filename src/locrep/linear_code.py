@@ -32,12 +32,14 @@ domain, :func:`_push_normalized`: one table lookup per coordinate (a
 multiplication where the field has no log tables yet) where the packed
 images would need m XOR passes, and a plain XOR for a residue that
 leads where the pivot does.  The circuit scan, the flat search
-and the contraction behind exact witnesses all push through it.  A
-hyperplane search, whose target rank is one below the residues'
-dimension, writes its last two levels out: the residues there are
-points of projective 3-space and then of a projective plane, and the
-line through the pushed point and another is keyed by their XOR
-difference, with no product.
+and the contraction behind exact witnesses all push through it.  The
+flat search has one level loop, which picks each pivot's kernel by the
+length of its point.  Only a hyperplane search, whose target rank is
+one below the residues' dimension, meets points of projective 3-space
+and then of a projective plane: a 4-coordinate pivot that leads at 0
+pushes through a written-out kernel, and a 3-coordinate pivot keys the
+line through it and each other point by their XOR difference, with no
+product.
 """
 
 from __future__ import annotations
@@ -362,12 +364,11 @@ def _largest_flat(
     point of projective space, and the zero columns are the loops.  The
     other columns are filed by point once, into parallel classes, each a
     point and a mask of columns; the search handles a class as one
-    weighted column.  Rank 0 is the set of loops, and rank 1 counts each
-    class.  Otherwise every flat of rank t is a flat of rank t-1 plus the
-    classes whose residues over it are one point, so :class:`_FlatSearch`
-    visits the flats of rank t-1 and files the classes outside each one
-    by point.  At rank 2 that search is its last level alone, run at the
-    loops.
+    weighted column.  Rank 0 is the set of loops.  Otherwise every flat
+    of rank t is a flat of rank t-1 plus the classes whose residues over
+    it are one point, so :class:`_FlatSearch` visits the flats of rank
+    t-1 and files the classes outside each one by point, starting at the
+    loops with all ``rank`` to add.
     """
     loops = 0
     # the nonzero columns' parallel classes, in the order of their lowest
@@ -382,14 +383,7 @@ def _largest_flat(
     if rank == 0:
         return (loops.bit_count(), loops) if loops.bit_count() > size else (size, mask)
     search = _FlatSearch(field, size, mask, len(columns) + 1 if limit is None else limit)
-    left = len(columns) - loops.bit_count()
-    if rank == 1:
-        search._count(loops, classes)
-    elif rank == 2:
-        last_level = search._plane if len(columns[0]) == 3 else search._last
-        last_level(loops, left, classes)
-    else:
-        search.visit(loops, left, classes, rank - 1)
+    search.visit(loops, len(columns) - loops.bit_count(), classes, rank)
     return search.size, search.mask
 
 
@@ -416,7 +410,7 @@ def _plane_points(
     None of the points equals the pivot.  A point that leads at 0 too is
     XORed with the pivot and scaled to a leading 1 again; the others
     only lose coordinate 0.  Written out for the 4 coordinates of a
-    plane search's depth 2, where most pivots lead at 0.
+    plane search's depth 3, where most pivots lead at 0.
     """
     exp, log = field._tables()
     period = field.order - 1
@@ -442,6 +436,49 @@ def _plane_points(
     return child
 
 
+def _plane_lines(
+    field: gf2m.GF2m, pivot: tuple[int, int, int], items: Iterable[tuple[tuple, int]]
+) -> dict:
+    """The classes ``items``, points of the projective plane, keyed by line.
+
+    Each point is scaled to a leading 1, and none equals the pivot j.
+    Pushing j maps each point v to a 2-vector whose direction is the line
+    through j and v.  With j = (1, a, b) that is (v1, v2) XOR v0 * (a, b),
+    and v0 is 0 or 1, so no product is made; with j = (0, 1, b) it is
+    (v0, v2 + v1 * b), a product only when v leads at 0; with j = (0, 0,
+    1) it is (v0, v1).  Lines are keyed by log x - log y (or x = 0, or y
+    = 0), and each maps to the mask of its classes; no vector is zero.
+    """
+    j0, j1, j2 = pivot
+    mul = field._mul
+    period = field.order - 1
+    log = field._tables()[1]
+    lines: dict = {}
+    get = lines.get
+    for (v0, v1, v2), c in items:
+        if j0:
+            if v0:
+                x, y = v1 ^ j1, v2 ^ j2
+            else:
+                x, y = v1, v2
+        elif j1:
+            x, y = v0, v2 ^ (mul(v1, j2) if v0 else v1 and j2)
+        else:
+            x, y = v0, v1
+        # the line through the point: x/y as a log, -2 for x = 0
+        # and -1 for y = 0
+        if not y:
+            key = -1
+        elif not x:
+            key = -2
+        elif log:
+            key = (log[x] - log[y]) % period
+        else:
+            key = mul(x, field._inv(y))
+        lines[key] = get(key, 0) | c
+    return lines
+
+
 class _FlatSearch:
     """Depth-first search over flats for the largest flat of one rank.
 
@@ -457,26 +494,26 @@ class _FlatSearch:
     equal are merged into one class of the child (:func:`_classes`).  So
     a push zeroes no residue.
 
-    Pushing a class writes only the classes above it, at every depth;
-    the push is one :func:`_push_normalized`.  The greedy test is local
-    to the node: a class that shares its point with an earlier one has
-    merged into it, so it is never a pivot and joins the flat with the
-    earlier one.  A flat is counted in full on the path of its own
-    greedy basis, where each basis column is the lowest column of the
-    flat outside the span of the ones before it: every column of the
-    flat outside that span lies above it, and so is still carried.  Any
-    other path leaves out a column below one of its pivots, so the set
-    it counts lies strictly inside the flat it spans, which is counted
-    in full on its own path: such a set never ties the best, and with
-    ``limit`` it reaches the limit only when that flat does.  Every set
-    counted below a pivot lies within the flat and the classes from the
-    pivot on.  ``left``, the number of columns those classes hold, bounds
-    the branch; each node passes its child the count it has left, so
-    nothing is recounted.
+    Pushing a class writes only the classes above it, at every depth.
+    The greedy test is local to the node: a class that shares its point
+    with an earlier one has merged into it, so it is never a pivot and
+    joins the flat with the earlier one.  A flat is counted in full on
+    the path of its own greedy basis, where each basis column is the
+    lowest column of the flat outside the span of the ones before it:
+    every column of the flat outside that span lies above it, and so is
+    still carried.  Any other path leaves out a column below one of its
+    pivots, so the set it counts lies strictly inside the flat it spans,
+    which is counted in full on its own path: such a set never ties the
+    best, and with ``limit`` it reaches the limit only when that flat
+    does.  Every set counted below a pivot lies within the flat and the
+    classes from the pivot on.  ``left``, the number of columns those
+    classes hold, bounds the branch; each node passes its child the
+    count it has left, so nothing is recounted.  :meth:`visit` is the
+    one level loop and the one place the branch is cut.
 
-    The last level's pivot makes a flat of rank t-1, and each class
-    above the pivot is keyed by its point after the push (:meth:`_last`):
-    each point is the flat of rank t that its classes add.
+    At depth 1 the flat has rank t-1, and each class outside it is
+    keyed by its point: each point is the flat of rank t that its
+    classes add (:meth:`_count`).
 
     Of two flats of one rank and size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
@@ -487,14 +524,18 @@ class _FlatSearch:
     when strictly larger, and a branch is cut when it cannot be.  Once
     the best reaches ``limit`` every branch is cut.
 
-    A plane search, one whose target rank is one below the residues'
-    dimension (the hyperplane of the columns' span, and of any
-    contraction), has 4-coordinate points at depth 2 and then the points
-    of a projective plane at depth 1.  Its depth-2 pushes by a pivot
-    that leads at 0 are written out (:func:`_plane_points`), and its
-    last level keys lines by scalars (:meth:`_plane`).  Points are field
-    elements with or without log tables, so a fill in the middle of a
-    search mixes nothing.
+    A pivot's kernel is chosen by the length of its point, as the
+    points at depth k have at least k+1 coordinates.  A plane search, one
+    whose target rank is one below the residues' dimension (the
+    hyperplane of the columns' span, and of any contraction), has
+    4-coordinate points at depth 3 and then the points of a projective
+    plane at depth 2; no other search has 3-coordinate pivots.  A
+    4-coordinate pivot that leads at 0 pushes through the written-out
+    :func:`_plane_points`, which gives the points :func:`_push_normalized`
+    would, and a 3-coordinate pivot keys the lines through it by scalars
+    (:func:`_plane_lines`), which stand for the depth-1 classes.  Points
+    are field elements with or without log tables, so a fill in the
+    middle of a search mixes nothing.
     """
 
     __slots__ = ("field", "size", "mask", "limit")
@@ -506,102 +547,39 @@ class _FlatSearch:
         self.limit = limit
 
     def visit(self, flat: int, left: int, classes: dict, depth: int) -> None:
-        """Search the flats above ``flat`` for ``depth`` more basis columns.
+        """Search the flats above ``flat`` for ``depth`` more rank.
 
         ``classes`` maps the normalized residue of each parallel class
         outside the flat to its mask, in the order of their lowest
-        columns, and ``left`` is the number of columns they hold.
-        ``depth`` is at least 2.  Pushing a class writes only the classes
-        above it, and the child's classes are their new points, merged;
-        at depth 2 the child is the last level (:meth:`_plane` on 3
-        coordinates, :meth:`_last` otherwise).
+        columns, and ``left`` is the number of columns they hold.  At
+        depth 1 each class adds one flat of one more rank.  Otherwise each
+        pivot's kernel goes by its point's length, and the child's classes
+        are the new points of the classes above the pivot, merged.
         """
+        if depth == 1:
+            self._count(flat, classes)
+            return
         field = self.field
         size = flat.bit_count()
-        for pos, (pivot, grown) in enumerate(classes.items()):
+        items = classes.items()
+        for pos, (pivot, grown) in enumerate(items):
             # every set counted below lies within the flat and the classes
-            # from pos on; the child's first cut is the same bound, so it
-            # is not tried again
+            # from pos on
             if size + left <= self.size or self.size >= self.limit:
                 break
             left -= grown.bit_count()
             grown |= flat
+            if len(pivot) == 3:
+                # only a plane search has 3-coordinate points, at depth 2
+                lines = _plane_lines(field, pivot, islice(items, pos + 1, None))
+                self._count(grown, lines)
+                continue
             above = islice(classes, pos + 1, None)
-            # only a plane search has 4-coordinate points, at depth 2
-            plane = len(pivot) == 4
-            if plane and pivot[0]:
+            if len(pivot) == 4 and pivot[0]:
                 points = _plane_points(field, pivot, above)
             else:
                 points = _push_normalized(field, above, pivot)
-            child = _classes(points, classes, pos)
-            if depth > 2:
-                self.visit(grown, left, child, depth - 1)
-            elif plane:
-                self._plane(grown, left, child)
-            else:
-                self._last(grown, left, child)
-
-    def _last(self, flat: int, left: int, classes: dict) -> None:
-        """:meth:`visit` at depth 1: each push keys the classes above its pivot."""
-        field = self.field
-        size = flat.bit_count()
-        for pos, (pivot, line) in enumerate(classes.items()):
-            if size + left <= self.size or self.size >= self.limit:
-                break
-            left -= line.bit_count()
-            lines: dict = {}
-            get = lines.get
-            above = _push_normalized(field, islice(classes, pos + 1, None), pivot)
-            for key, c in zip(above, islice(classes.values(), pos + 1, None)):
-                lines[key] = get(key, 0) | c
-            self._count(flat | line, lines)
-
-    def _plane(self, flat: int, left: int, classes: dict) -> None:
-        """:meth:`visit` at depth 1 of a plane search, on normalized points.
-
-        Every class's residue is a point of the projective plane, scaled
-        to a leading 1.  Pushing j maps each point v above it to a
-        2-vector whose direction is the line through j and v.  With j =
-        (1, a, b) that is (v1, v2) XOR v0 * (a, b), and v0 is 0 or 1, so
-        no product is made; with j = (0, 1, b) it is (v0, v2 + v1 * b), a
-        product only when v leads at 0; with j = (0, 0, 1) it is (v0,
-        v1).  Lines are keyed by log x - log y (or x = 0, or y = 0); no
-        vector is zero, as no two classes share a point.
-        """
-        field = self.field
-        mul = field._mul
-        period = field.order - 1
-        size = flat.bit_count()
-        items = classes.items()
-        for pos, ((j0, j1, j2), line) in enumerate(items):
-            if size + left <= self.size or self.size >= self.limit:
-                break
-            left -= line.bit_count()
-            log = field._tables()[1]
-            lines: dict = {}
-            get = lines.get
-            for (v0, v1, v2), c in islice(items, pos + 1, None):
-                if j0:
-                    if v0:
-                        x, y = v1 ^ j1, v2 ^ j2
-                    else:
-                        x, y = v1, v2
-                elif j1:
-                    x, y = v0, v2 ^ (mul(v1, j2) if v0 else v1 and j2)
-                else:
-                    x, y = v0, v1
-                # the line through the point: x/y as a log, -2 for x = 0
-                # and -1 for y = 0
-                if not y:
-                    key = -1
-                elif not x:
-                    key = -2
-                elif log:
-                    key = (log[x] - log[y]) % period
-                else:
-                    key = mul(x, field._inv(y))
-                lines[key] = get(key, 0) | c
-            self._count(flat | line, lines)
+            self.visit(grown, left, _classes(points, classes, pos), depth - 1)
 
     def _count(self, flat: int, lines: dict) -> None:
         """Count the flat each line adds; the first largest is lex-first."""
@@ -1052,6 +1030,9 @@ def loads(text: str) -> tuple[LinearCode, Optional[dict]]:
     """Parse a code file from JSON text."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # a syntax error, or an integer past the interpreter's digit limit
         raise DomainError(f"malformed code file: {exc}") from None
+    except RecursionError:
+        raise DomainError("malformed code file: JSON nested too deeply") from None
     return from_json_dict(obj)

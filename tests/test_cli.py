@@ -476,6 +476,30 @@ def test_field_defects_are_malformed_code_files(
     assert err == f"error: malformed code file: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # an executable's header
+        (b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)),
+         "'utf-8' codec can't decode"),
+        # the JSON decoder recurses once per bracket
+        (b"[" * 200_000, "JSON nested too deeply"),
+        # past the interpreter's digit limit for int(), where it has one
+        (b'{"n": 1' + b"0" * 5000 + b"}", ""),
+    ],
+    ids=["not-utf8", "nested", "huge-integer"],
+)
+def test_a_code_file_the_reader_cannot_decode_is_malformed(
+    capsys, tmp_path, content, message
+):
+    # not exit 1, which means a verification returned false, and no traceback
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    rc, out, err = _run(capsys, "distance", str(path))
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"error: malformed code file: {message}")
+
+
 def test_huge_field_degree_in_code_file_is_rejected_fast(capsys, tmp_path, code_file):
     # Rabin's test on a degree-20000 modulus would take minutes
     with open(code_file) as fh:

@@ -269,21 +269,25 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
 
 
 # per distance search: the flat search's pushes through _push_normalized
-# (calls, points written), a plane search's depth-2 pushes (calls, plane
-# points written for the child) and the last pushes (calls, columns
-# keyed)
+# (calls, points written), its 4-coordinate pushes through _plane_points
+# (calls, points written), its plane pivots through _plane_lines (calls,
+# points keyed) and the last level's counts (calls, columns keyed)
 _PINNED_WORK = {
-    (3, 7): {"push": (161, 1317), "plane": (302, 1748), "last": (625, 3015)},
-    (3, 8): {"push": (577, 3210), "plane": (0, 0), "last": (472, 2433)},
-    (4, 5): {"push": (20, 290), "plane": (210, 2170), "last": (1540, 11935)},
+    (3, 7): {"push": (161, 1317), "plane_points": (302, 1818),
+             "plane_lines": (625, 2865), "last": (625, 3015)},
+    (3, 8): {"push": (577, 3210), "plane_points": (0, 0),
+             "plane_lines": (0, 0), "last": (472, 2433)},
+    (4, 5): {"push": (20, 290), "plane_points": (210, 2170),
+             "plane_lines": (1540, 11935), "last": (1540, 11935)},
 }
 
 
 def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
     """min_distance(code) and the flat search work it does, as _PINNED_WORK counts it."""
-    seen: dict = {"push": [], "plane": [], "last": []}
+    seen: dict = {"push": [], "plane_points": [], "plane_lines": [], "last": []}
     push = linear_code._push_normalized
-    plane = linear_code._FlatSearch._plane
+    plane_points = linear_code._plane_points
+    plane_lines = linear_code._plane_lines
     count = linear_code._FlatSearch._count
 
     def counting_push(*args):
@@ -291,10 +295,15 @@ def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
         seen["push"].append(len(out))
         return out
 
-    def counting_plane(self, *args):
-        # the last argument holds the points
-        seen["plane"].append(len(args[-1]))
-        return plane(self, *args)
+    def counting_plane_points(*args):
+        out = plane_points(*args)
+        seen["plane_points"].append(len(out))
+        return out
+
+    def counting_plane_lines(field, pivot, items):
+        items = list(items)
+        seen["plane_lines"].append(len(items))
+        return plane_lines(field, pivot, items)
 
     def counting_last(self, flat, lines):
         seen["last"].append(sum(line.bit_count() for line in lines.values()))
@@ -302,7 +311,8 @@ def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
 
     with monkeypatch.context() as patch:
         patch.setattr(linear_code, "_push_normalized", counting_push)
-        patch.setattr(linear_code._FlatSearch, "_plane", counting_plane)
+        patch.setattr(linear_code, "_plane_points", counting_plane_points)
+        patch.setattr(linear_code, "_plane_lines", counting_plane_lines)
         patch.setattr(linear_code._FlatSearch, "_count", counting_last)
         d = min_distance(code, code.n)
     return d, {name: (len(sizes), sum(sizes)) for name, sizes in seen.items()}
@@ -341,7 +351,8 @@ def test_scaled_copies_add_no_push(monkeypatch, r, M, k):
     d_copies, work_copies = _distance_work(monkeypatch, copies)
     assert d_copies == k * d == k * bound_square(code.n, M, r)
     assert work_copies["push"] == work["push"]
-    assert work_copies["plane"] == work["plane"]
+    assert work_copies["plane_points"] == work["plane_points"]
+    assert work_copies["plane_lines"] == work["plane_lines"]
     calls, keyed = work["last"]
     assert work_copies["last"] == (calls, k * keyed)
 
@@ -487,34 +498,43 @@ def test_a_last_level_pushes_no_column_it_closed_over(monkeypatch):
     # parallel columns are one class before the search starts, so the
     # closure comes from collinear columns: u + s.v lies on the line
     # through u and v, so once v is pushed, u and u + s.v share a point.
-    # Rank 3 on 5 coordinates pushes at depth 2 and then runs _last, which
-    # must get them as one class and push that class once
+    # Rank 3 on 5 coordinates pushes at depth 3 and then visits depth 2,
+    # which must get them as one class and push that class once
     rng = Random(173)
     field = GF2m(3)
-    # per _last call, the pivots it pushed; the one running, or None
+    # per depth-2 visit, the pivots it pushed; the one running, or None
     levels: list = []
     level = None
     merged: list = []
     push = linear_code._push_normalized
-    last = linear_code._FlatSearch._last
+    plane_points = linear_code._plane_points
+    visit = linear_code._FlatSearch.visit
 
     def recording_push(field, points, pivot):
         if level is not None:
             level.append(pivot)
         return push(field, points, pivot)
 
-    def recording_last(self, flat, left, classes):
+    def recording_plane_points(field, pivot, points):
+        if level is not None:
+            level.append(pivot)
+        return plane_points(field, pivot, points)
+
+    def recording_visit(self, flat, left, classes, depth):
         nonlocal level
+        if depth != 2:
+            return visit(self, flat, left, classes, depth)
         level = []
         levels.append(level)
         merged.extend(mask.bit_count() for mask in classes.values())
         try:
-            return last(self, flat, left, classes)
+            return visit(self, flat, left, classes, depth)
         finally:
             level = None
 
     monkeypatch.setattr(linear_code, "_push_normalized", recording_push)
-    monkeypatch.setattr(linear_code._FlatSearch, "_last", recording_last)
+    monkeypatch.setattr(linear_code, "_plane_points", recording_plane_points)
+    monkeypatch.setattr(linear_code._FlatSearch, "visit", recording_visit)
     for _ in range(20):
         # 7 random columns, and 5 more each on the line through two of them
         base = [[rng.randrange(8) for _ in range(5)] for _ in range(7)]
@@ -531,7 +551,7 @@ def test_a_last_level_pushes_no_column_it_closed_over(monkeypatch):
         _largest_flat(field, cols, 3, 0)
         assert levels and all(len(set(level)) == len(level) for level in levels)
         assert max(map(len, levels)) > 1
-        # some class entering the last level holds two collinear columns
+        # some class entering depth 2 holds two collinear columns
         assert max(merged) > 1
 
 

@@ -2,15 +2,16 @@
 
 A coordinate permutation, a nonzero scale on each column and a change
 of basis G -> A.G keep the column matroid, so they keep d, rho, exact
-phi and the repair tolerance.  Each one changes what the searches see:
+and capped phi, the repair tolerance and locality.  Each one changes what the searches see:
 the permutation every lex order they follow, the scales and the basis
 change every residue, its scaled point and its lead pattern.  These
 checks reach square codes past the brute-force oracles, whose own
 column order is the only one the grid formulas are checked in
 elsewhere.  A copy of one code over GF(2^18), which never fills log
-tables, runs every search tableless.  Random codes of length 12 to 24,
-with a zero column and parallel classes, reach past the oracles too,
-and meet them where they are small enough.
+tables, runs every search tableless.  Random codes of length 12 to 24
+over GF(2), GF(2^4) and GF(2^9), with a zero column and parallel
+classes, reach past the oracles too, and meet them where they are small
+enough.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from locrep import (
     repair_tolerance,
 )
 from locrep.linear_code import _normalized, _RankHierarchy
-from locrep.regsets import rho
+from locrep.regsets import phi, rho, verify_locality
 from oracles import naive_min_distance, nullity_phi, square_phi
 
 
@@ -62,12 +63,18 @@ def _rebased(rng: Random, code: LinearCode) -> LinearCode:
     return LinearCode(field, code.n, M, columns)
 
 
+def _capped_phi(code: LinearCode, r: int) -> list[int]:
+    """phi(1..3) over the regenerating sets of at most r+1 members."""
+    return [phi(code, x, size_cap=r + 1, search_cap=25) for x in (1, 2, 3)]
+
+
 def _check_invariants(r: int, M: int, field=None) -> None:
     code = build_square_code(r, M, field).code
     d = min_distance(code, 25)
     assert d == bound_square(code.n, M, r)
-    phi = [square_phi(r, M, x) for x in (1, 2, 3)]
-    expected = (d, rho(code, search_cap=25), phi, repair_tolerance(code, r))
+    exact = [square_phi(r, M, x) for x in (1, 2, 3)]
+    expected = (d, rho(code, search_cap=25), exact, repair_tolerance(code, r),
+                _capped_phi(code, r), verify_locality(code, r, 3))
     rng = Random(131 * r + M)
     for transform in (_permuted, _scaled, _rebased):
         changed = transform(rng, code)
@@ -77,6 +84,8 @@ def _check_invariants(r: int, M: int, field=None) -> None:
             rho(changed, search_cap=25),
             _RankHierarchy(changed).values(3),
             repair_tolerance(changed, r),
+            _capped_phi(changed, r),
+            verify_locality(changed, r, 3),
         )
         assert got == expected, transform.__name__
 
@@ -85,7 +94,7 @@ def _check_invariants(r: int, M: int, field=None) -> None:
     "r, M", [(3, M) for M in range(4, 10)] + [(4, 5), (4, 6), (4, 16)]
 )
 def test_distance_and_rho_survive_matroid_preserving_transforms(r, M):
-    # exact phi(1..3) and the repair tolerance too
+    # exact and capped phi(1..3), the repair tolerance and locality too
     _check_invariants(r, M)
 
 
@@ -119,7 +128,7 @@ def _classed_code(rng: Random, field: GF2m, n: int, M: int) -> LinearCode:
             return LinearCode(field, n, M, columns)
 
 
-@pytest.mark.parametrize("degree", [4, 9])
+@pytest.mark.parametrize("degree", [1, 4, 9])
 @pytest.mark.parametrize(
     "n, M",
     [(12, 4), (14, 6), (14, 9), (16, 5), (18, 7), (20, 8), (20, 12), (22, 9),
@@ -127,7 +136,8 @@ def _classed_code(rng: Random, field: GF2m, n: int, M: int) -> LinearCode:
 )
 def test_random_codes_with_parallel_classes_keep_their_invariants(degree, n, M):
     # both sides of duality: M < n/2 is searched on the generator, the
-    # rest on the parity-check code
+    # rest on the parity-check code.  Over GF(2) every scale is 1 and the
+    # plane search's line keys have period 1
     rng = Random(1000 * degree + 50 * n + M)
     code = _classed_code(rng, GF2m(degree), n, M)
     expected = (min_distance(code), _RankHierarchy(code).values(2))
