@@ -17,29 +17,39 @@ Single ranks and the full-rank check are taken over GF(2): a column
 and its multiples z^t * column (t < m) are packed into m integers,
 whose GF(2)-span equals the GF(2^m)-span of the column, so rank is
 tracked with integer XOR alone.  The scans that rank many columns
-against one span work in GF(2^m) instead: the circuit scan, and the
-search over flats for the largest flat of a given rank.  That one
-search gives the generator's largest hyperplane, and one ascending
-walk of it over the ranks (:func:`_phi_walk`) gives both the
-parity-check code's smallest circuit, its phi(1), and the generator's
-exact phi.  Each scan keeps, for each column, its coordinates in the
-quotient by the current span, scaled to a leading 1: a point of
-projective space, or None for the zero residue.  Two nonzero residues
-are dependent exactly when their points are equal, so a span test, or
-the test of which columns a push closes over, is one tuple
-comparison.  Pushing a column is one elimination step in the log
-domain, :func:`_push_normalized`: one table lookup per coordinate (a
-multiplication where the field has no log tables yet) where the packed
-images would need m XOR passes, and a plain XOR for a residue that
-leads where the pivot does.  The circuit scan, the flat search
-and the contraction behind exact witnesses all push through it.  The
-flat search has one level loop, which picks each pivot's kernel by the
-length of its point.  Only a hyperplane search, whose target rank is
-one below the residues' dimension, meets points of projective 3-space
-and then of a projective plane: a 4-coordinate pivot that leads at 0
-pushes through a written-out kernel, and a 3-coordinate pivot keys the
-line through it and each other point by their XOR difference, with no
-product.
+against one span work on points instead: the circuit scan, the search
+over flats for the largest flat of a given rank, and the contraction
+behind exact witnesses.  That one flat search gives the generator's
+largest hyperplane, and one ascending walk of it over the ranks
+(:func:`_phi_walk`) gives both the parity-check code's smallest
+circuit, its phi(1), and the generator's exact phi.  Each scan keeps,
+for each column, its point in the quotient by the current span, or a
+zero for the zero residue; two nonzero residues are dependent exactly
+when their points are equal, so a span test, or the test of which
+columns a push closes over, is one comparison.
+
+A code whose every column is (x, x^2, x^4, ..., x^(2^(M-1))) of its
+first entry, as a square code's are, is a Moore code: by Moore's
+determinant its column matroid is the binary matroid of the m-bit first
+entries, truncated at rank M (:meth:`LinearCode._points`).  Its scans
+work on those entries as GF(2) vectors, below rank M where the two
+matroids agree.  A point is an int and needs no scaling, and a push,
+:func:`_push_binary`, XORs the pivot into each point that holds its
+lowest set bit: no field product and no log table.
+
+Every other code is scanned in GF(2^m), on residues scaled to a leading
+1, points of projective space.  Pushing a column is one elimination
+step in the log domain, :func:`_push_normalized`: one table lookup per
+coordinate (a multiplication where the field has no log tables yet)
+where the packed images would need m XOR passes, and a plain XOR for a
+residue that leads where the pivot does.  The flat search has one level
+loop, which picks each pivot's kernel by its point: an int pushes
+through :func:`_push_binary`, and a tuple by its length.  Only a
+hyperplane search, whose target rank is one below the residues'
+dimension, meets points of projective 3-space and then of a projective
+plane: a 4-coordinate pivot that leads at 0 pushes through a
+written-out kernel, and a 3-coordinate pivot keys the line through it
+and each other point by their XOR difference, with no product.
 """
 
 from __future__ import annotations
@@ -110,10 +120,12 @@ class LinearCode:
 
     The generator must have full rank M (otherwise the n coordinates
     would not determine an M-symbol file).  Instances are immutable;
-    entropy queries are cached per coordinate subset.
+    entropy queries are cached per coordinate subset, and whether the
+    code is a Moore code, whose exact engines search binary points, is
+    tested once, on first use (:meth:`_points`).
     """
 
-    __slots__ = ("field", "n", "M", "columns", "_packed", "_rank_cache")
+    __slots__ = ("field", "n", "M", "columns", "_packed", "_rank_cache", "_moore")
 
     def __init__(
         self, field: gf2m.GF2m, n: int, M: int, columns: Sequence[Sequence[int]]
@@ -139,6 +151,9 @@ class LinearCode:
             tuple(_images(field, _pack(field.degree, col), M)) for col in cols
         ))
         object.__setattr__(self, "_rank_cache", {0: 0})
+        # the binary points, () when the code is not a Moore code, None
+        # until first asked
+        object.__setattr__(self, "_moore", None)
         if self._rank((1 << n) - 1) != M:
             raise DomainError("generator columns must have full rank M")
 
@@ -189,6 +204,29 @@ class LinearCode:
         self._rank_cache[mask] = rank
         return rank
 
+    def _points(self) -> Sequence:
+        """The columns as the exact engines take them.
+
+        The code is a Moore code when every column is (x, x^2, x^4, ...,
+        x^(2^(M-1))) of its first entry x.  Its columns are then the rows
+        of a Moore matrix, and by Moore's determinant a set of them has
+        rank min(M, the GF(2)-rank of their first entries): the column
+        matroid is the binary matroid of the m-bit first entries,
+        truncated at rank M.  For such a code the points are those
+        entries, as ints; otherwise they are the columns themselves.
+        The test is made on the first call, with at most n(M-1)
+        squarings, which need no tables, and kept.
+        """
+        points = self._moore
+        if points is None:
+            square = self.field._square
+            moore = all(
+                square(x) == y for col in self.columns for x, y in zip(col, col[1:])
+            )
+            points = tuple(col[0] for col in self.columns) if moore else ()
+            object.__setattr__(self, "_moore", points)
+        return points or self.columns
+
     def entropy(self, members: Iterable[int]) -> int:
         """Joint entropy of a coordinate subset, in 2^m-ary symbols.
 
@@ -213,22 +251,26 @@ class LinearCode:
 
 
 class _Residues:
-    """The span test of the circuit scan, from normalized residues.
+    """The span test of the circuit scan, from residues.
 
     ``sync(mask)`` pushes every member of the mask but the highest, its
     top column, and keeps, for each column above the last one pushed,
-    its GF(2^m) coordinates in the quotient by the pushed columns'
-    span, scaled to a leading 1 (None for the zero residue).  Two
-    nonzero residues are dependent exactly when they are equal, so a
-    column j above every pushed one lies outside the span of the mask
-    exactly when j's residue is nonzero and differs from the top's: one
-    tuple comparison.  The top column itself is never pushed.
+    its residue in the quotient by the pushed columns' span: an m-bit
+    int for a Moore code (:meth:`LinearCode._points`), otherwise its
+    GF(2^m) coordinates scaled to a leading 1.  A zero residue is 0 or
+    None.  Two nonzero residues are dependent exactly when they are
+    equal, so a column j above every pushed one lies outside the span
+    of the mask exactly when j's residue is nonzero and differs from
+    the top's: one comparison.  On a Moore code, whose matroid is the
+    binary one truncated at M, that holds while the mask's rank is below
+    M, as it is at every base the scan syncs.  The top column itself is
+    never pushed.
 
     Pushes follow the mask as a stack: ``sync`` pops back to the lowest
     column where the new mask differs from the last, so walking masks in
     lex order re-pushes only the tails in which they differ.  A push is
-    one :func:`_push_normalized` of the residues above the pushed
-    column, column by column, with no transposition.
+    one :func:`_push` of the residues above the pushed column, column by
+    column, with no transposition.
     """
 
     __slots__ = ("field", "top", "residues", "_prefix", "_stack")
@@ -236,8 +278,11 @@ class _Residues:
     def __init__(self, code: LinearCode):
         self.field = code.field
         # the synced mask's top column's residue
-        self.top: Optional[tuple[int, ...]] = None
-        self.residues = [_normalized(self.field, col) for col in code.columns]
+        self.top = None
+        self.residues = [
+            point if type(point) is int else _normalized(self.field, point)
+            for point in code._points()
+        ]
         # the pushed columns
         self._prefix = 0
         # (column bit, residues before it), per push
@@ -266,10 +311,30 @@ class _Residues:
         """Quotient the residues above column j by j's; none if j's is zero."""
         residues = self.residues
         pivot = residues[j]
-        if pivot is not None:
-            self.residues = [None] * (j + 1) + _push_normalized(
+        if pivot:
+            self.residues = [None] * (j + 1) + _push(
                 self.field, islice(residues, j + 1, None), pivot
             )
+
+
+def _push(field: gf2m.GF2m, points: Iterable, pivot) -> list:
+    """:func:`_push_binary` for a binary pivot, else :func:`_push_normalized`."""
+    if type(pivot) is int:
+        return _push_binary(points, pivot)
+    return _push_normalized(field, points, pivot)
+
+
+def _push_binary(points: Iterable[int], pivot: int) -> list[int]:
+    """Binary points in the quotient by a nonzero pivot's span.
+
+    A point that holds the pivot's lowest set bit has the pivot XORed
+    in, so no result holds that bit, and each is a coset's one
+    representative: two points are parallel in the quotient exactly
+    when their results are equal, and a point in the span becomes 0.
+    No scaling is needed over GF(2).
+    """
+    low = pivot & -pivot
+    return [w ^ pivot if w & low else w for w in points]
 
 
 def _push_normalized(
@@ -341,7 +406,7 @@ def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
 
 def _largest_flat(
     field: gf2m.GF2m,
-    columns: Sequence[Sequence[int]],
+    columns: Sequence,
     rank: int,
     size: int,
     mask: int = 0,
@@ -349,9 +414,12 @@ def _largest_flat(
 ) -> tuple[int, int]:
     """Size and mask of the lex-first largest flat of rank ``rank``.
 
-    ``columns`` are bare vectors of one length that span a space of
-    dimension greater than ``rank``; a code's generator columns or a
-    contraction's residues both qualify.  ``size`` and ``mask`` are the
+    ``columns`` are bare GF(2^m) vectors of one length that span a space
+    of dimension greater than ``rank``; a code's generator columns or a
+    contraction's residues both qualify.  They may instead be m-bit
+    ints, GF(2) vectors: a Moore code's points or its contraction's
+    (:meth:`LinearCode._points`), whose flats below rank M are the
+    code's, and ``rank`` is then below M.  ``size`` and ``mask`` are the
     incumbent: a flat replaces it only when strictly larger, and the
     incumbent comes back unchanged when none is.  With ``limit`` the
     search stops at the first set of at least that many columns that it
@@ -360,8 +428,9 @@ def _largest_flat(
     ``limit`` exactly when some flat does, but it is then only a lower
     bound on the largest; a size below ``limit`` is exact.
 
-    Each column is scaled to a leading 1 once (:func:`_normalized`), a
-    point of projective space, and the zero columns are the loops.  The
+    Each GF(2^m) column is scaled to a leading 1 once
+    (:func:`_normalized`), a point of projective space; an int is its
+    own point.  The zero columns are the loops.  The
     other columns are filed by point once, into parallel classes, each a
     point and a mask of columns; the search handles a class as one
     weighted column.  Rank 0 is the set of loops.  Otherwise every flat
@@ -375,8 +444,8 @@ def _largest_flat(
     # columns: point -> mask
     classes: dict = {}
     for j, col in enumerate(columns):
-        point = _normalized(field, col)
-        if point is None:
+        point = col if type(col) is int else _normalized(field, col)
+        if not point:
             loops |= 1 << j
         else:
             classes[point] = classes.get(point, 0) | 1 << j
@@ -484,8 +553,9 @@ class _FlatSearch:
 
     The search works on parallel classes.  It carries, for each class
     outside the flat, the residue of its columns in the quotient by the
-    flat's span, in GF(2^m), scaled to a leading 1: a point of
-    projective space.  Scaling changes no span, and two residues are
+    flat's span: an m-bit int for a Moore code's binary points, and
+    otherwise in GF(2^m), scaled to a leading 1, a point of projective
+    space.  Scaling changes no span, and two residues are
     parallel exactly when their points are equal, so a class is one
     point and one mask of columns, and every size is a mask's bit count.
     A node's classes are in the order of their lowest columns, and no
@@ -513,7 +583,8 @@ class _FlatSearch:
 
     At depth 1 the flat has rank t-1, and each class outside it is
     keyed by its point: each point is the flat of rank t that its
-    classes add (:meth:`_count`).
+    classes add (:meth:`_count`).  A pivot at depth 2 hands its child's
+    classes straight to :meth:`_count`.
 
     Of two flats of one rank and size, the lex-first holds the lowest
     column of their symmetric difference, so its greedy basis is the
@@ -524,7 +595,11 @@ class _FlatSearch:
     when strictly larger, and a branch is cut when it cannot be.  Once
     the best reaches ``limit`` every branch is cut.
 
-    A pivot's kernel is chosen by the length of its point, as the
+    A pivot's kernel is chosen by its point.  A binary point pushes
+    through :func:`_push_binary` at every depth: the same pushes, in the
+    same order, as a column-scaled copy's GF(2^m) points, whose matroid
+    is the same, and so the same flats and counts.  A GF(2^m) point's
+    kernel goes by its length, as the
     points at depth k have at least k+1 coordinates.  A plane search, one
     whose target rank is one below the residues' dimension (the
     hyperplane of the columns' span, and of any contraction), has
@@ -549,12 +624,12 @@ class _FlatSearch:
     def visit(self, flat: int, left: int, classes: dict, depth: int) -> None:
         """Search the flats above ``flat`` for ``depth`` more rank.
 
-        ``classes`` maps the normalized residue of each parallel class
-        outside the flat to its mask, in the order of their lowest
-        columns, and ``left`` is the number of columns they hold.  At
-        depth 1 each class adds one flat of one more rank.  Otherwise each
-        pivot's kernel goes by its point's length, and the child's classes
-        are the new points of the classes above the pivot, merged.
+        ``classes`` maps the point of each parallel class outside the
+        flat to its mask, in the order of their lowest columns, and
+        ``left`` is the number of columns they hold.  At depth 1 each
+        class adds one flat of one more rank.  Otherwise each pivot's
+        kernel goes by its point, and the child's classes are the new
+        points of the classes above the pivot, merged.
         """
         if depth == 1:
             self._count(flat, classes)
@@ -569,17 +644,23 @@ class _FlatSearch:
                 break
             left -= grown.bit_count()
             grown |= flat
-            if len(pivot) == 3:
+            above = islice(classes, pos + 1, None)
+            if type(pivot) is int:
+                points = _push_binary(above, pivot)
+            elif len(pivot) == 3:
                 # only a plane search has 3-coordinate points, at depth 2
                 lines = _plane_lines(field, pivot, islice(items, pos + 1, None))
                 self._count(grown, lines)
                 continue
-            above = islice(classes, pos + 1, None)
-            if len(pivot) == 4 and pivot[0]:
+            elif len(pivot) == 4 and pivot[0]:
                 points = _plane_points(field, pivot, above)
             else:
                 points = _push_normalized(field, above, pivot)
-            self.visit(grown, left, _classes(points, classes, pos), depth - 1)
+            child = _classes(points, classes, pos)
+            if depth == 2:
+                self._count(grown, child)
+            else:
+                self.visit(grown, left, child, depth - 1)
 
     def _count(self, flat: int, lines: dict) -> None:
         """Count the flat each line adds; the first largest is lex-first."""
@@ -684,7 +765,7 @@ def _iter_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
             top = residues.top
             for j, res in enumerate(residues.residues[j:], j):
                 mask = base | 1 << j
-                if res is not None and res != top:
+                if res and res != top:
                     cache[mask] = size + 1
                     grown.append(mask)
                 elif _facets_in(in_level, mask, base):
@@ -693,31 +774,37 @@ def _iter_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
         level = grown
 
 
-def _contraction(
-    field: gf2m.GF2m, columns: Sequence[Sequence[int]], mask: int
-) -> list[tuple[int, ...]]:
-    """The columns outside ``mask`` in the quotient by the span of those in it.
+def _contraction(code: LinearCode, mask: int) -> tuple[list, int]:
+    """The points outside ``mask`` in the quotient by the span of those in it.
 
-    These are the columns of the contraction by ``mask``, in order, each
-    scaled to a leading 1; a column in the span becomes zero.  The
-    columns in ``mask`` are pushed in order, each nonzero one with
-    :func:`_push_normalized`, so the results have one coordinate per
-    dimension left: when ``columns`` span their space, the length of
-    each is the contraction's rank.
+    These are the points of the contraction by ``mask``, in order, and
+    the second value is its rank.  The points in ``mask``
+    (:meth:`LinearCode._points`) are pushed in order, each nonzero one
+    with :func:`_push`.  A GF(2^m) column is scaled to a leading 1 and
+    keeps one coordinate per dimension left, so the length of each is
+    the rank, and a column in the span becomes a zero tuple of that
+    length.  A Moore code's
+    points are m-bit ints, 0 in the span; its matroid is the binary one
+    truncated at M, so the rank is M less the number of nonzero pushes,
+    and 0 once they reach M.
     """
-    inside = [_normalized(field, col) for j, col in enumerate(columns) if mask >> j & 1]
-    outside = [
-        _normalized(field, col) for j, col in enumerate(columns) if not mask >> j & 1
+    field = code.field
+    points = [
+        point if type(point) is int else _normalized(field, point)
+        for point in code._points()
     ]
-    residues = inside + outside
-    dim = len(columns[0]) if columns else 0
-    for k in range(len(inside)):
+    residues = [point for j, point in enumerate(points) if mask >> j & 1]
+    inside = len(residues)
+    residues += [point for j, point in enumerate(points) if not mask >> j & 1]
+    pushes = 0
+    for k in range(inside):
         pivot = residues[k]
-        if pivot is not None:
-            residues[k + 1:] = _push_normalized(field, residues[k + 1:], pivot)
-            dim -= 1
-    zero = (0,) * dim
-    return [res or zero for res in residues[len(inside):]]
+        if pivot:
+            residues[k + 1:] = _push(field, residues[k + 1:], pivot)
+            pushes += 1
+    rank = max(code.M - pushes, 0)
+    zero = (0,) * rank
+    return [zero if res is None else res for res in residues[inside:]], rank
 
 
 def _echelon(code: LinearCode) -> tuple[list[list[int]], list[int]]:
@@ -810,7 +897,7 @@ def _phi_walk(
             best = hyperplane()
         else:
             best, _ = _largest_flat(
-                code.field, code.columns, t, best + 1, limit=x_max + t
+                code.field, code._points(), t, best + 1, limit=x_max + t
             )
         while len(out) < x_max and best - t > len(out):
             out.append(len(out) + 1 + t)
@@ -842,12 +929,19 @@ class _RankHierarchy:
     the largest flat of rank M-1, searched from the first M-1 columns
     as incumbent; when M = n every coordinate is a coloop and d = 1.
 
+    Each side searches its code's points (:meth:`LinearCode._points`):
+    a Moore generator, such as a square code's, its binary points, at
+    ranks below M where its flats are the binary matroid's.  An H of
+    rank 2 or more has the column (1, 0, ..., 0), which is no Frobenius
+    orbit, so the parity side searches GF(2^m) points.
+
     A witness chain is one continuation test away, on the generator
     side whichever side gave the values.  Adding circuits to a union W
     raises its nullity by at least one each, and the fundamental
     circuits of k elements outside a basis give back any gain of k, so
     the smallest union k more sets can reach from W is |W| + phi of the
-    contraction by W at k: the columns outside W modulo the span of W's.
+    contraction by W at k: the columns outside W modulo the span of W's
+    (:func:`_contraction`), binary points for a Moore code.
     """
 
     def __init__(self, code: LinearCode):
@@ -866,7 +960,7 @@ class _RankHierarchy:
                 self._d = 1
             else:
                 size, _ = _largest_flat(
-                    code.field, code.columns, M - 1, M - 1, (1 << (M - 1)) - 1
+                    code.field, code._points(), M - 1, M - 1, (1 << (M - 1)) - 1
                 )
                 self._d = n - size
         return self._d
@@ -890,7 +984,9 @@ class _RankHierarchy:
             if self._d is not None and t < self._d - 1:
                 best = t
             else:
-                best, _ = _largest_flat(dual.field, dual.columns, t, t, limit=best - 1)
+                best, _ = _largest_flat(
+                    dual.field, dual._points(), t, t, limit=best - 1
+                )
             out.append(n - best)
         return out
 
@@ -910,12 +1006,10 @@ class _RankHierarchy:
         t = goal - grown.bit_count() - k
         if k == 0 or t < 0:
             return t >= 0
-        code = self.code
-        columns = _contraction(code.field, code.columns, grown)
-        rank = len(columns[0]) if columns else 0
+        points, rank = _contraction(self.code, grown)
         if t >= rank:
-            return len(columns) - rank >= k
-        found, _ = _largest_flat(code.field, columns, t, k + t - 1, limit=k + t)
+            return len(points) - rank >= k
+        found, _ = _largest_flat(self.code.field, points, t, k + t - 1, limit=k + t)
         return found >= k + t
 
 

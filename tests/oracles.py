@@ -404,6 +404,51 @@ def gf2_rank(vectors) -> int:
     return len(pivots)
 
 
+def gf2_coset(span, v: int) -> int:
+    """v's one representative modulo the GF(2)-span of int bit-vectors.
+
+    An echelon of the span has one vector per leading bit, and v is
+    reduced by each in falling order of those bits, so the result has
+    none of them set: two vectors get the same result exactly when their
+    difference lies in the span.
+    """
+    pivots: dict[int, int] = {}
+    for w in span:
+        while w:
+            lead = w.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = w
+                break
+            w ^= pivots[lead]
+    for lead in sorted(pivots, reverse=True):
+        if v >> lead & 1:
+            v ^= pivots[lead]
+    return v
+
+
+@lru_cache(maxsize=None)
+def _warm_field(degree: int, modulus: int) -> GF2m:
+    return spend_allowance(GF2m(degree, modulus))
+
+
+def scaled_copy(code: LinearCode, rng: Random) -> LinearCode:
+    """``code`` with each column scaled by a random element other than 0 and 1.
+
+    Scaling keeps the column matroid, and with it every answer, but a
+    nonzero column scaled by c != 1 is no Frobenius orbit: the copy of a
+    Moore code, such as a square code, is none and runs the GF(2^m)
+    engines.  The products are made on a field of their own, with
+    tables, and the copy gets a fresh field, as cold as a loaded code's.
+    """
+    field = code.field
+    mul = _warm_field(field.degree, field.modulus).mul
+    columns = []
+    for col in code.columns:
+        scale = rng.randrange(2, field.order)
+        columns.append([mul(scale, x) for x in col])
+    return LinearCode(GF2m(field.degree, field.modulus), code.n, code.M, columns)
+
+
 def random_admissible_grid_subset(rng: Random, r: int, M: int) -> set[int]:
     """A coordinate set meeting the structural rank-check hypotheses.
 

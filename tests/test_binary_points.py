@@ -1,0 +1,263 @@
+"""Moore codes search their binary matroid: same matroid, same search.
+
+A column (x, x^2, x^4, ..., x^(2^(M-1))) is a row of a Moore matrix, so
+a Moore code's column matroid is the binary matroid of its first-row
+entries, truncated at rank M, and the exact engines search those m-bit
+ints (``LinearCode._points``).  Scaling each column by a nonzero
+element keeps the matroid and ends the Moore form, so a scaled copy
+runs the same searches on GF(2^m) points.  Both must give the same
+answers from the same depth-first search.
+"""
+
+from __future__ import annotations
+
+from functools import lru_cache
+from itertools import combinations
+from random import Random
+
+import pytest
+
+from locrep import DomainError, GF2m, LinearCode, build_square_code, min_distance
+from locrep import linear_code
+from locrep.linear_code import _circuits, _contraction, _largest_flat
+from locrep.regsets import phi_profile
+
+from oracles import (
+    gf2_rank,
+    largest_flat,
+    naive_min_distance,
+    nullity_phi,
+    reference_circuits,
+    scaled_copy,
+)
+
+
+def _moore(field: GF2m, betas, M: int) -> LinearCode:
+    """The code whose column j is the Frobenius orbit of betas[j]."""
+    columns = []
+    for x in betas:
+        col = [x]
+        for _ in range(M - 1):
+            col.append(field.frobenius(col[-1], 1))
+        columns.append(col)
+    return LinearCode(field, len(columns), M, columns)
+
+
+def _scaled(code: LinearCode, rng: Random) -> LinearCode:
+    """A scaled copy of a Moore code, which is none."""
+    copy = scaled_copy(code, rng)
+    assert copy._points() is copy.columns
+    return copy
+
+
+def _fresh(code: LinearCode) -> LinearCode:
+    """The same columns on a cold field, with an empty rank cache."""
+    field = code.field
+    return LinearCode(GF2m(field.degree, field.modulus), code.n, code.M, code.columns)
+
+
+def _planted_betas(rng: Random, m: int, n: int, M: int) -> list[int]:
+    """n entries of GF(2^m) of GF(2)-rank at least M, with planted relations.
+
+    Zero cells, repeated entries (parallel classes) and entries that
+    are the XOR of two or three others, shuffled.
+    """
+    while True:
+        betas = [rng.getrandbits(m) for _ in range(M)]
+        while len(betas) < n:
+            kind = rng.random()
+            if kind < 0.12:
+                betas.append(0)
+            elif kind < 0.4:
+                betas.append(rng.choice(betas))
+            elif kind < 0.75:
+                x = 0
+                for beta in rng.sample(betas, min(len(betas), rng.choice([2, 3]))):
+                    x ^= beta
+                betas.append(x)
+            else:
+                betas.append(rng.getrandbits(m))
+        rng.shuffle(betas)
+        if gf2_rank(betas) >= M:
+            return betas
+
+
+def _random_moore_codes() -> list[LinearCode]:
+    """Moore codes over GF(2^9), a cold GF(2^16) and GF(2^17), n <= 12."""
+    rng = Random(191)
+    codes = []
+    for degree in (9, 16, 17):
+        for trial in range(6):
+            M = 2 + trial % 4
+            n = rng.randrange(M + 2, 13)
+            codes.append(_moore(GF2m(degree), _planted_betas(rng, degree, n, M), M))
+    return codes
+
+
+def _square_codes() -> list[LinearCode]:
+    return [
+        build_square_code(r, M).code
+        for r, Ms in ((2, (3, 4)), (3, range(4, 10)), (4, (5,)))
+        for M in Ms
+    ]
+
+
+def test_the_random_moore_codes_plant_every_relation():
+    # zero cells, parallel classes and entries in the span of others
+    planted = [code._points() for code in _random_moore_codes()]
+    assert all(type(x) is int for betas in planted for x in betas)
+    assert sum(0 in betas for betas in planted) >= 3
+    nonzero = [[x for x in betas if x] for betas in planted]
+    assert sum(len(set(xs)) < len(xs) for xs in nonzero) >= 3
+    assert sum(gf2_rank(xs) < len(set(xs)) for xs in nonzero) >= 3
+
+
+@lru_cache(maxsize=None)
+def _pairs() -> list:
+    """Each Moore code, cold, with a scaled copy; ids for the parametrization."""
+    rng = Random(193)
+    codes = _square_codes() + _random_moore_codes()
+    return [
+        pytest.param(_fresh(code), _scaled(code, rng),
+                     id=f"m{code.field.degree}-n{code.n}-M{code.M}-{k}")
+        for k, code in enumerate(codes)
+    ]
+
+
+def _traced(monkeypatch, search):
+    """search()'s answer and every _count call it made: (flat, line masks)."""
+    calls = []
+    count = linear_code._FlatSearch._count
+
+    def recording(self, flat, lines):
+        calls.append((flat, tuple(lines.values())))
+        return count(self, flat, lines)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linear_code._FlatSearch, "_count", recording)
+        found = search()
+    return found, calls
+
+
+@pytest.mark.parametrize("moore, copy", _pairs())
+def test_the_binary_flat_search_is_the_tuple_flat_search(monkeypatch, moore, copy):
+    # every rank below M, with and without an incumbent and a limit: the
+    # same (size, mask) and the same _count calls on the same lines.
+    # Past 12 columns, only the limits around the largest size
+    assert moore._points() == tuple(col[0] for col in moore.columns)
+    n, M = moore.n, moore.M
+
+    def both(rank, *args, **kwargs):
+        ours = _traced(monkeypatch, lambda: _largest_flat(
+            moore.field, moore._points(), rank, *args, **kwargs))
+        theirs = _traced(monkeypatch, lambda: _largest_flat(
+            copy.field, copy.columns, rank, *args, **kwargs))
+        assert ours == theirs, (moore.columns, rank, args, kwargs)
+        return ours[0]
+
+    for rank in range(M):
+        size, _ = both(rank, 0)
+        both(rank, M - 1, (1 << (M - 1)) - 1)
+        both(rank, size - 1, 5)
+        limits = range(1, n + 2) if n <= 12 else (1, size - 1, size, size + 1)
+        for limit in limits:
+            both(rank, 0, limit=limit)
+    # no log table, however long the search
+    assert moore.field._exp is None
+
+
+@pytest.mark.parametrize("moore, copy", _pairs())
+def test_the_binary_circuit_scan_is_the_tuple_circuit_scan(moore, copy):
+    # the same circuits and the same rank caches at every cap
+    for cap in range(1, moore.M + 2):
+        ours, theirs = _fresh(moore), _fresh(copy)
+        assert _circuits(ours, cap) == _circuits(theirs, cap), cap
+        assert ours._rank_cache == theirs._rank_cache, cap
+        assert ours.field._exp is None
+
+
+@pytest.mark.parametrize("moore, copy", _pairs())
+def test_the_binary_answers_are_the_tuple_answers(moore, copy):
+    # the distance on its own, and the exact profile whose witness walk
+    # runs the contraction searches; the high-rate codes take d and the
+    # values from the parity-check code, which is not a Moore code
+    n, M = moore.n, moore.M
+    if n > 16 and M < 8:
+        # r = 4, M = 5: the hyperplane only, as the benchmark asks it
+        assert min_distance(moore, 25) == min_distance(copy, 25)
+        return
+    d = min_distance(_fresh(moore))
+    assert d == min_distance(_fresh(copy))
+    ours, theirs = phi_profile(_fresh(moore)), phi_profile(_fresh(copy))
+    assert ours == theirs
+    if n <= 10:
+        # the oracles multiply, so they run on a field of their own
+        oracle = _fresh(moore)
+        assert d == naive_min_distance(oracle)[0]
+        assert ours.phi[1:] == tuple(
+            nullity_phi(oracle, x) for x in range(1, len(ours.phi)))
+
+
+def test_a_code_one_late_entry_away_from_moore_runs_the_tuple_engines():
+    # one entry of a late row changed: the first rows are still Frobenius
+    # orbits, but the code is no Moore code, and its answers come from the
+    # GF(2^m) engines and equal the brute-force oracles
+    rng = Random(197)
+    small = [code for code in _random_moore_codes() if code.n <= 9]
+    squares = [build_square_code(2, M).code for M in (3, 4)]
+    for code in [*squares, *small[:4]]:
+        field, n, M = code.field, code.n, code.M
+        while True:
+            columns = [list(col) for col in code.columns]
+            j = rng.randrange(n)
+            columns[j][M - 1] ^= 1 << rng.randrange(field.degree)
+            try:
+                tampered = LinearCode(field, n, M, columns)
+            except DomainError:
+                # the change cost the generator its full rank
+                continue
+            break
+        assert tampered._points() is tampered.columns
+        assert min_distance(tampered) == naive_min_distance(tampered)[0]
+        for rank in range(M):
+            size, members = largest_flat(tampered, rank)
+            mask = sum(1 << (i - 1) for i in members)
+            assert _largest_flat(field, tampered._points(), rank, 0) == (size, mask)
+        for cap in range(1, M + 2):
+            ours, reference = _fresh(tampered), _fresh(tampered)
+            assert _circuits(ours, cap) == reference_circuits(reference, cap)
+            assert ours._rank_cache == reference._rank_cache
+        profile = phi_profile(_fresh(tampered))
+        assert profile.phi[1:] == tuple(
+            nullity_phi(tampered, x) for x in range(1, len(profile.phi)))
+
+
+def test_the_binary_contraction_is_the_truncated_binary_quotient():
+    # each point outside W is congruent to its entry modulo the span of
+    # W's entries, two are equal exactly when their entries are, modulo
+    # that span, and the rank is M less W's GF(2)-rank, at least 0
+    rng = Random(199)
+    for code in [build_square_code(3, 5).code, *_random_moore_codes()]:
+        betas = code._points()
+        for _ in range(20):
+            mask = rng.getrandbits(code.n)
+            inside = [b for j, b in enumerate(betas) if mask >> j & 1]
+            outside = [b for j, b in enumerate(betas) if not mask >> j & 1]
+            points, rank = _contraction(code, mask)
+            span = gf2_rank(inside)
+            assert rank == max(code.M - span, 0)
+            assert len(points) == len(outside)
+            for point, beta in zip(points, outside):
+                assert gf2_rank(inside + [point ^ beta]) == span
+            for (p, a), (q, b) in combinations(zip(points, outside), 2):
+                assert (p == q) == (gf2_rank(inside + [a ^ b]) == span)
+            # the contraction's ranks are the code's, over W
+            W = [j + 1 for j in range(code.n) if mask >> j & 1]
+            rest = [j + 1 for j in range(code.n) if not mask >> j & 1]
+            for k in range(len(rest)):
+                S = rng.sample(range(len(rest)), rng.randrange(len(rest) + 1))
+                got = min(rank, gf2_rank([points[i] for i in S]))
+                expected = code._rank(
+                    sum(1 << (i - 1) for i in W + [rest[s] for s in S])
+                ) - code._rank(mask)
+                assert got == expected, (code.columns, mask, S)

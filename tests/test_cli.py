@@ -8,6 +8,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -21,8 +22,9 @@ from locrep import (
 )
 from locrep.cli import main
 from locrep.linear_code import dumps, loads
+from locrep.regsets import phi_profile
 from locrep.square import SquareCode
-from oracles import mismatched_square_files, repetition_code, square_phi
+from oracles import mismatched_square_files, repetition_code, scaled_copy, square_phi
 
 # Frozen bytes of the CLI from before the one-verb parser, on one Python
 FROZEN = json.loads((Path(__file__).parent / "cli_bytes.json").read_text())
@@ -195,6 +197,35 @@ def test_verify_optimal_square(capsys, code_file):
     assert rc == 0
     payload = json.loads(out)
     assert payload == {"expected_d": 6, "ok": True}
+
+
+def test_a_cold_r4_square_file_fills_no_log_tables(capsys, tmp_path, monkeypatch):
+    # a square code is a Moore code, so distance, verify --optimal-square
+    # and phi search its binary points, and none fills the 2^16-entry
+    # tables of its GF(2^16).  A column-scaled copy, no Moore code, gives
+    # the same profile on the GF(2^m) engines, and they fill them
+    path = tmp_path / "square_r4_M5.json"
+    rc, _, err = _run(capsys, "build", "--family", "square", "--r", "4", "--M", "5",
+                      "-o", str(path))
+    assert rc == 0, err
+    fills = []
+    build_tables = GF2m._build_tables
+
+    def recording(field):
+        fills.append(field)
+        return build_tables(field)
+
+    monkeypatch.setattr(GF2m, "_build_tables", recording)
+    monkeypatch.setenv(cli.SEARCH_CAP_ENV, "25")
+    assert _run_json(capsys, "distance", str(path)) == {"d": 20}
+    assert _run_json(capsys, "verify", str(path), "--optimal-square") == {
+        "expected_d": 20, "ok": True}
+    profile = _run_json(capsys, "phi", str(path), "--x-max", "2")
+    assert fills == []
+    code, metadata = loads(path.read_text())
+    copy = scaled_copy(code, Random(7))
+    assert phi_profile(copy, 2, size_cap=5, search_cap=25).to_json_dict() == profile
+    assert fills
 
 
 def test_verify_optimal_square_needs_metadata(capsys, tmp_path, code_file):

@@ -45,6 +45,8 @@ from locrep.regsets import phi_profile, rho
 from oracles import (
     codeword_min_weight,
     contraction,
+    gf2_coset,
+    gf2_rank,
     largest_flat,
     mismatched_square_files,
     naive_min_distance,
@@ -54,6 +56,7 @@ from oracles import (
     reference_circuits,
     reference_dual,
     repetition_code,
+    scaled_copy,
     single_parity_code,
     spend_allowance,
     square_distance,
@@ -268,10 +271,12 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
             assert found == size
 
 
-# per distance search: the flat search's pushes through _push_normalized
-# (calls, points written), its 4-coordinate pushes through _plane_points
-# (calls, points written), its plane pivots through _plane_lines (calls,
-# points keyed) and the last level's counts (calls, columns keyed)
+# per distance search on the GF(2^m) engine, run on a column-scaled copy
+# of the square code, which is no Moore code: the flat search's pushes
+# through _push_normalized (calls, points written), its 4-coordinate
+# pushes through _plane_points (calls, points written), its plane pivots
+# through _plane_lines (calls, points keyed) and the last level's counts
+# (calls, columns keyed)
 _PINNED_WORK = {
     (3, 7): {"push": (161, 1317), "plane_points": (302, 1818),
              "plane_lines": (625, 2865), "last": (625, 3015)},
@@ -281,13 +286,25 @@ _PINNED_WORK = {
              "plane_lines": (1540, 11935), "last": (1540, 11935)},
 }
 
+# the binary engine's pushes through _push_binary (calls, points
+# written) on the square codes themselves, which are Moore codes.  It is
+# the same search: one push wherever the GF(2^m) engine makes one of
+# its three, and the last level counts the same lines
+_PINNED_BINARY_PUSHES = {(3, 7): (1088, 6000), (4, 5): (1770, 14395)}
+
 
 def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
-    """min_distance(code) and the flat search work it does, as _PINNED_WORK counts it."""
-    seen: dict = {"push": [], "plane_points": [], "plane_lines": [], "last": []}
+    """min_distance(code) and the flat search work it does, as _PINNED_WORK counts it.
+
+    Pushes through _push_binary are counted as "binary".
+    """
+    seen: dict = {
+        "push": [], "plane_points": [], "plane_lines": [], "binary": [], "last": []
+    }
     push = linear_code._push_normalized
     plane_points = linear_code._plane_points
     plane_lines = linear_code._plane_lines
+    push_binary = linear_code._push_binary
     count = linear_code._FlatSearch._count
 
     def counting_push(*args):
@@ -305,6 +322,11 @@ def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
         seen["plane_lines"].append(len(items))
         return plane_lines(field, pivot, items)
 
+    def counting_push_binary(*args):
+        out = push_binary(*args)
+        seen["binary"].append(len(out))
+        return out
+
     def counting_last(self, flat, lines):
         seen["last"].append(sum(line.bit_count() for line in lines.values()))
         return count(self, flat, lines)
@@ -313,6 +335,7 @@ def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
         patch.setattr(linear_code, "_push_normalized", counting_push)
         patch.setattr(linear_code, "_plane_points", counting_plane_points)
         patch.setattr(linear_code, "_plane_lines", counting_plane_lines)
+        patch.setattr(linear_code, "_push_binary", counting_push_binary)
         patch.setattr(linear_code._FlatSearch, "_count", counting_last)
         d = min_distance(code, code.n)
     return d, {name: (len(sizes), sum(sizes)) for name, sizes in seen.items()}
@@ -324,11 +347,35 @@ def test_flat_search_work_is_pinned(monkeypatch, r, M):
     # push that writes a class below its pivot, or one parallel to it,
     # or a last push of a class an earlier push at the same flat closed
     # over, reads more.  r = 3, M = 8 is searched on the dual side,
-    # below its hyperplane rank, so it makes no plane push
+    # below its hyperplane rank, so it makes no plane push.  Scaling
+    # changes no point, so the copy's work is the square code's on this
+    # engine
+    code = scaled_copy(build_square_code(r, M).code, Random(10 * r + M))
+    assert code._points() is code.columns
+    d, work = _distance_work(monkeypatch, code)
+    assert d == bound_square(code.n, M, r)
+    assert work == {**_PINNED_WORK[r, M], "binary": (0, 0)}
+
+
+@pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
+def test_binary_flat_search_work_is_pinned(monkeypatch, r, M):
+    # a square code on the generator side pushes only binary points, and
+    # its last level counts the same lines as the GF(2^m) engine's.  r =
+    # 3, M = 8 is searched on the dual side, whose parity-check code is
+    # no Moore code: the GF(2^m) work, unchanged
     code = build_square_code(r, M).code
     d, work = _distance_work(monkeypatch, code)
     assert d == bound_square(code.n, M, r)
-    assert work == _PINNED_WORK[r, M]
+    if (r, M) not in _PINNED_BINARY_PUSHES:
+        assert work == {**_PINNED_WORK[r, M], "binary": (0, 0)}
+        return
+    assert work == {
+        "push": (0, 0), "plane_points": (0, 0), "plane_lines": (0, 0),
+        "binary": _PINNED_BINARY_PUSHES[r, M], "last": _PINNED_WORK[r, M]["last"],
+    }
+    kernels = ("push", "plane_points", "plane_lines")
+    tuple_work = [_PINNED_WORK[r, M][name] for name in kernels]
+    assert work["binary"] == tuple(map(sum, zip(*tuple_work)))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -337,10 +384,12 @@ def test_scaled_copies_add_no_push(monkeypatch, r, M, k):
     # every column k times, the copies scaled: each parallel class enters
     # the search as one weighted column, so the search makes the same
     # pushes of the same sizes and keys k times the columns.  Every
-    # codeword's weight is k times, and so is d
-    code = build_square_code(r, M).code
-    field = code.field
+    # codeword's weight is k times, and so is d.  The base is itself a
+    # column-scaled copy of the square code, so both run the GF(2^m)
+    # engine
     rng = Random(179 * k + 10 * r + M)
+    code = scaled_copy(build_square_code(r, M).code, rng)
+    field = code.field
     columns = list(code.columns)
     for _ in range(k - 1):
         for col in code.columns:
@@ -353,6 +402,7 @@ def test_scaled_copies_add_no_push(monkeypatch, r, M, k):
     assert work_copies["push"] == work["push"]
     assert work_copies["plane_points"] == work["plane_points"]
     assert work_copies["plane_lines"] == work["plane_lines"]
+    assert work["binary"] == work_copies["binary"] == (0, 0)
     calls, keyed = work["last"]
     assert work_copies["last"] == (calls, k * keyed)
 
@@ -565,15 +615,22 @@ def test_contraction_ranks_are_ranks_over_the_contracted_set():
             W = [i for i in range(1, n + 1) if rng.random() < 0.4]
             mask = sum(1 << (i - 1) for i in W)
             rest = [i for i in range(1, n + 1) if i not in W]
-            columns = _contraction(field, code.columns, mask)
+            columns, rank = _contraction(code, mask)
             assert len(columns) == len(rest)
-            rank = code.M - subset_rank(code, W)
-            assert all(len(col) == rank for col in columns)
+            assert rank == code.M - subset_rank(code, W)
+            # a Moore code's points are ints, and its matroid is the
+            # binary one truncated at the rank
+            binary = code._points() is not code.columns
+            assert binary or all(len(col) == rank for col in columns)
             for size in range(len(rest) + 1):
                 for S in combinations(range(len(rest)), size):
                     expected = (subset_rank(code, W + [rest[k] for k in S])
                                 - subset_rank(code, W))
-                    got = matrix_rank(field, rank, [columns[k] for k in S]) if rank else 0
+                    chosen = [columns[k] for k in S]
+                    if binary:
+                        got = min(rank, gf2_rank(chosen))
+                    else:
+                        got = matrix_rank(field, rank, chosen) if rank else 0
                     assert got == expected, (code.columns, W, S)
 
 
@@ -588,10 +645,23 @@ def test_contraction_agrees_with_the_plain_elimination(degree):
         n = rng.randrange(M, 12)
         code = _cornered_code(rng, field, n, M)
         mask = rng.getrandbits(n)
-        expected = contraction(field, code.columns, mask)
-        got = _contraction(field, code.columns, mask)
-        assert got == [projective_point(field, col) or col for col in expected], (
-            code.columns, mask)
+        got, rank = _contraction(code, mask)
+        betas = code._points()
+        if betas is code.columns:
+            expected = contraction(field, code.columns, mask)
+            assert got == [projective_point(field, col) or col for col in expected], (
+                code.columns, mask)
+            assert rank == (len(expected[0]) if expected else code.M - subset_rank(
+                code, [j + 1 for j in range(n) if mask >> j & 1]))
+            continue
+        # a Moore code (here M = 1): each point is its entry's coset's one
+        # representative modulo the span of the entries in the mask
+        inside = [b for j, b in enumerate(betas) if mask >> j & 1]
+        outside = [b for j, b in enumerate(betas) if not mask >> j & 1]
+        cosets = [gf2_coset(inside, b) for b in outside]
+        assert [gf2_coset(inside, p) for p in got] == cosets, (code.columns, mask)
+        assert len(set(got)) == len(set(cosets))
+        assert rank == max(M - gf2_rank(inside), 0)
 
 
 def test_circuit_generator_stops_ranking_when_the_caller_stops():
@@ -747,11 +817,21 @@ def test_a_cold_dual_distance_makes_no_tables():
 
 
 def test_a_cold_primal_distance_fills_the_tables():
-    # r = 4, M = 5's hyperplane search multiplies thousands of times, so
-    # the allowance runs out early and the search finishes on tables
-    code = build_square_code(4, 5).code
+    # on the GF(2^m) engine, r = 4, M = 5's hyperplane search multiplies
+    # thousands of times, so the allowance runs out early and the search
+    # finishes on tables.  A column-scaled copy is no Moore code, so it
+    # runs that engine, on a cold field of its own
+    code = scaled_copy(build_square_code(4, 5).code, Random(5))
+    assert code.field._exp is None
     assert min_distance(code, 25) == bound_square(code.n, 5, 4)
     assert code.field._exp is not None
+
+
+def test_a_cold_moore_distance_makes_no_tables():
+    # the square code itself searches its binary points, with no product
+    code = build_square_code(4, 5).code
+    assert min_distance(code, 25) == bound_square(code.n, 5, 4)
+    assert code.field._exp is None
 
 
 def test_a_flat_search_that_fills_the_tables_part_way():

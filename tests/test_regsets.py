@@ -48,6 +48,7 @@ from oracles import (
     codeword_min_weight,
     contraction,
     exhaustive_phi,
+    gf2_coset,
     locality_holds,
     nullity_phi,
     oracle_codes,
@@ -57,6 +58,7 @@ from oracles import (
     reference_circuits,
     repetition_code,
     rho_from_phi,
+    scaled_copy,
     single_parity_code,
     square_distance,
     square_oracle_applies,
@@ -609,29 +611,49 @@ def _check_synced_residues(code, masks, expected) -> None:
 
     Every residue above the pushed columns is the column's normalized
     image in the contraction by them (``oracles.contraction``'s plain
-    elimination), and the span test, a nonzero residue other than the
-    top's, holds exactly when the column raises the rank of the mask.
-    ``expected`` caches the contractions, keyed by prefix.
+    elimination).  A Moore code's residues are ints instead: each is
+    its entry's coset's one representative modulo the span of the
+    pushed columns' entries, so its coset is the entry's, and two are
+    equal exactly when their cosets are.  The span test, a nonzero
+    residue other than the top's, holds exactly when the column raises
+    the rank of the mask; on a Moore code, whose matroid is the binary
+    one truncated at M, only while that rank is below M, as it is at
+    every base the circuit scan syncs.  ``expected`` caches the
+    contractions, or the cosets, keyed by prefix.
     """
     field, n = code.field, code.n
     ranks = LinearCode(field, n, code.M, code.columns)
+    betas = code._points()
+    binary = betas is not code.columns
     residues = _Residues(code)
     for mask in masks:
         residues.sync(mask)
         top = mask.bit_length() - 1
         prefix = mask ^ (1 << top) if mask else 0
         low = prefix.bit_length()
-        if prefix not in expected:
-            contracted = contraction(field, code.columns, prefix)
-            skipped = prefix.bit_count()
-            expected[prefix] = [
-                projective_point(field, contracted[j - skipped]) for j in range(low, n)
-            ]
-        assert residues.residues[low:] == expected[prefix], (code, mask)
+        got = residues.residues[low:]
+        if binary:
+            pushed = [b for j, b in enumerate(betas) if prefix >> j & 1]
+            if prefix not in expected:
+                expected[prefix] = [gf2_coset(pushed, b) for b in betas[low:]]
+            assert [gf2_coset(pushed, res) for res in got] == expected[prefix], (
+                code, mask)
+            assert len(set(got)) == len(set(expected[prefix])), (code, mask)
+        else:
+            if prefix not in expected:
+                contracted = contraction(field, code.columns, prefix)
+                skipped = prefix.bit_count()
+                expected[prefix] = [
+                    projective_point(field, contracted[j - skipped])
+                    for j in range(low, n)
+                ]
+            assert got == expected[prefix], (code, mask)
         rank = ranks._rank(mask)
+        if binary and rank == code.M:
+            continue
         for j in range(low, n):
             res = residues.residues[j]
-            outside = res is not None and res != residues.top
+            outside = bool(res) and res != residues.top
             assert outside == (ranks._rank(mask | 1 << j) > rank), (code, mask, j)
 
 
@@ -665,11 +687,14 @@ def test_residue_pushes_match_the_row_major_quotient():
         for code in [*_scan_test_codes(), *_sparse_codes(rng)]
     ]
     for M in range(4, 10):
+        # the square code pushes binary points, and a column-scaled copy,
+        # no Moore code, GF(2^m) ones
         code = build_square_code(3, M).code
         # every base of a cap-4 scan, and some deeper stacks
         small = [mask for mask in range(1 << code.n) if mask.bit_count() <= 3]
         deep = [rng.getrandbits(code.n) for _ in range(60)]
         codes.append((code, sorted({*small, *deep})))
+        codes.append((scaled_copy(code, rng), sorted({*small, *deep})))
     for code, masks in codes:
         expected: dict = {}
         shuffled = list(masks)
