@@ -22,23 +22,26 @@ over flats for the largest flat of a given rank, and the contraction
 behind exact witnesses.  That one flat search gives the generator's
 largest hyperplane, and one ascending walk of it over the ranks
 (:func:`_phi_walk`) gives both the parity-check code's smallest
-circuit, its phi(1), and the generator's exact phi.  Each scan keeps,
-for each column, its point in the quotient by the current span, or a
-zero for the zero residue; two nonzero residues are dependent exactly
-when their points are equal, so a span test, or the test of which
-columns a push closes over, is one comparison.
+circuit, its phi(1), and the generator's exact phi.  A column becomes
+a point once per code, in :meth:`LinearCode._points`, and every scan
+takes the points as they are.  Each scan keeps, for each column, its
+point in the quotient by the current span, or a zero for the zero
+residue; two nonzero residues are dependent exactly when their points
+are equal, so a span test, or the test of which columns a push closes
+over, is one comparison.
 
 A code whose every column is (x, x^2, x^4, ..., x^(2^(M-1))) of its
 first entry, as a square code's are, is a Moore code: by Moore's
 determinant its column matroid is the binary matroid of the m-bit first
-entries, truncated at rank M (:meth:`LinearCode._points`).  Its scans
-work on those entries as GF(2) vectors, below rank M where the two
-matroids agree.  A point is an int and needs no scaling, and a push,
+entries, truncated at rank M.  Its points are those entries, GF(2)
+vectors, and its scans work below rank M, where the two matroids agree.
+A point is an int and needs no scaling, and a push,
 :func:`_push_binary`, XORs the pivot into each point that holds its
 lowest set bit: no field product and no log table.
 
-Every other code is scanned in GF(2^m), on residues scaled to a leading
-1, points of projective space.  Pushing a column is one elimination
+Every other code's points are its columns scaled to a leading 1, points
+of projective space, and its scans keep their residues in that form, in
+GF(2^m).  Pushing a column is one elimination
 step in the log domain, :func:`_push_normalized`: one table lookup per
 coordinate (a multiplication where the field has no log tables yet)
 where the packed images would need m XOR passes, and a plain XOR for a
@@ -120,12 +123,12 @@ class LinearCode:
 
     The generator must have full rank M (otherwise the n coordinates
     would not determine an M-symbol file).  Instances are immutable;
-    entropy queries are cached per coordinate subset, and whether the
-    code is a Moore code, whose exact engines search binary points, is
-    tested once, on first use (:meth:`_points`).
+    entropy queries are cached per coordinate subset, and the points
+    the exact engines search, binary ones for a Moore code, are made
+    once, on first use (:meth:`_points`).
     """
 
-    __slots__ = ("field", "n", "M", "columns", "_packed", "_rank_cache", "_moore")
+    __slots__ = ("field", "n", "M", "columns", "_packed", "_rank_cache", "_point_cache")
 
     def __init__(
         self, field: gf2m.GF2m, n: int, M: int, columns: Sequence[Sequence[int]]
@@ -151,9 +154,8 @@ class LinearCode:
             tuple(_images(field, _pack(field.degree, col), M)) for col in cols
         ))
         object.__setattr__(self, "_rank_cache", {0: 0})
-        # the binary points, () when the code is not a Moore code, None
-        # until first asked
-        object.__setattr__(self, "_moore", None)
+        # the points, None until first asked
+        object.__setattr__(self, "_point_cache", None)
         if self._rank((1 << n) - 1) != M:
             raise DomainError("generator columns must have full rank M")
 
@@ -204,8 +206,8 @@ class LinearCode:
         self._rank_cache[mask] = rank
         return rank
 
-    def _points(self) -> Sequence:
-        """The columns as the exact engines take them.
+    def _points(self) -> tuple:
+        """The columns as the exact engines take them, made once per code.
 
         The code is a Moore code when every column is (x, x^2, x^4, ...,
         x^(2^(M-1))) of its first entry x.  Its columns are then the rows
@@ -213,19 +215,21 @@ class LinearCode:
         rank min(M, the GF(2)-rank of their first entries): the column
         matroid is the binary matroid of the m-bit first entries,
         truncated at rank M.  For such a code the points are those
-        entries, as ints; otherwise they are the columns themselves.
-        The test is made on the first call, with at most n(M-1)
-        squarings, which need no tables, and kept.
+        entries, as ints, 0 for a zero column.  Otherwise each column is
+        scaled to a leading 1 (:func:`_normalized`), a point of
+        projective space, or None when it is zero.  The test takes at
+        most n(M-1) squarings, which need no tables; both are made on
+        the first call and kept.
         """
-        points = self._moore
+        points = self._point_cache
         if points is None:
             square = self.field._square
-            moore = all(
-                square(x) == y for col in self.columns for x, y in zip(col, col[1:])
-            )
-            points = tuple(col[0] for col in self.columns) if moore else ()
-            object.__setattr__(self, "_moore", points)
-        return points or self.columns
+            if all(square(x) == y for col in self.columns for x, y in zip(col, col[1:])):
+                points = tuple(col[0] for col in self.columns)
+            else:
+                points = tuple(_normalized(self.field, col) for col in self.columns)
+            object.__setattr__(self, "_point_cache", points)
+        return points
 
     def entropy(self, members: Iterable[int]) -> int:
         """Joint entropy of a coordinate subset, in 2^m-ary symbols.
@@ -255,10 +259,11 @@ class _Residues:
 
     ``sync(mask)`` pushes every member of the mask but the highest, its
     top column, and keeps, for each column above the last one pushed,
-    its residue in the quotient by the pushed columns' span: an m-bit
-    int for a Moore code (:meth:`LinearCode._points`), otherwise its
-    GF(2^m) coordinates scaled to a leading 1.  A zero residue is 0 or
-    None.  Two nonzero residues are dependent exactly when they are
+    its residue in the quotient by the pushed columns' span.  The
+    residues start as the code's points (:meth:`LinearCode._points`),
+    taken as they are: an m-bit int for a Moore code, otherwise GF(2^m)
+    coordinates scaled to a leading 1.  A zero residue is 0 or None.
+    Two nonzero residues are dependent exactly when they are
     equal, so a column j above every pushed one lies outside the span
     of the mask exactly when j's residue is nonzero and differs from
     the top's: one comparison.  On a Moore code, whose matroid is the
@@ -279,10 +284,7 @@ class _Residues:
         self.field = code.field
         # the synced mask's top column's residue
         self.top = None
-        self.residues = [
-            point if type(point) is int else _normalized(self.field, point)
-            for point in code._points()
-        ]
+        self.residues = list(code._points())
         # the pushed columns
         self._prefix = 0
         # (column bit, residues before it), per push
@@ -375,7 +377,8 @@ def _push_normalized(
                 shift = period - log[lead]
                 news.append(tuple([exp[log[x] + shift] if x else 0 for x in new]))
             else:
-                news.append(_normalized(field, new))
+                # zero when old was the pivot
+                news.append(_normalized(field, new) if lead else None)
         else:
             # old leads before p, as every leading entry is 1, and
             # keeps its lead: old - c * pivot
@@ -406,7 +409,7 @@ def _check_search_cap(code: LinearCode, search_cap: Optional[int]) -> None:
 
 def _largest_flat(
     field: gf2m.GF2m,
-    columns: Sequence,
+    points: Sequence,
     rank: int,
     size: int,
     mask: int = 0,
@@ -414,24 +417,23 @@ def _largest_flat(
 ) -> tuple[int, int]:
     """Size and mask of the lex-first largest flat of rank ``rank``.
 
-    ``columns`` are bare GF(2^m) vectors of one length that span a space
-    of dimension greater than ``rank``; a code's generator columns or a
-    contraction's residues both qualify.  They may instead be m-bit
-    ints, GF(2) vectors: a Moore code's points or its contraction's
-    (:meth:`LinearCode._points`), whose flats below rank M are the
-    code's, and ``rank`` is then below M.  ``size`` and ``mask`` are the
-    incumbent: a flat replaces it only when strictly larger, and the
-    incumbent comes back unchanged when none is.  With ``limit`` the
+    ``points`` are GF(2^m) vectors of one length, each scaled to a
+    leading 1 or None when zero, that span a space of dimension greater
+    than ``rank``; a code's points (:meth:`LinearCode._points`) or a
+    contraction's (:func:`_contraction`) both qualify, and are taken as
+    they are.  They may instead be m-bit ints, GF(2) vectors: a Moore
+    code's points or its contraction's, whose flats below rank M are
+    the code's, and ``rank`` is then below M.  ``size`` and ``mask``
+    are the incumbent: a flat replaces it only when strictly larger,
+    and the incumbent comes back unchanged when none is.  With ``limit`` the
     search stops at the first set of at least that many columns that it
     counts.  That set may lie strictly inside a flat (see
     :class:`_FlatSearch`), so the size that comes back reaches
     ``limit`` exactly when some flat does, but it is then only a lower
     bound on the largest; a size below ``limit`` is exact.
 
-    Each GF(2^m) column is scaled to a leading 1 once
-    (:func:`_normalized`), a point of projective space; an int is its
-    own point.  The zero columns are the loops.  The
-    other columns are filed by point once, into parallel classes, each a
+    The zero points are the loops.  The other columns are filed by
+    point once, into parallel classes, each a
     point and a mask of columns; the search handles a class as one
     weighted column.  Rank 0 is the set of loops.  Otherwise every flat
     of rank t is a flat of rank t-1 plus the classes whose residues over
@@ -443,16 +445,15 @@ def _largest_flat(
     # the nonzero columns' parallel classes, in the order of their lowest
     # columns: point -> mask
     classes: dict = {}
-    for j, col in enumerate(columns):
-        point = col if type(col) is int else _normalized(field, col)
+    for j, point in enumerate(points):
         if not point:
             loops |= 1 << j
         else:
             classes[point] = classes.get(point, 0) | 1 << j
     if rank == 0:
         return (loops.bit_count(), loops) if loops.bit_count() > size else (size, mask)
-    search = _FlatSearch(field, size, mask, len(columns) + 1 if limit is None else limit)
-    search.visit(loops, len(columns) - loops.bit_count(), classes, rank)
+    search = _FlatSearch(field, size, mask, len(points) + 1 if limit is None else limit)
+    search.visit(loops, len(points) - loops.bit_count(), classes, rank)
     return search.size, search.mask
 
 
@@ -555,9 +556,11 @@ class _FlatSearch:
     outside the flat, the residue of its columns in the quotient by the
     flat's span: an m-bit int for a Moore code's binary points, and
     otherwise in GF(2^m), scaled to a leading 1, a point of projective
-    space.  Scaling changes no span, and two residues are
-    parallel exactly when their points are equal, so a class is one
-    point and one mask of columns, and every size is a mask's bit count.
+    space: the code's points are scaled once (:meth:`LinearCode._points`),
+    and each push keeps its results scaled.  Scaling changes no span,
+    and two residues are parallel exactly when their points are equal,
+    so a class is one point and one mask of columns, and every size is
+    a mask's bit count.
     A node's classes are in the order of their lowest columns, and no
     two share a point: :func:`_largest_flat` files the columns into
     classes once, and after a push the classes whose new points are
@@ -777,22 +780,19 @@ def _iter_circuits(code: LinearCode, size_cap: int) -> Iterator[int]:
 def _contraction(code: LinearCode, mask: int) -> tuple[list, int]:
     """The points outside ``mask`` in the quotient by the span of those in it.
 
-    These are the points of the contraction by ``mask``, in order, and
-    the second value is its rank.  The points in ``mask``
-    (:meth:`LinearCode._points`) are pushed in order, each nonzero one
-    with :func:`_push`.  A GF(2^m) column is scaled to a leading 1 and
-    keeps one coordinate per dimension left, so the length of each is
-    the rank, and a column in the span becomes a zero tuple of that
-    length.  A Moore code's
-    points are m-bit ints, 0 in the span; its matroid is the binary one
-    truncated at M, so the rank is M less the number of nonzero pushes,
-    and 0 once they reach M.
+    These are the points of the contraction by ``mask``, in order, in
+    the form :func:`_largest_flat` takes, and the second value is its
+    rank.  The code's points (:meth:`LinearCode._points`) in ``mask``
+    are pushed in order, each nonzero one with :func:`_push`, so the
+    rank is M less the number of nonzero pushes.  A GF(2^m) point stays
+    scaled to a leading 1 and keeps one coordinate per dimension left,
+    so the length of each is the rank, and a point in the span becomes
+    None.  A Moore code's points are m-bit ints, 0 in the span; its
+    matroid is the binary one truncated at M, so its rank is 0 once the
+    pushes reach M.
     """
     field = code.field
-    points = [
-        point if type(point) is int else _normalized(field, point)
-        for point in code._points()
-    ]
+    points = code._points()
     residues = [point for j, point in enumerate(points) if mask >> j & 1]
     inside = len(residues)
     residues += [point for j, point in enumerate(points) if not mask >> j & 1]
@@ -802,9 +802,7 @@ def _contraction(code: LinearCode, mask: int) -> tuple[list, int]:
         if pivot:
             residues[k + 1:] = _push(field, residues[k + 1:], pivot)
             pushes += 1
-    rank = max(code.M - pushes, 0)
-    zero = (0,) * rank
-    return [zero if res is None else res for res in residues[inside:]], rank
+    return residues[inside:], max(code.M - pushes, 0)
 
 
 def _echelon(code: LinearCode) -> tuple[list[list[int]], list[int]]:

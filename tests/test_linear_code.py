@@ -175,7 +175,7 @@ def _largest_deficient(code: LinearCode) -> tuple[int, tuple[int, ...]]:
     from the first M-1 columns as incumbent.
     """
     floor = code.M - 1
-    size, mask = _largest_flat(code.field, code.columns, floor, floor, (1 << floor) - 1)
+    size, mask = _largest_flat(code.field, code._points(), floor, floor, (1 << floor) - 1)
     return size, tuple(i + 1 for i in range(code.n) if mask >> i & 1)
 
 
@@ -251,23 +251,24 @@ def test_largest_flat_agrees_with_the_oracle_at_every_rank(degree):
     for _ in range(10):
         n = rng.randrange(3, 9)
         code = _cornered_code(rng, field, n, rng.randrange(1, n))
+        points = code._points()
         for rank in range(code.M):
             size, witness = largest_flat(code, rank)
             mask = sum(1 << (i - 1) for i in witness)
-            assert _largest_flat(field, code.columns, rank, 0) == (size, mask), (
+            assert _largest_flat(field, points, rank, 0) == (size, mask), (
                 code.columns, rank)
             # an incumbent at least as large comes back unchanged
-            assert _largest_flat(field, code.columns, rank, size, 5) == (size, 5)
+            assert _largest_flat(field, points, rank, size, 5) == (size, 5)
             # with a limit the search may stop on a set inside a flat, but
             # it reaches the limit exactly when a flat does, and a limit
             # it never reaches leaves the answer exact
             for limit in range(1, n + 2):
-                found = _largest_flat(field, code.columns, rank, 0, limit=limit)
+                found = _largest_flat(field, points, rank, 0, limit=limit)
                 assert (found[0] >= limit) == (size >= limit), (
                     code.columns, rank, limit)
                 if limit > size:
                     assert found == (size, mask)
-            found, _ = _largest_flat(field, code.columns, rank, 0, limit=size)
+            found, _ = _largest_flat(field, points, rank, 0, limit=size)
             assert found == size
 
 
@@ -341,6 +342,36 @@ def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
     return d, {name: (len(sizes), sum(sizes)) for name, sizes in seen.items()}
 
 
+@pytest.mark.parametrize("M", [5, 8])
+def test_a_code_scales_each_column_once(monkeypatch, M):
+    # a column-scaled square copy, no Moore code, on a field whose tables
+    # are filled, so no push falls back to _normalized: the distance and
+    # then an exact profile scale each column of G, and of each
+    # parity-check code H built, at most once.  M = 5 is searched on the
+    # generator side, M = 8 on H
+    copy = scaled_copy(build_square_code(3, M).code, Random(M))
+    field = spend_allowance(GF2m(copy.field.degree, copy.field.modulus))
+    code = LinearCode(field, copy.n, M, copy.columns)
+    calls = []
+    duals = []
+    normalized, dual = linear_code._normalized, linear_code._dual
+
+    def counting(field, res):
+        calls.append(res)
+        return normalized(field, res)
+
+    def recording(code):
+        duals.append(dual(code))
+        return duals[-1]
+
+    monkeypatch.setattr(linear_code, "_normalized", counting)
+    monkeypatch.setattr(linear_code, "_dual", recording)
+    min_distance(code)
+    phi_profile(code, x_max=2)
+    assert bool(duals) == (M == 8)
+    assert code.n <= len(calls) <= code.n + sum(H.n for H in duals)
+
+
 @pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
 def test_flat_search_work_is_pinned(monkeypatch, r, M):
     # the pushes at each depth and what they write are deterministic; a
@@ -351,7 +382,7 @@ def test_flat_search_work_is_pinned(monkeypatch, r, M):
     # changes no point, so the copy's work is the square code's on this
     # engine
     code = scaled_copy(build_square_code(r, M).code, Random(10 * r + M))
-    assert code._points() is code.columns
+    assert not any(type(point) is int for point in code._points())
     d, work = _distance_work(monkeypatch, code)
     assert d == bound_square(code.n, M, r)
     assert work == {**_PINNED_WORK[r, M], "binary": (0, 0)}
@@ -446,7 +477,7 @@ def _check_hyperplane_certificate(code: LinearCode, d: int) -> None:
     complement, of d columns, is the support of a codeword.
     """
     M = code.M
-    size, mask = _largest_flat(code.field, code.columns, M - 1, M - 1, (1 << (M - 1)) - 1)
+    size, mask = _largest_flat(code.field, code._points(), M - 1, M - 1, (1 << (M - 1)) - 1)
     assert size == mask.bit_count() == code.n - d
     assert code._rank(mask) == M - 1
     for j in range(code.n):
@@ -500,11 +531,11 @@ def test_the_plane_kernel_agrees_with_the_oracle(degree):
         mask = sum(1 << (i - 1) for i in witness)
 
         def search(*args, **kwargs):
-            return _largest_flat(field, code.columns, D - 1, *args, **kwargs)
+            return _largest_flat(field, code._points(), D - 1, *args, **kwargs)
 
         if cold:
             searched = spend_allowance(GF2m(16), rng.choice([1, 4, 16, 64]))
-            found = _largest_flat(searched, code.columns, D - 1, 0)
+            found = _largest_flat(searched, code._points(), D - 1, 0)
             assert found == (size, mask), code.columns
             fills += searched._exp is not None
         assert search(0) == (size, mask), (code.columns, degree)
@@ -598,7 +629,7 @@ def test_a_last_level_pushes_no_column_it_closed_over(monkeypatch):
             continue
         levels.clear()
         merged.clear()
-        _largest_flat(field, cols, 3, 0)
+        _largest_flat(field, [_normalized(field, col) for col in cols], 3, 0)
         assert levels and all(len(set(level)) == len(level) for level in levels)
         assert max(map(len, levels)) > 1
         # some class entering depth 2 holds two collinear columns
@@ -619,14 +650,15 @@ def test_contraction_ranks_are_ranks_over_the_contracted_set():
             assert len(columns) == len(rest)
             assert rank == code.M - subset_rank(code, W)
             # a Moore code's points are ints, and its matroid is the
-            # binary one truncated at the rank
-            binary = code._points() is not code.columns
-            assert binary or all(len(col) == rank for col in columns)
+            # binary one truncated at the rank; a GF(2^m) point in the
+            # span is None
+            binary = type(code._points()[0]) is int
+            assert binary or all(col is None or len(col) == rank for col in columns)
             for size in range(len(rest) + 1):
                 for S in combinations(range(len(rest)), size):
                     expected = (subset_rank(code, W + [rest[k] for k in S])
                                 - subset_rank(code, W))
-                    chosen = [columns[k] for k in S]
+                    chosen = [columns[k] or (0,) * rank for k in S]
                     if binary:
                         got = min(rank, gf2_rank(chosen))
                     else:
@@ -637,7 +669,7 @@ def test_contraction_ranks_are_ranks_over_the_contracted_set():
 @pytest.mark.parametrize("degree", [1, 3, 8, 16, 17])
 def test_contraction_agrees_with_the_plain_elimination(degree):
     # the same coordinates, each column scaled to a leading 1, and a zero
-    # residue is a zero tuple as long as the others
+    # residue is None
     rng = Random(151 + degree)
     field = GF2m(degree)
     for _ in range(30):
@@ -647,9 +679,9 @@ def test_contraction_agrees_with_the_plain_elimination(degree):
         mask = rng.getrandbits(n)
         got, rank = _contraction(code, mask)
         betas = code._points()
-        if betas is code.columns:
+        if type(betas[0]) is not int:
             expected = contraction(field, code.columns, mask)
-            assert got == [projective_point(field, col) or col for col in expected], (
+            assert got == [projective_point(field, col) for col in expected], (
                 code.columns, mask)
             assert rank == (len(expected[0]) if expected else code.M - subset_rank(
                 code, [j + 1 for j in range(n) if mask >> j & 1]))
@@ -839,7 +871,8 @@ def test_a_flat_search_that_fills_the_tables_part_way():
     # largest flat is found only after the first top-level push, and a
     # random change of basis keeps it off the coordinate axes.  Wherever
     # the fill lands, the answer is the warm field's: no push may read
-    # row elements cached before the fill as logs
+    # row elements cached before the fill as logs.  The columns are
+    # scaled once, on the warm field, as a code scales its points
     rng = Random(107)
     warm = spend_allowance(GF2m(16))
     q = warm.order
@@ -852,11 +885,12 @@ def test_a_flat_search_that_fills_the_tables_part_way():
                     for col in free[:1] + hidden + free[1:]]
             if matrix_rank(warm, M, cols) == M:
                 break
+        points = [_normalized(warm, col) for col in cols]
         expected = (k, ((1 << k) - 1) << 1)
-        assert _largest_flat(warm, cols, M - 1, 0) == expected
+        assert _largest_flat(warm, points, M - 1, 0) == expected
         for products in range(1, 60, 3):
             field = spend_allowance(GF2m(16), products)
-            assert _largest_flat(field, cols, M - 1, 0) == expected, products
+            assert _largest_flat(field, points, M - 1, 0) == expected, products
 
 
 def _cold_and_warm_cases():

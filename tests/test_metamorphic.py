@@ -11,7 +11,10 @@ elsewhere.  A copy of one code over GF(2^18), which never fills log
 tables, runs every search tableless.  Random codes of length 12 to 24
 over GF(2), GF(2^4) and GF(2^9), with a zero column and parallel
 classes, reach past the oracles too, and meet them where they are small
-enough.
+enough.  Embedding GF(2^m) into GF(2^2m) keeps the matroid as well: the
+embedded square code is still a Moore code, so it checks the binary
+engine on the larger field, and a scaled copy of it checks the GF(2^2m)
+engine.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from locrep import (
 )
 from locrep.linear_code import _normalized, _RankHierarchy
 from locrep.regsets import phi, rho, verify_locality
-from oracles import naive_min_distance, nullity_phi, square_phi
+from oracles import naive_min_distance, nullity_phi, scaled_copy, square_phi
 
 
 def _permuted(rng: Random, code: LinearCode) -> LinearCode:
@@ -148,3 +151,49 @@ def test_random_codes_with_parallel_classes_keep_their_invariants(degree, n, M):
         changed = transform(rng, code)
         got = (min_distance(changed), _RankHierarchy(changed).values(2))
         assert got == expected, transform.__name__
+
+
+def _embedding(small: GF2m, big: GF2m):
+    """The map sum(a_i z^i) -> sum(a_i beta^i) of ``small`` into ``big``.
+
+    beta is a root in ``big`` of ``small``'s modulus, so the map is a
+    field homomorphism.  The subfield of order 2^m holds every root, and
+    the norm y^(2^m + 1) of each nonzero y lies in it, so norms are
+    tried until one is a root.
+    """
+    m = small.degree
+    rng = Random(m)
+    while True:
+        beta = big.pow(rng.randrange(1, big.order), (1 << m) + 1)
+        value = 0
+        for i in range(m, -1, -1):
+            value = big.mul(value, beta) ^ (small.modulus >> i & 1)
+        if not value:
+            break
+    powers = [big.pow(beta, i) for i in range(m)]
+    return lambda a: reduce(xor, (p for i, p in enumerate(powers) if a >> i & 1), 0)
+
+
+@pytest.mark.parametrize("r, M", [(2, 3), (3, 6)])
+def test_embedding_into_the_field_of_twice_the_degree_keeps_the_answers(r, M):
+    # the embedding commutes with squaring, so the embedded square code
+    # is still a Moore code and runs the binary engine on the larger
+    # field's elements; a column-scaled copy of it runs the GF(2^2m)
+    # engine, tableless at r = 3.  d, exact rho and phi(1..2) are the
+    # original's
+    code = build_square_code(r, M).code
+    expected = (min_distance(code, 25), rho(code, search_cap=25),
+                _RankHierarchy(code).values(2))
+    big = GF2m(2 * code.field.degree)
+    embed = _embedding(code.field, big)
+    assert embed(1) == 1
+    assert all(embed(code.field.mul(a, b)) == big.mul(embed(a), embed(b))
+               for a, b in zip(code.columns[1], code.columns[-1]))
+    embedded = LinearCode(big, code.n, M, [[embed(x) for x in col] for col in code.columns])
+    copy = scaled_copy(embedded, Random(17 * r + M))
+    assert all(type(point) is int for point in embedded._points())
+    assert not any(type(point) is int for point in copy._points())
+    for changed in (embedded, copy):
+        got = (min_distance(changed, 25), rho(changed, search_cap=25),
+               _RankHierarchy(changed).values(2))
+        assert got == expected

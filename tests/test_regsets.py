@@ -624,7 +624,7 @@ def _check_synced_residues(code, masks, expected) -> None:
     field, n = code.field, code.n
     ranks = LinearCode(field, n, code.M, code.columns)
     betas = code._points()
-    binary = betas is not code.columns
+    binary = type(betas[0]) is int
     residues = _Residues(code)
     for mask in masks:
         residues.sync(mask)
@@ -1026,7 +1026,7 @@ def test_both_sides_of_wei_duality_agree_beyond_the_oracles():
         primal = _phi_walk(code, n - M)
         assert _phi_walk(code, n - M, lambda: n - primal_d) == primal
         from_dual = [
-            n - _largest_flat(dual.field, dual.columns, n - M - x, n - M - x)[0]
+            n - _largest_flat(dual.field, dual._points(), n - M - x, n - M - x)[0]
             for x in range(1, n - M + 1)
         ]
         assert primal == from_dual, code.columns
@@ -1229,3 +1229,11 @@ def test_r4_parity_side_matches_the_grid_graph():
     assert min_distance(sc.code, search_cap=25) == d
     grid_rho = rho_from_phi(lambda x: square_phi(4, 14, x), 14)
     assert rho(sc.code, search_cap=25) == 25 - 14 + 1 - d == grid_rho
+
+
+def test_r4_m15_matches_the_grid_graph():
+    # d and exact phi(1..3), both from the parity-check code's flats
+    sc = build_square_code(4, 15)
+    assert square_oracle_applies(sc)
+    assert min_distance(sc.code, search_cap=25) == square_distance(4, 15)
+    assert _RankHierarchy(sc.code).values(3) == [square_phi(4, 15, x) for x in (1, 2, 3)]
