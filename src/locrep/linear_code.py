@@ -8,10 +8,11 @@ the rank of the corresponding columns, which is the single oracle every
 higher-level query goes through; minimum distance is the exact
 subset-rank quantity n - max{|E| : rank(E) < M}, which is also the
 size of the smallest circuit of the parity-check code.  It is searched
-on whichever side of that duality has the smaller rank: the generator
-for low-rate codes, the parity-check code when 2M >= n.
-:class:`_RankHierarchy` makes that choice once per code, and is the one
-source of d, exact rho and exact phi.
+on whichever side of that duality is the cheaper: the generator for
+low-rate codes, the parity-check code when 2M >= n, and for a Moore
+code (below) the dual of its binary matroid when that is small.
+:class:`_RankHierarchy` makes that choice once per hierarchy, and is
+the one source of d, exact rho and exact phi.
 
 Single ranks and the full-rank check are taken over GF(2): a column
 and its multiples z^t * column (t < m) are packed into m integers,
@@ -21,14 +22,14 @@ against one span work on points instead: the circuit scan, the search
 over flats for the largest flat of a given rank, and the contraction
 behind exact witnesses.  That one flat search gives the generator's
 largest hyperplane, and one ascending walk of it over the ranks
-(:func:`_phi_walk`) gives both the parity-check code's smallest
-circuit, its phi(1), and the generator's exact phi.  A column becomes
-a point once per code, in :meth:`LinearCode._points`, and every scan
-takes the points as they are.  Each scan keeps, for each column, its
-point in the quotient by the current span, or a zero for the zero
-residue; two nonzero residues are dependent exactly when their points
-are equal, so a span test, or the test of which columns a push closes
-over, is one comparison.
+(:func:`_phi_walk`) gives the generator's exact phi, and on a dual side
+the distance: the parity-check code's smallest circuit, its phi(1).  A
+column becomes a point once per code, in :meth:`LinearCode._points`,
+and every scan takes the points as they are.  Each scan keeps, for each
+column, its point in the quotient by the current span, or a zero for
+the zero residue; two nonzero residues are dependent exactly when their
+points are equal, so a span test, or the test of which columns a push
+closes over, is one comparison.
 
 A code whose every column is (x, x^2, x^4, ..., x^(2^(M-1))) of its
 first entry, as a square code's are, is a Moore code: by Moore's
@@ -37,7 +38,17 @@ entries, truncated at rank M.  Its points are those entries, GF(2)
 vectors, and its scans work below rank M, where the two matroids agree.
 A point is an int and needs no scaling, and a push,
 :func:`_push_binary`, XORs the pivot into each point that holds its
-lowest set bit: no field product and no log table.
+lowest set bit: no field product and no log table.  A Moore code never
+builds a parity-check code.  Its dual side is B*, the dual of the
+entries' binary matroid B: with k the entries' GF(2)-rank, one GF(2)
+elimination of the entries (:func:`_binary_relations`) gives k and
+B*'s points, (n-k)-bit ints.  With best*[t] the size of B*'s largest
+flat of rank t, Wei's duality gives d = phi_{B*}(k-M+1), from the
+ascending walk on B*, and phi(x) = min(M + x, n - best*[n-k-x]).  B* is
+searched when n - k <= M + 1, and B at rank M-1 otherwise: the rule is
+per call, not per code, since B's search stops at rank M-1 while B*'s
+walk must climb to phi_{B*}(k-M+1), which costs the more at small M.  A
+square code's B* has rank 2r + 1 against B's r^2.
 
 Every other code's points are its columns scaled to a leading 1, points
 of projective space, and its scans keep their residues in that form, in
@@ -209,27 +220,42 @@ class LinearCode:
     def _points(self) -> tuple:
         """The columns as the exact engines take them, made once per code.
 
+        A Moore code's binary points (:meth:`_binary_points`), or else
+        each column scaled to a leading 1 (:func:`_normalized`), a point
+        of projective space, or None when it is zero.  Both are made on
+        the first call and kept.
+        """
+        points = self._point_cache
+        if points is None:
+            points = self._binary_points()
+            if points is None:
+                points = tuple(_normalized(self.field, col) for col in self.columns)
+                object.__setattr__(self, "_point_cache", points)
+        return points
+
+    def _binary_points(self) -> Optional[tuple[int, ...]]:
+        """A Moore code's points, its m-bit first entries; None for another code.
+
         The code is a Moore code when every column is (x, x^2, x^4, ...,
         x^(2^(M-1))) of its first entry x.  Its columns are then the rows
         of a Moore matrix, and by Moore's determinant a set of them has
         rank min(M, the GF(2)-rank of their first entries): the column
         matroid is the binary matroid of the m-bit first entries,
         truncated at rank M.  For such a code the points are those
-        entries, as ints, 0 for a zero column.  Otherwise each column is
-        scaled to a leading 1 (:func:`_normalized`), a point of
-        projective space, or None when it is zero.  The test takes at
-        most n(M-1) squarings, which need no tables; both are made on
-        the first call and kept.
+        entries, as ints, 0 for a zero column, kept once made.  The test
+        takes at most n(M-1) squarings, which need no tables, and spends
+        none of the field's tableless allowance, so a parity-side search
+        can ask it without scaling the generator's columns.
         """
         points = self._point_cache
         if points is None:
             square = self.field._square
-            if all(square(x) == y for col in self.columns for x, y in zip(col, col[1:])):
-                points = tuple(col[0] for col in self.columns)
-            else:
-                points = tuple(_normalized(self.field, col) for col in self.columns)
+            columns = self.columns
+            if not all(square(x) == y for col in columns for x, y in zip(col, col[1:])):
+                return None
+            points = tuple(col[0] for col in self.columns)
             object.__setattr__(self, "_point_cache", points)
-        return points
+        return points if type(points[0]) is int else None
 
     def entropy(self, members: Iterable[int]) -> int:
         """Joint entropy of a coordinate subset, in 2^m-ary symbols.
@@ -872,31 +898,84 @@ def _dual(code: LinearCode) -> LinearCode:
     return LinearCode(code.field, n, n - code.M, columns)
 
 
+def _binary_relations(entries: Sequence[int]) -> list[int]:
+    """A basis of the GF(2) relations among m-bit entries, as masks of entries.
+
+    One elimination, in order: an entry that reduces to zero against the
+    echelon of the independent entries before it gives one relation,
+    itself plus the independent entries it was reduced by, and each
+    other entry joins the echelon.  So the entries' GF(2)-rank k is n
+    less the number of relations, and each relation holds exactly one
+    dependent entry, its own.
+    """
+    # leading bit -> (echelon vector, mask of the entries it sums)
+    echelon: dict[int, tuple[int, int]] = {}
+    relations = []
+    for j, x in enumerate(entries):
+        mask = 1 << j
+        while x:
+            lead = x.bit_length()
+            pivot = echelon.get(lead)
+            if pivot is None:
+                echelon[lead] = (x, mask)
+                break
+            x ^= pivot[0]
+            mask ^= pivot[1]
+        else:
+            relations.append(mask)
+    return relations
+
+
+def _cobinary_points(relations: Sequence[int], n: int) -> list[int]:
+    """The binary dual's points: bit i of column j's is j's bit in relation i.
+
+    The relations span the GF(2) relations among the n entries, so the
+    columns of the matrix whose rows they are represent the dual of the
+    entries' binary matroid, of rank the number of relations.
+    """
+    points = [0] * n
+    for i, relation in enumerate(relations):
+        bit = 1 << i
+        while relation:
+            low = relation & -relation
+            relation ^= low
+            points[low.bit_length() - 1] |= bit
+    return points
+
+
 def _phi_walk(
-    code: LinearCode, x_max: int, hyperplane: Optional[Callable[[], int]] = None
+    field: gf2m.GF2m,
+    points: Sequence,
+    rank: int,
+    x_max: int,
+    hyperplane: Optional[Callable[[], int]] = None,
 ) -> list[int]:
     """phi(1..x_max) from the largest flat of each rank, rank by rank upwards.
 
-    With best[t] the size of a largest flat of rank t, best[t] - t never
+    ``points`` are n points of the form :func:`_largest_flat` takes, of
+    a matroid of rank ``rank``, and x_max is at most n - rank: a code's
+    points with rank M (a Moore code's binary points, whose flats below
+    M are the code's), an H's, or the binary dual's (see
+    :class:`_RankHierarchy`).  With
+    best[t] the size of a largest flat of rank t, best[t] - t never
     falls and phi(x) = x + min{t : best[t] - t >= x}, so phi(1) is the
     smallest circuit.  Each rank is one :func:`_largest_flat` search
-    from the incumbent best[t-1] + 1, stopped once it settles phi(x_max).
-    best[M] is n; ``hyperplane``, if given, supplies best[M-1] = n - d,
-    and only when the walk gets that far.  No rank is cached.
+    from the incumbent best[t-1] + 1, stopped once it settles
+    phi(x_max).  best[rank] is n; ``hyperplane``, if given, supplies
+    best[rank-1], and only when the walk gets that far.  No rank is
+    cached.
     """
-    n, M = code.n, code.M
+    n = len(points)
     out: list[int] = []
     best = -1
     t = 0
     while len(out) < x_max:
-        if t == M:
+        if t == rank:
             best = n
-        elif t == M - 1 and hyperplane is not None:
+        elif t == rank - 1 and hyperplane is not None:
             best = hyperplane()
         else:
-            best, _ = _largest_flat(
-                code.field, code._points(), t, best + 1, limit=x_max + t
-            )
+            best, _ = _largest_flat(field, points, t, best + 1, limit=x_max + t)
         while len(out) < x_max and best - t > len(out):
             out.append(len(out) + 1 + t)
         t += 1
@@ -917,21 +996,40 @@ class _RankHierarchy:
     the phi values and the numbers best[t] + 1 for t < M split 1..n
     between them.
 
-    The constructor makes the one duality choice: ``dual`` is the
-    parity-check code H when it has the smaller rank, 0 < n - M <= M,
-    and None otherwise.  H is built once per hierarchy and serves both
-    d and phi.  With best*[t] the size of H's largest flat of rank t,
-    Wei's duality gives phi(x) = n - best*[n-M-x], searched rank by rank
-    downwards, and d is phi(1) of H: the ascending walk on H, stopped at
-    its first value.  Without H, d is n minus the size of a hyperplane,
-    the largest flat of rank M-1, searched from the first M-1 columns
-    as incumbent; when M = n every coordinate is a coloop and d = 1.
+    The constructor makes the one duality choice.  A dual side is a
+    matroid D on the same n columns whose rank function is r_D(S) = |S| +
+    r(E-S) - k, where k is the rank of the generator's matroid, or of
+    its binary matroid B for a Moore code:
 
-    Each side searches its code's points (:meth:`LinearCode._points`):
-    a Moore generator, such as a square code's, its binary points, at
-    ranks below M where its flats are the binary matroid's.  An H of
-    rank 2 or more has the column (1, 0, ..., 0), which is no Frobenius
-    orbit, so the parity side searches GF(2^m) points.
+    - ``dual``, the parity-check code H (:func:`_dual`), of rank n - M,
+      for a code that is not Moore when 0 < n - M <= M;
+    - ``cobinary``, the points of B's dual B*, (n - k)-bit ints
+      (:func:`_binary_relations`, :func:`_cobinary_points`), for a
+      Moore code when n - k <= M + 1.  B's truncation at M is the
+      code's matroid, so a Moore code never builds H.
+
+    With best*[t] the size of D's largest flat of rank t, Wei's duality
+    gives both answers.  d = phi_D(k - M + 1), the ascending walk on D
+    stopped at that value: a set has rank below M exactly when its
+    complement has D-nullity at least k - M + 1; on H that is phi_H(1),
+    H's smallest circuit.  phi(x) = min(M + x, n - best*[n-k-x]),
+    searched rank by rank downwards from the incumbent n - M - x: on H
+    the second term is the smaller, and on B* the first is the
+    truncation's, a basis and x more columns, and the only one past
+    B*'s rank, x > n - k.  Below rank g - 1, g the walk's first value,
+    D's smallest circuit, every flat of D is independent, so a known g
+    skips those ranks.
+
+    B*'s rank is 2r + 1 for a square code, against B's r^2.  The rule
+    weighs it against M, per call, rather than per code, since B's own
+    search stops at rank M - 1 while B*'s walk climbs to phi(k - M + 1):
+    at r = 4, M = 5 the walk costs 5-6x B's search.
+
+    Without a dual side, d is n minus the size of a hyperplane, the
+    largest flat of rank M-1, searched from the first M-1 columns as
+    incumbent, and for a Moore code on its binary points (as the
+    generator-side walk is), at ranks below M where its flats are B's;
+    when M = n every coordinate is a coloop and d = 1.
 
     A witness chain is one continuation test away, on the generator
     side whichever side gave the values.  Adding circuits to a union W
@@ -944,16 +1042,40 @@ class _RankHierarchy:
 
     def __init__(self, code: LinearCode):
         self.code = code
-        self.dual = _dual(code) if code.M < code.n <= 2 * code.M else None
+        n, M = code.n, code.M
+        self.dual: Optional[LinearCode] = None
+        self.cobinary: Optional[list[int]] = None
+        binary = code._binary_points()
+        if binary is not None:
+            relations = _binary_relations(binary)
+            if len(relations) <= M + 1:
+                self.cobinary = _cobinary_points(relations, n)
+        elif M < n <= 2 * M:
+            self.dual = _dual(code)
         self._d: Optional[int] = None
+        # the dual side's smallest circuit, once its walk has run
+        self._girth: Optional[int] = None
+
+    def _side(self) -> Optional[tuple[gf2m.GF2m, Sequence, int]]:
+        """The dual side's field, points and rank, or None for the generator."""
+        if self.cobinary is not None:
+            # relation i's own entry has the point 1 << i
+            rank = max(self.cobinary).bit_length()
+            return self.code.field, self.cobinary, rank
+        if self.dual is not None:
+            return self.dual.field, self.dual._points(), self.dual.M
+        return None
 
     def distance(self) -> int:
         """Minimum distance, on the side the constructor chose; searched once."""
         if self._d is None:
             code = self.code
             n, M = code.n, code.M
-            if self.dual is not None:
-                self._d = _phi_walk(self.dual, 1)[0]
+            side = self._side()
+            if side is not None:
+                field, points, rank = side
+                walk = _phi_walk(field, points, rank, n - rank - M + 1)
+                self._girth, self._d = walk[0], walk[-1]
             elif M == n:
                 self._d = 1
             else:
@@ -969,22 +1091,26 @@ class _RankHierarchy:
 
     def values(self, x_max: int) -> list[int]:
         """phi(1), ..., phi(x_max), cut short where chains run out."""
-        n, M = self.code.n, self.code.M
+        code = self.code
+        n, M = code.n, code.M
         x_max = min(x_max, n - M)
-        dual = self.dual
-        if dual is None:
-            return _phi_walk(self.code, x_max, lambda: n - self.distance())
-        # phi rises strictly, so best*[t] < best*[t+1]; below rank d-1
-        # every flat of H is independent
+        side = self._side()
+        if side is None:
+            return _phi_walk(
+                code.field, code._points(), M, x_max, lambda: n - self.distance()
+            )
+        field, points, rank = side
+        # phi rises strictly, so best*[t] < best*[t+1]
         out: list[int] = []
         best = n
-        for t in range(n - M - 1, n - M - 1 - x_max, -1):
-            if self._d is not None and t < self._d - 1:
-                best = t
+        for x in range(1, x_max + 1):
+            t = rank - x
+            # a flat of at most n - M - x columns gives M + x
+            floor = n - M - x
+            if t < 0 or self._girth is not None and t < self._girth - 1:
+                best = floor
             else:
-                best, _ = _largest_flat(
-                    dual.field, dual._points(), t, t, limit=best - 1
-                )
+                best, _ = _largest_flat(field, points, t, floor, limit=best - 1)
             out.append(n - best)
         return out
 

@@ -6,20 +6,31 @@ entries, truncated at rank M, and the exact engines search those m-bit
 ints (``LinearCode._points``).  Scaling each column by a nonzero
 element keeps the matroid and ends the Moore form, so a scaled copy
 runs the same searches on GF(2^m) points.  Both must give the same
-answers from the same depth-first search.
+answers from the same depth-first search.  A Moore code's dual side is
+B*, the dual of that binary matroid, where a copy's is the parity-check
+code: the two must still agree, and B*'s answers must equal the
+brute-force oracles'.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import xor
 from random import Random
 
 import pytest
 
 from locrep import DomainError, GF2m, LinearCode, build_square_code, min_distance
 from locrep import linear_code
-from locrep.linear_code import _circuits, _contraction, _largest_flat
+from locrep.linear_code import (
+    _binary_relations,
+    _circuits,
+    _cobinary_points,
+    _contraction,
+    _largest_flat,
+    _RankHierarchy,
+)
 from locrep.regsets import phi_profile
 
 from oracles import (
@@ -180,7 +191,7 @@ def test_the_binary_circuit_scan_is_the_tuple_circuit_scan(moore, copy):
 def test_the_binary_answers_are_the_tuple_answers(moore, copy):
     # the distance on its own, and the exact profile whose witness walk
     # runs the contraction searches; the high-rate codes take d and the
-    # values from the parity-check code, which is not a Moore code
+    # values from B*, and their copies from the parity-check code
     n, M = moore.n, moore.M
     if n > 16 and M < 8:
         # r = 4, M = 5: the hyperplane only, as the benchmark asks it
@@ -261,3 +272,136 @@ def test_the_binary_contraction_is_the_truncated_binary_quotient():
                     sum(1 << (i - 1) for i in W + [rest[s] for s in S])
                 ) - code._rank(mask)
                 assert got == expected, (code.columns, mask, S)
+
+
+def _betas_of_rank(rng: Random, m: int, n: int, k: int, zeros: int) -> list[int]:
+    """n entries of GF(2^m) of GF(2)-rank exactly k, shuffled.
+
+    k independent entries, ``zeros`` zero ones, and the rest repeats of
+    earlier entries or XORs of two or three of them.
+    """
+    while True:
+        betas = [rng.getrandbits(m) for _ in range(k)]
+        if gf2_rank(betas) == k:
+            break
+    betas += [0] * zeros
+    while len(betas) < n:
+        if rng.random() < 0.4:
+            betas.append(rng.choice(betas))
+        else:
+            x = 0
+            for beta in rng.sample(betas, min(len(betas), rng.choice([2, 3]))):
+                x ^= beta
+            betas.append(x)
+    rng.shuffle(betas)
+    return betas
+
+
+# (m, n, k, M, zero entries): a Moore code's side goes by n - k against
+# M + 1, B* when n - k <= M + 1
+_COBINARY_CASES = {
+    # k = n <= m: B* has rank 0, and the code is MDS
+    "k=n-M1": (6, 6, 6, 1, 0),
+    "k=n-M3": (6, 6, 6, 3, 0),
+    "k=n-M=n": (6, 6, 6, 6, 0),
+    # k = M, on each side of the rule
+    "k=M-Bstar": (5, 9, 4, 4, 1),
+    "k=M-B": (5, 8, 3, 3, 0),
+    # zero entries, B's loops, are B*'s coloops
+    "zeros": (5, 9, 5, 4, 2),
+    "zeros-M=k": (4, 10, 4, 4, 3),
+    # M = 1: every code is a Moore code
+    "M1-Bstar": (4, 6, 4, 1, 1),
+    "M1-B": (4, 8, 3, 1, 1),
+    # n - k = M + 1 and M + 2
+    "edge-Bstar": (6, 10, 6, 3, 1),
+    "edge-B": (5, 10, 5, 3, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_COBINARY_CASES))
+def test_the_binary_dual_side_matches_the_oracles(case):
+    # d and phi(1..n-M) on the side the rule picks, the distance asked
+    # before the values and after, against the brute-force oracles
+    m, n, k, M, zeros = _COBINARY_CASES[case]
+    rng = Random(sum(map(ord, case)))
+    field = GF2m(m)
+    code = _moore(field, _betas_of_rank(rng, m, n, k, zeros), M)
+    assert gf2_rank(code._points()) == k
+    assert code._points().count(0) >= zeros
+    d = naive_min_distance(code)[0]
+    if k == n:
+        assert d == n - M + 1
+    expected = [nullity_phi(code, x) for x in range(1, n - M + 1)]
+    for distance_first in (False, True):
+        hierarchy = _RankHierarchy(code)
+        assert hierarchy.dual is None
+        assert (hierarchy.cobinary is not None) == (n - k <= M + 1)
+        if distance_first:
+            assert hierarchy.distance() == d
+        assert hierarchy.values(n) == expected, case
+        assert hierarchy.distance() == d
+        assert hierarchy.rho() == n - M + 1 - d
+    # and the generator side, forced, agrees
+    hierarchy = _RankHierarchy(code)
+    hierarchy.cobinary = None
+    assert (hierarchy.distance(), hierarchy.values(n)) == (d, expected)
+
+
+def test_random_moore_codes_match_the_oracles_at_every_M():
+    # every M up to the entries' GF(2)-rank, so both sides of the rule,
+    # on planted repeats, XORs and zeros
+    rng = Random(223)
+    sides = set()
+    for m, n, k in ((4, 9, 4), (5, 9, 5), (6, 10, 6), (9, 8, 7)):
+        betas = _betas_of_rank(rng, m, n, k, rng.randrange(3))
+        for M in range(1, k + 1):
+            code = _moore(GF2m(m), betas, M)
+            hierarchy = _RankHierarchy(code)
+            sides.add(hierarchy.cobinary is not None)
+            values = hierarchy.values(n)
+            assert hierarchy.distance() == naive_min_distance(code)[0], (betas, M)
+            assert values == [nullity_phi(code, x) for x in range(1, n - M + 1)]
+    assert sides == {False, True}
+
+
+def test_the_binary_dual_points_represent_the_dual_matroid():
+    # each relation sums to zero, there are n - k of them, and on every
+    # set S the dual's rank is |S| + r(E - S) - k
+    rng = Random(227)
+    codes = _square_codes() + _random_moore_codes() + [
+        _moore(GF2m(m), _betas_of_rank(rng, m, n, k, zeros), 1)
+        for m, n, k, _, zeros in _COBINARY_CASES.values()
+    ]
+    for code in codes:
+        betas = code._points()
+        n, k = code.n, gf2_rank(betas)
+        relations = _binary_relations(betas)
+        assert len(relations) == n - k
+        for relation in relations:
+            assert relation and not reduce(
+                xor, (b for j, b in enumerate(betas) if relation >> j & 1), 0)
+        points = _cobinary_points(relations, n)
+        assert gf2_rank(points) == n - k
+        for _ in range(30):
+            S = rng.sample(range(n), rng.randrange(n + 1))
+            outside = [b for j, b in enumerate(betas) if j not in S]
+            assert gf2_rank([points[j] for j in S]) == len(S) + gf2_rank(outside) - k
+
+
+def test_only_the_binary_dual_side_makes_its_points(monkeypatch):
+    # the elimination runs for every Moore code, the points only when
+    # n - k <= M + 1; a code that is not Moore runs neither
+    made = []
+    points = linear_code._cobinary_points
+
+    def recording(relations, n):
+        made.append(len(relations))
+        return points(relations, n)
+
+    monkeypatch.setattr(linear_code, "_cobinary_points", recording)
+    for M in (4, 5, 6, 9):
+        _RankHierarchy(build_square_code(3, M).code)
+    assert made == [7, 7]
+    _RankHierarchy(scaled_copy(build_square_code(3, 9).code, Random(229)))
+    assert len(made) == 2

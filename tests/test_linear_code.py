@@ -288,10 +288,19 @@ _PINNED_WORK = {
 }
 
 # the binary engine's pushes through _push_binary (calls, points
-# written) on the square codes themselves, which are Moore codes.  It is
-# the same search: one push wherever the GF(2^m) engine makes one of
-# its three, and the last level counts the same lines
-_PINNED_BINARY_PUSHES = {(3, 7): (1088, 6000), (4, 5): (1770, 14395)}
+# written) on the square codes themselves, which are Moore codes.  On
+# the generator side it is the same search: one push wherever the
+# GF(2^m) engine makes one of its three, and the last level counts the
+# same lines
+_PINNED_BINARY_PUSHES = {(4, 5): (1770, 14395)}
+
+# r = 3, M = 7 and 8 take d from the binary dual matroid B*, of rank 7:
+# its pushes through _push_binary and its last level's counts (calls,
+# points written or columns keyed)
+_PINNED_COBINARY_WORK = {
+    (3, 7): {"binary": (375, 2472), "last": (296, 1904)},
+    (3, 8): {"binary": (107, 792), "last": (94, 668)},
+}
 
 
 def _distance_work(monkeypatch, code: LinearCode) -> tuple[int, dict]:
@@ -372,6 +381,18 @@ def test_a_code_scales_each_column_once(monkeypatch, M):
     assert code.n <= len(calls) <= code.n + sum(H.n for H in duals)
 
 
+def test_a_parity_side_distance_scales_no_generator_column():
+    # the Moore test needs no tables and spends none of the tableless
+    # allowance, so a high-rate code that is not Moore takes it and
+    # builds H without making the generator's points: a cold GF(2^16)
+    # copy of square r=4 M=16 still answers within the allowance
+    copy = scaled_copy(build_square_code(4, 16).code, Random(16))
+    assert copy._binary_points() is None
+    assert min_distance(copy, 25) == 4
+    assert copy._point_cache is None
+    assert copy.field._exp is None
+
+
 @pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
 def test_flat_search_work_is_pinned(monkeypatch, r, M):
     # the pushes at each depth and what they write are deterministic; a
@@ -390,18 +411,20 @@ def test_flat_search_work_is_pinned(monkeypatch, r, M):
 
 @pytest.mark.parametrize("r, M", sorted(_PINNED_WORK))
 def test_binary_flat_search_work_is_pinned(monkeypatch, r, M):
-    # a square code on the generator side pushes only binary points, and
-    # its last level counts the same lines as the GF(2^m) engine's.  r =
-    # 3, M = 8 is searched on the dual side, whose parity-check code is
-    # no Moore code: the GF(2^m) work, unchanged
+    # a square code pushes only binary points.  On the generator side,
+    # r = 4, M = 5, its last level counts the same lines as the GF(2^m)
+    # engine's.  r = 3, M = 7 and 8 search B*'s points, and neither
+    # builds the parity-check code that the scaled copy of M = 8 does
     code = build_square_code(r, M).code
     d, work = _distance_work(monkeypatch, code)
     assert d == bound_square(code.n, M, r)
-    if (r, M) not in _PINNED_BINARY_PUSHES:
-        assert work == {**_PINNED_WORK[r, M], "binary": (0, 0)}
+    no_tuple_work = {"push": (0, 0), "plane_points": (0, 0), "plane_lines": (0, 0)}
+    if (r, M) in _PINNED_COBINARY_WORK:
+        assert _RankHierarchy(code).cobinary is not None
+        assert work == {**no_tuple_work, **_PINNED_COBINARY_WORK[r, M]}
         return
     assert work == {
-        "push": (0, 0), "plane_points": (0, 0), "plane_lines": (0, 0),
+        **no_tuple_work,
         "binary": _PINNED_BINARY_PUSHES[r, M], "last": _PINNED_WORK[r, M]["last"],
     }
     kernels = ("push", "plane_points", "plane_lines")
@@ -934,6 +957,11 @@ def test_min_distance_of_a_code_with_M_equal_n_builds_no_dual(monkeypatch):
         assert naive_min_distance(code)[0] == 1
 
 
+def _walk(code: LinearCode, x_max: int) -> list[int]:
+    """phi(1..x_max) from the ascending walk over a code's own points."""
+    return _phi_walk(code.field, code._points(), code.M, x_max)
+
+
 def test_min_distance_with_M_equal_n_minus_1():
     rng = Random(67)
     for field in (GF2m(1), GF2m(2), GF2m(3)):
@@ -941,18 +969,19 @@ def test_min_distance_with_M_equal_n_minus_1():
             code = random_code(rng, field, n, n - 1, require_repairable=False)
             d = min_distance(code)
             assert d == naive_min_distance(code)[0]
-            assert d == _phi_walk(_dual(code), 1)[0]
+            assert d == _walk(_dual(code), 1)[0]
     assert min_distance(single_parity_code()) == 2
 
 
 def test_both_sides_of_duality_agree(square_r2_m3, square_r2_m4, square_r3_codes):
     codes = _dual_test_codes(square_r2_m3, square_r2_m4) + square_r3_codes
     for code in codes:
-        # the generator side, whatever the rate
+        # the generator side, whatever the rate, and for a Moore code
+        # its binary matroid B, whatever the rank of B's dual
         hierarchy = _RankHierarchy(code)
-        hierarchy.dual = None
+        hierarchy.dual = hierarchy.cobinary = None
         primal = hierarchy.distance()
-        assert primal == _phi_walk(_dual(code), 1)[0] == min_distance(code), code
+        assert primal == _walk(_dual(code), 1)[0] == min_distance(code), code
 
 
 # (size, lex-first witness) of square r=3 M=4..9 over GF(2^9) and
@@ -995,7 +1024,7 @@ def test_distance_searches_leave_no_reference_cycles(square_r3_codes):
 def test_smallest_circuit_leaves_the_rank_cache_alone(square_r3_m9):
     dual = _dual(square_r3_m9.code)
     before = dict(dual._rank_cache)
-    assert _phi_walk(dual, 1)[0] == 4
+    assert _walk(dual, 1)[0] == 4
     assert dual._rank_cache == before
 
 
@@ -1009,7 +1038,7 @@ def test_smallest_circuit_agrees_with_the_reference_circuits(
         for side in (code, _dual(code)):
             fresh = LinearCode(side.field, side.n, side.M, side.columns)
             smallest = reference_circuits(fresh, side.n)[0].bit_count()
-            assert _phi_walk(side, 1)[0] == smallest, side.columns
+            assert _walk(side, 1)[0] == smallest, side.columns
 
 
 def test_high_rate_min_distance_agrees_with_the_oracles():
